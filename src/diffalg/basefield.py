@@ -17,15 +17,23 @@ import math
 from enum import Enum
 from fractions import Fraction
 
-Rational = Fraction
-
-
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError("expected an integer or Fraction, got %r" % (x,))
+
+
+def _signed_sum(terms) -> str:
+    """Join (negative, body) pairs as "a - b + c"; "" for no terms."""
+    parts = []
+    for negative, body in terms:
+        if parts:
+            parts.append(("- " if negative else "+ ") + body)
+        else:
+            parts.append("-" + body if negative else body)
+    return " ".join(parts)
 
 
 class BaseField(Enum):
@@ -200,9 +208,7 @@ class Poly:
         return acc
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
+        terms = []
         for k in range(self.degree(), -1, -1):
             c = self.coeffs[k]
             if c == 0:
@@ -214,11 +220,8 @@ class Poly:
                 body = "t" if mag == 1 else "%s*t" % mag
             else:
                 body = "t^%d" % k if mag == 1 else "%s*t^%d" % (mag, k)
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(parts)
+            terms.append((c < 0, body))
+        return _signed_sum(terms) or "0"
 
     def __repr__(self) -> str:
         return "Poly(%s)" % (str(self),)
@@ -486,10 +489,6 @@ def _coerce(x, field: BaseField):
     if isinstance(x, Poly):
         return RatFunc(x, 1, field)
     return None
-
-
-def rf_derive(f: RatFunc) -> RatFunc:
-    return f.derive()
 
 
 def _partial_fractions(num: Poly, moduli: list[Poly]) -> list[Poly]:

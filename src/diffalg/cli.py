@@ -45,7 +45,7 @@ verbs:
   classify-int A            Galois group of an antiderivative of A
   classify-exp A            Galois group of an exponential of A
   group-check GROUP MATRIX  membership in a catalog matrix group
-  gl-witness N              invariance of Wronskian coefficient ratios
+  gl-witness N              invariance of Wronskian coefficient ratios, N <= 8
 
 GROUP is one of gl<n>, sl<n>, unipotent, gm, mu<k>.  MATRIX literals use
 commas between entries and semicolons between rows, e.g. "1,0;0,1".
@@ -289,14 +289,19 @@ def _generic_point(rng: random.Random, n: int) -> dict:
     return point
 
 
+# gl-witness 8 takes about 0.4 s on a 2-core x86-64 host; each size doubles it
+_GL_WITNESS_MAX = 8
+
+
 def _cmd_gl_witness(pos, opts):
     _need(pos, 1, "gl-witness N [--seed S] [--matrix M]")
     try:
         n = int(pos[0])
     except ValueError:
         raise UsageError("gl-witness needs an integer size") from None
-    if n < 1:
-        raise NotApplicable("matrix size must be at least 1")
+    if not 1 <= n <= _GL_WITNESS_MAX:
+        raise NotApplicable("matrix size must be between 1 and %d"
+                            % _GL_WITNESS_MAX)
     rng = random.Random(opts.seed)
     if opts.matrix is not None:
         transform = parse_matrix(opts.matrix)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .basefield import BaseField, Poly, RatFunc
+from .basefield import BaseField, Poly, RatFunc, _signed_sum
 from .errors import IncompleteAssignment, NotApplicable, ShapeError
 
 
@@ -319,11 +319,9 @@ class DiffPoly:
         return total
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         items = sorted(self.terms.items(), key=lambda kv: _mono_str_key(kv[0]),
                        reverse=True)
-        parts = []
+        terms = []
         for mono, c in items:
             negative = c.num.lead() < 0
             mag = -c if negative else c
@@ -333,12 +331,8 @@ class DiffPoly:
             factors = [] if mono and mag == RatFunc(1) else [mag_s]
             for v, e in mono:
                 factors.append(self._var_str(v, e))
-            body = "*".join(factors)
-            if not parts:
-                parts.append("-" + body if negative else body)
-            else:
-                parts.append(("- " if negative else "+ ") + body)
-        return " ".join(parts)
+            terms.append((negative, "*".join(factors)))
+        return _signed_sum(terms) or "0"
 
     def _var_str(self, v: DerivVar, e: int) -> str:
         name = "x" if self.num_indeterminates == 1 else "x%d" % (v.indeterminate + 1)

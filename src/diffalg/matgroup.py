@@ -16,19 +16,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 from .basefield import RatFunc
-from .diffpoly import DerivVar, DiffPoly
+from .diffpoly import DerivVar, DiffPoly, _coeff
 from .errors import (
     DegeneratePoint,
+    IncompleteAssignment,
     NonMemberSample,
     NotInCatalog,
     ShapeError,
     SingularTransform,
 )
 from .galois import GaloisDescriptor, GroupKind
+from .wronskian import _det, _monic_coefficients, _solve, apply_constant_matrix
 
 
 @dataclass(frozen=True)
@@ -54,40 +57,16 @@ class ConstMatrix:
         return len(self.entries)
 
     def det(self) -> Fraction:
-        m = [list(row) for row in self.entries]
-        n = self.n
-        det = Fraction(1)
-        for k in range(n):
-            pivot = next((i for i in range(k, n) if m[i][k]), None)
-            if pivot is None:
-                return Fraction(0)
-            if pivot != k:
-                m[k], m[pivot] = m[pivot], m[k]
-                det = -det
-            det *= m[k][k]
-            inv = 1 / m[k][k]
-            for i in range(k + 1, n):
-                f = m[i][k] * inv
-                if f:
-                    m[i] = [a - f * b for a, b in zip(m[i], m[k])]
-        return det
+        return _det([list(row) for row in self.entries])
 
     def inverse(self) -> "ConstMatrix":
         n = self.n
-        aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-               for i, row in enumerate(self.entries)]
-        for k in range(n):
-            pivot = next((i for i in range(k, n) if aug[i][k]), None)
-            if pivot is None:
-                raise SingularTransform("matrix is singular")
-            aug[k], aug[pivot] = aug[pivot], aug[k]
-            inv = 1 / aug[k][k]
-            aug[k] = [v * inv for v in aug[k]]
-            for i in range(n):
-                if i != k and aug[i][k]:
-                    f = aug[i][k]
-                    aug[i] = [a - f * b for a, b in zip(aug[i], aug[k])]
-        return ConstMatrix.from_rows([row[n:] for row in aug])
+        solved = _solve([list(row) + [Fraction(int(i == j)) for j in range(n)]
+                         for i, row in enumerate(self.entries)])
+        if solved is None:
+            raise SingularTransform("matrix is singular")
+        d, y = solved
+        return ConstMatrix.from_rows([[v / d for v in row] for row in y])
 
     def __matmul__(self, other: "ConstMatrix") -> "ConstMatrix":
         if self.n != other.n:
@@ -108,35 +87,28 @@ class GroupLabel(Enum):
 
 @dataclass(frozen=True)
 class AlgebraicMatrixGroup:
-    """Invertible matrices annihilating every polynomial of the defining set."""
+    """Invertible matrices annihilating every polynomial of the defining set.
+
+    equations=None stands for det - 1 (special linear), whose n! terms are
+    expanded only when defining_set is read; membership tests det(M) = 1.
+    """
 
     n: int
-    defining_set: tuple
+    equations: tuple | None
     label: GroupLabel | None = None
     unity_order: int | None = None
+
+    @cached_property
+    def defining_set(self) -> tuple:
+        if self.equations is not None:
+            return self.equations
+        n = self.n
+        det = _symbolic_det([[_entry_var(n, i, j) for j in range(n)] for i in range(n)])
+        return (det - DiffPoly.const(1, n * n),)
 
 
 def _entry_var(n: int, i: int, j: int) -> DiffPoly:
     return DiffPoly.from_var(DerivVar(0, i * n + j), n * n)
-
-
-def _det_polynomial(n: int) -> DiffPoly:
-    total = DiffPoly({}, n * n)
-    for perm in permutations(range(n)):
-        prod = DiffPoly.const(_perm_sign(perm), n * n)
-        for i, j in enumerate(perm):
-            prod = prod * _entry_var(n, i, j)
-        total = total + prod
-    return total
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
 
 
 def catalog_group(label: GroupLabel, n: int, unity_order: int | None = None) -> AlgebraicMatrixGroup:
@@ -147,7 +119,7 @@ def catalog_group(label: GroupLabel, n: int, unity_order: int | None = None) -> 
     if label is GroupLabel.GENERAL_LINEAR:
         return AlgebraicMatrixGroup(n, (), label)
     if label is GroupLabel.SPECIAL_LINEAR:
-        return AlgebraicMatrixGroup(n, (_det_polynomial(n) - one,), label)
+        return AlgebraicMatrixGroup(n, None, label)
     if label is GroupLabel.UNIPOTENT_ADDITIVE:
         if n != 2:
             raise NotInCatalog("the unipotent embedding is 2x2")
@@ -172,11 +144,14 @@ def group_contains(group: AlgebraicMatrixGroup, m: ConstMatrix) -> bool:
     """Invertible and every defining polynomial vanishes at the entries."""
     if m.n != group.n:
         raise ShapeError("matrix size %d, group size %d" % (m.n, group.n))
-    if m.det() == 0:
+    det = m.det()
+    if group.equations is None:
+        return det == 1
+    if det == 0:
         return False
     point = {DerivVar(0, i * group.n + j): RatFunc(m.entries[i][j])
              for i in range(group.n) for j in range(group.n)}
-    return all(p.evaluate(point).is_zero() for p in group.defining_set)
+    return all(p.evaluate(point).is_zero() for p in group.equations)
 
 
 def group_closure_sample_check(group: AlgebraicMatrixGroup, samples) -> bool:
@@ -222,10 +197,12 @@ def descriptor_to_matrix_group(d: GaloisDescriptor) -> AlgebraicMatrixGroup:
 
 
 def _symbolic_det(rows) -> DiffPoly:
+    """Leibniz expansion, n! terms; used only where the polynomial is wanted."""
     n = len(rows)
     total = None
     for perm in permutations(range(n)):
-        prod = DiffPoly.const(_perm_sign(perm), rows[0][0].num_indeterminates)
+        sign = (-1) ** sum(a > b for a, b in combinations(perm, 2))
+        prod = DiffPoly.const(sign, rows[0][0].num_indeterminates)
         for i, j in enumerate(perm):
             prod = prod * rows[i][j]
         total = prod if total is None else total + prod
@@ -249,24 +226,27 @@ def gl_invariance_witness(n: int, transform: ConstMatrix, generic_point: dict) -
     """Coefficient ratios of the bordered Wronskian survive the substitution.
 
     generic_point maps DerivVar(order, indeterminate) to RatFunc for orders
-    0..n; it must keep the Wronskian nonzero.
+    0..n; it must keep the Wronskian nonzero.  Substituting T and then
+    evaluating at p equals evaluating at p'_i = sum_k T[i][k] p_k, so the
+    ratios minor_j / W are read (up to sign) off one solve at p and one
+    at p', with no polynomial expanded.
     """
     if transform.n != n:
         raise ShapeError("transform size %d, expected %d" % (transform.n, n))
     if transform.det() == 0:
         raise SingularTransform("transform must be invertible")
-    minors = wronskian_minor_polynomials(n)
-    w = minors[n]
-    matrix_rows = [list(r) for r in transform.entries]
-    w_val = w.evaluate(generic_point)
-    if w_val.is_zero():
+    try:
+        rows = [[_coeff(generic_point[DerivVar(order, i)]) for order in range(n + 1)]
+                for i in range(n)]
+    except KeyError as exc:
+        v = exc.args[0]
+        raise IncompleteAssignment("no value for x%d^(%d)"
+                                   % (v.indeterminate, v.order)) from None
+    moved = [apply_constant_matrix(col, transform.entries) for col in zip(*rows)]
+    before = _monic_coefficients(rows)
+    if before is None:
         raise DegeneratePoint("Wronskian vanishes at the generic point")
-    w_sub = w.substitute_linear(matrix_rows).evaluate(generic_point)
-    if w_sub.is_zero():
+    after = _monic_coefficients([list(row) for row in zip(*moved)])
+    if after is None:
         raise DegeneratePoint("transformed Wronskian vanishes at the generic point")
-    for j in range(n):
-        before = minors[j].evaluate(generic_point) / w_val
-        after = minors[j].substitute_linear(matrix_rows).evaluate(generic_point) / w_sub
-        if before != after:
-            return False
-    return True
+    return before == after

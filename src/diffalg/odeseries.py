@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .basefield import RatFunc, _as_fraction
+from .basefield import RatFunc, _as_fraction, _signed_sum
 from .errors import PoleAtBasePoint, ShapeError
 from .wronskian import LinearODE
 
@@ -117,7 +117,7 @@ class TruncatedSeries:
             sym = "(t - %s)" % self.base_point
         else:
             sym = "(t + %s)" % (-self.base_point)
-        parts = []
+        terms = []
         for k, c in enumerate(self.coeffs):
             if c == 0:
                 continue
@@ -127,14 +127,10 @@ class TruncatedSeries:
             else:
                 pw = sym if k == 1 else "%s^%d" % (sym, k)
                 body = pw if mag == 1 else "%s*%s" % (mag, pw)
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + body)
+            terms.append((c < 0, body))
         tail = "O(%s^%d)" % (sym, self.precision + 1)
-        if not parts:
-            return tail
-        return " ".join(parts) + " + " + tail
+        body = _signed_sum(terms)
+        return body + " + " + tail if body else tail
 
     def __repr__(self) -> str:
         return "TruncatedSeries(%s)" % (str(self),)

@@ -4,7 +4,8 @@ The dependence test is the classical one: n elements of the field are
 linearly dependent over the constants iff their Wronskian vanishes.  The
 certificate direction never touches the Wronskian; it solves for the
 constants directly on cleared polynomial coefficients, which is what makes
-it usable as an independent oracle.
+it usable as an independent oracle.  Determinants, solves and kernel
+vectors all come from one fraction-free elimination, _bareiss.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .basefield import Poly, RatFunc, poly_lcm
+from .basefield import Poly, RatFunc, _signed_sum, poly_lcm
 from .errors import NotFundamental, ShapeError
 
 
@@ -27,49 +28,110 @@ def wronsky_matrix(elems) -> list:
     return rows
 
 
+def _exact_div(a, b):
+    # Poly is a ring with exact division; Fraction and RatFunc are fields
+    return a.exact_div(b) if isinstance(a, Poly) else a / b
+
+
+def _bareiss(m: list, width: int) -> tuple[list, int, int]:
+    """Fraction-free elimination (Bareiss 1968) over an exact ring.
+
+    Columns 0, 1, ... (up to width) become pivots until one has no nonzero
+    entry left.  Returns (rows, rank, sign): rows[k][k] (k < rank) and the
+    entries right of it are minors of the row-swapped input, so every
+    division is exact; entries below a pivot are stale.
+    """
+    rows = [row[:] for row in m]
+    sign = 1
+    prev = None
+    for k in range(min(width, len(rows))):
+        if not rows[k][k]:
+            hit = next((i for i in range(k + 1, len(rows)) if rows[i][k]), None)
+            if hit is None:
+                return rows, k, sign
+            rows[k], rows[hit] = rows[hit], rows[k]
+            sign = -sign
+        piv = rows[k]
+        for i in range(k + 1, len(rows)):
+            row = rows[i]
+            lead = row[k]
+            for j in range(k + 1, len(row)):
+                v = row[j] * piv[k] - lead * piv[j]
+                row[j] = v if prev is None else _exact_div(v, prev)
+        prev = piv[k]
+    return rows, min(width, len(rows)), sign
+
+
+def _back_substitute(rows: list, rank: int, col: int) -> tuple:
+    """(d, y): d = rows[rank-1][rank-1] and y = d*x, where x solves the
+    leading rank x rank triangle against column col (Cramer numerators)."""
+    d = rows[rank - 1][rank - 1]
+    y = [None] * rank
+    y[-1] = rows[rank - 1][col]
+    for i in range(rank - 2, -1, -1):
+        acc = d * rows[i][col]
+        for k in range(i + 1, rank):
+            acc = acc - rows[i][k] * y[k]
+        y[i] = _exact_div(acc, rows[i][i])
+    return d, y
+
+
+def _det(m: list):
+    """Determinant of a square matrix over an exact ring."""
+    rows, rank, sign = _bareiss(m, len(m))
+    # below full rank, elimination stopped at a zero rows[rank][rank]
+    k = min(rank, len(m) - 1)
+    return -rows[k][k] if sign < 0 else rows[k][k]
+
+
 def _poly_det_bareiss(m: list) -> Poly:
     """Fraction-free determinant of a square Poly matrix."""
-    n = len(m)
-    m = [row[:] for row in m]
-    sign = 1
-    prev = Poly((1,))
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for r in range(k + 1, n):
-                if not m[r][k].is_zero():
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Poly()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]).exact_div(prev)
-            m[i][k] = Poly()
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
+    return _det(m)
 
 
-def _det_ratfunc(rows: list) -> RatFunc:
-    # clear one common denominator per column, then Bareiss over Poly
-    n = len(rows)
-    cleared = [[None] * n for _ in range(n)]
-    denom = Poly((1,))
-    for i in range(n):
-        col_den = Poly((1,))
-        for j in range(n):
-            col_den = poly_lcm(col_den, rows[j][i].den)
-        for j in range(n):
-            f = rows[j][i]
-            cleared[j][i] = f.num * col_den.exact_div(f.den)
-        denom = denom * col_den
-    return RatFunc(_poly_det_bareiss(cleared), denom)
+def _solve(aug: list) -> tuple | None:
+    """(d, y) with a*y = d*b over the entries' ring, for aug = [a | b] with
+    a square; None when a is singular."""
+    n = len(aug)
+    rows, rank, _sign = _bareiss(aug, n)
+    if rank < n:
+        return None
+    cols = [_back_substitute(rows, n, c)[1] for c in range(n, len(aug[0]))]
+    return rows[n - 1][n - 1], [list(ys) for ys in zip(*cols)]
+
+
+def _clear_rows(rows: list) -> tuple[list, Poly]:
+    """Each RatFunc row times the lcm of its denominators, and their product."""
+    cleared = []
+    scale = Poly((1,))
+    for row in rows:
+        den = Poly((1,))
+        for f in row:
+            den = poly_lcm(den, f.den)
+        cleared.append([f.num * den.exact_div(f.den) for f in row])
+        scale = scale * den
+    return cleared, scale
+
+
+def _monic_coefficients(rows: list) -> list | None:
+    """[c_0, ..., c_{n-1}]: y^(n) + c_{n-1} y^(n-1) + ... + c_0 y kills each u_i.
+
+    Row i holds u_i, u_i', ..., u_i^(n) (RatFunc).  By Cramer's rule
+    c_j = (-1)^(n-j) minor_j / W, minor_j being the bordered Wronskian
+    without order j; None when W = 0.
+    """
+    solved = _solve(_clear_rows(rows)[0])
+    if solved is None:
+        return None
+    d, y = solved
+    return [RatFunc(-yj[0], d) for yj in y]
 
 
 def wronskian(elems) -> RatFunc:
     """Exact Wronskian determinant."""
-    return _det_ratfunc(wronsky_matrix(elems))
+    # det of the transpose: one common denominator per element
+    cleared, scale = _clear_rows([list(col) for col in zip(*wronsky_matrix(elems))])
+    return RatFunc(_poly_det_bareiss(cleared), scale)
 
 
 def dependent_over_constants(elems) -> bool:
@@ -105,37 +167,19 @@ def dependence_certificate(elems) -> list | None:
 
 
 def _kernel_vector(a: list, width: int) -> list | None:
-    """One nonzero kernel vector of a (rows x width) rational matrix, or None."""
-    rows = [row[:] for row in a]
-    pivots = []
-    r = 0
-    for col in range(width):
-        hit = None
-        for i in range(r, len(rows)):
-            if rows[i][col]:
-                hit = i
-                break
-        if hit is None:
-            continue
-        rows[r], rows[hit] = rows[hit], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    free = [c for c in range(width) if c not in pivots]
-    if not free:
+    """One nonzero kernel vector of a (rows x width) rational matrix, or None.
+
+    The first non-pivot column gets 1 and later columns 0, which fixes
+    the vector.
+    """
+    rows, rank, _sign = _bareiss(a, width)
+    if rank == width:
         return None
-    choice = free[0]
     vec = [Fraction(0)] * width
-    vec[choice] = Fraction(1)
-    for i, col in enumerate(pivots):
-        vec[col] = -rows[i][choice]
+    vec[rank] = Fraction(1)
+    if rank:
+        d, y = _back_substitute(rows, rank, rank)
+        vec[:rank] = [-v / d for v in y]
     return vec
 
 
@@ -175,17 +219,16 @@ class LinearODE:
         return acc
 
     def __str__(self) -> str:
-        parts = [_y_term(RatFunc(1), self.order, lead=True)]
+        terms = [(False, _y_term(RatFunc(1), self.order))]
         for i, a in enumerate(self.coeffs, start=1):
             if a.is_zero():
                 continue
             negative = a.num.lead() < 0
-            mag = -a if negative else a
-            parts.append(("- " if negative else "+ ") + _y_term(mag, self.order - i))
-        return " ".join(parts) + " = 0"
+            terms.append((negative, _y_term(-a if negative else a, self.order - i)))
+        return _signed_sum(terms) + " = 0"
 
 
-def _y_term(mag: RatFunc, order: int, lead: bool = False) -> str:
+def _y_term(mag: RatFunc, order: int) -> str:
     if order == 0:
         name = "y"
     elif order <= 2:
@@ -208,37 +251,19 @@ class FundamentalSystem:
     wronskian: RatFunc = field(init=False)
 
     def __post_init__(self):
-        w = wronskian_of(self.elems)
+        w = wronskian(self.elems)
         if w.is_zero():
             raise NotFundamental("Wronskian vanishes")
         self.wronskian = w
 
 
-def wronskian_of(elems) -> RatFunc:
-    return wronskian(elems)
-
-
 def ode_from_fundamental_system(fs: FundamentalSystem) -> LinearODE:
     """The monic ODE annihilating every element of the system.
 
-    Cofactor expansion of the bordered Wronskian in the extra symbol y
-    (placed as the last column): the coefficient of y^(j) is the signed
-    minor that deletes derivative row j, and dividing by the Wronskian
-    makes the operator monic.
+    The coefficients c_j of y^(j) solve sum_j f^(j) c_j = -f^(n) over the
+    elements f, one fraction-free solve on the transposed Wronsky matrix.
     """
-    elems = fs.elems
-    n = len(elems)
-    w = fs.wronskian
-    if w.is_zero():
+    if fs.wronskian.is_zero():
         raise NotFundamental("Wronskian vanishes")
-    rows = [list(elems)]
-    for _ in range(n):
-        rows.append([f.derive() for f in rows[-1]])
-    coeffs = []
-    for i in range(1, n + 1):
-        j = n - i
-        minor = [rows[r] for r in range(n + 1) if r != j]
-        m = _det_ratfunc(minor)
-        sign = -1 if i % 2 else 1
-        coeffs.append(m * sign / w)
-    return LinearODE(n, coeffs)
+    rows = [list(col) + [col[-1].derive()] for col in zip(*wronsky_matrix(fs.elems))]
+    return LinearODE(len(rows), _monic_coefficients(rows)[::-1])

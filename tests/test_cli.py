@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from random import Random
 
@@ -188,6 +189,34 @@ def test_deterministic_output():
     second = invoke(["gl-witness", "3", "--seed", "11", "--format", "json"])
     assert first == second == (0, '{"kind":"bool","result":true}\n', "")
     assert invoke(["gl-witness", "2", "--seed", "4"]) == (0, "true\n", "")
+
+
+def _timed(args):
+    started = time.perf_counter()
+    result = invoke(args)
+    return result, time.perf_counter() - started
+
+
+def test_large_sizes_stay_fast():
+    # sl<n> is decided as det = 1 and gl-witness evaluates instead of
+    # expanding; the n!-term polynomials took 82 s at sl7 and over 60 s
+    # at gl-witness 5
+    identity = ";".join(",".join("1" if i == j else "0" for j in range(8))
+                        for i in range(8))
+    result, elapsed = _timed(["group-check", "sl8", identity])
+    assert result == (0, "true\n", "") and elapsed < 1.0
+    result, elapsed = _timed(["gl-witness", "6", "--seed", "3"])
+    assert result == (0, "true\n", "") and elapsed < 10.0
+
+
+def test_gl_witness_size_limit():
+    assert invoke(["gl-witness", "8", "--matrix", ";".join(
+        ",".join("1" if i == j else "0" for j in range(8)) for i in range(8))]) \
+        == (0, "true\n", "")
+    for size in ("9", "0"):
+        code, out, err = invoke(["gl-witness", size])
+        assert code == 1 and out == ""
+        assert err == "error: matrix size must be between 1 and 8\n"
 
 
 def test_batch_mode():

@@ -1,0 +1,205 @@
+"""Differential tests of the fraction-free elimination kernel.
+
+Each quantity the kernel computes is checked against an independent
+route: sympy's determinant, the Leibniz expansion, the symbolic
+substitute-then-evaluate path, and Gauss-Jordan elimination over Q.
+"""
+
+from fractions import Fraction
+from itertools import permutations
+
+import sympy
+from hypothesis import assume, given, settings, strategies as st
+
+from diffalg.basefield import Poly, RatFunc, poly_lcm
+from diffalg.diffpoly import DerivVar
+from diffalg.matgroup import (
+    ConstMatrix,
+    GroupLabel,
+    catalog_group,
+    gl_invariance_witness,
+    group_contains,
+    wronskian_minor_polynomials,
+)
+from diffalg.wronskian import (
+    FundamentalSystem,
+    _det,
+    _kernel_vector,
+    _monic_coefficients,
+    dependence_certificate,
+    ode_from_fundamental_system,
+    wronskian,
+)
+
+_T = sympy.Symbol("t")
+
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+small_ints = st.integers(-3, 3).map(Fraction)
+polys = st.lists(st.integers(-4, 4), max_size=3).map(Poly)
+nonzero_polys = polys.filter(bool)
+ratfuncs = st.builds(RatFunc, polys, nonzero_polys)
+
+
+def _square(entries, lo, hi):
+    return st.integers(lo, hi).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n),
+                           min_size=n, max_size=n))
+
+
+def _sympy_poly(p: Poly):
+    return sum(sympy.Rational(c.numerator, c.denominator) * _T**k
+               for k, c in enumerate(p.coeffs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(_square(rationals, 1, 6), _square(small_ints, 1, 6)))
+def test_fraction_det_and_inverse_against_sympy(rows):
+    m = ConstMatrix.from_rows(rows)
+    expected = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator)
+                              for v in r] for r in rows]).det()
+    det = m.det()
+    assert det == Fraction(int(expected.p), int(expected.q))
+    if det:
+        assert m.inverse() @ m == ConstMatrix.identity(m.n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_square(polys, 1, 4))
+def test_poly_det_against_sympy(rows):
+    expected = sympy.Matrix([[_sympy_poly(p) for p in r] for r in rows]).det()
+    got = _det(rows)
+    assert sympy.expand(_sympy_poly(got) - expected) == 0
+
+
+_SL = {n: catalog_group(GroupLabel.SPECIAL_LINEAR, n) for n in range(1, 5)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_square(small_ints, 1, 4), st.booleans())
+def test_special_linear_against_defining_polynomial(rows, rescale):
+    m = ConstMatrix.from_rows(rows)
+    det = m.det()
+    if rescale and det:
+        # dividing one row by the determinant makes a member
+        m = ConstMatrix.from_rows([[v / det for v in rows[0]]] + rows[1:])
+    group = _SL[m.n]
+    point = {DerivVar(0, i * m.n + j): RatFunc(m.entries[i][j])
+             for i in range(m.n) for j in range(m.n)}
+    (poly,) = group.defining_set
+    expected = m.det() != 0 and poly.evaluate(point).is_zero()
+    assert group_contains(group, m) == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(ratfuncs, min_size=n + 1, max_size=n + 1),
+             min_size=n, max_size=n),
+    st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+             min_size=n, max_size=n))))
+def test_witness_ratios_against_substitution(data):
+    rows, transform = data
+    n = len(rows)
+    t = ConstMatrix.from_rows(transform)
+    assume(t.det() != 0)
+    point = {DerivVar(order, i): rows[i][order]
+             for i in range(n) for order in range(n + 1)}
+    moved = [[sum((c * r[order] for c, r in zip(t_row, rows)), RatFunc(0))
+              for order in range(n + 1)] for t_row in t.entries]
+    minors = wronskian_minor_polynomials(n)
+    matrix = [list(r) for r in t.entries]
+    for at, subst in ((rows, None), (moved, matrix)):
+        values = [m.evaluate(point) if subst is None
+                  else m.substitute_linear(subst).evaluate(point) for m in minors]
+        coeffs = _monic_coefficients(at)
+        if values[n].is_zero():
+            assert coeffs is None
+            continue
+        assert coeffs == [values[j] / values[n] * (-1) ** (n - j)
+                          for j in range(n)]
+    if not minors[n].evaluate(point).is_zero():
+        assert gl_invariance_witness(n, t, point)
+
+
+def _leibniz(rows):
+    total = RatFunc(0)
+    for perm in permutations(range(len(rows))):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(len(perm))
+                           for j in range(i + 1, len(perm)))
+        prod = RatFunc(sign)
+        for i, j in enumerate(perm):
+            prod = prod * rows[i][j]
+        total = total + prod
+    return total
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(ratfuncs, min_size=1, max_size=4))
+def test_ode_from_against_cofactor_formula(elems):
+    assume(not wronskian(elems).is_zero())
+    n = len(elems)
+    rows = [list(elems)]
+    for _ in range(n):
+        rows.append([f.derive() for f in rows[-1]])
+    w = _leibniz(rows[:n])
+    expected = [_leibniz([rows[r] for r in range(n + 1) if r != n - i])
+                * (-1) ** i / w for i in range(1, n + 1)]
+    assert ode_from_fundamental_system(FundamentalSystem(elems)).coeffs == expected
+
+
+def _rref_kernel_vector(a, width):
+    # Gauss-Jordan over Q: the elimination the kernel replaced
+    rows = [row[:] for row in a]
+    pivots = []
+    r = 0
+    for col in range(width):
+        hit = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if hit is None:
+            continue
+        rows[r], rows[hit] = rows[hit], rows[r]
+        inv = 1 / rows[r][col]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    free = [c for c in range(width) if c not in pivots]
+    if not free:
+        return None
+    vec = [Fraction(0)] * width
+    vec[free[0]] = Fraction(1)
+    for i, col in enumerate(pivots):
+        vec[col] = -rows[i][free[0]]
+    return vec
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 5), st.data())
+def test_kernel_vector_against_gauss_jordan(width, height, data):
+    a = data.draw(st.lists(st.lists(st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2)])
+                                    .map(Fraction), min_size=width, max_size=width),
+                           min_size=height, max_size=height))
+    assert _kernel_vector(a, width) == _rref_kernel_vector(a, width)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(ratfuncs, min_size=1, max_size=3),
+       st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+                min_size=2, max_size=3))
+def test_dependence_certificate_with_wide_kernel(base, mixes):
+    # two or more constant mixes of the base give a kernel of dimension >= 2
+    elems = list(base) + [sum((c * f for c, f in zip(mix, base)), RatFunc(0))
+                          for mix in mixes]
+    common = Poly((1,))
+    for f in elems:
+        common = poly_lcm(common, f.den)
+    cleared = [f.num * common.exact_div(f.den) for f in elems]
+    height = max((p.degree() for p in cleared), default=-1) + 1
+    a = [[p.coeffs[k] if k <= p.degree() else Fraction(0) for p in cleared]
+         for k in range(height)]
+    kernel = _rref_kernel_vector(a, len(elems))
+    lead = next(c for c in kernel if c)
+    assert dependence_certificate(elems) == [c / lead for c in kernel]
