@@ -34,6 +34,17 @@ def var(indeterminate: int = 0, order: int = 0) -> DerivVar:
     return DerivVar(order, indeterminate)
 
 
+def _var_name(v: DerivVar, count: int) -> str:
+    """v as the user types it among count indeterminates: x, x', x'', x^(3)
+    for a single one, x1..x9 otherwise."""
+    name = "x" if count == 1 else "x%d" % (v.indeterminate + 1)
+    if v.order == 0:
+        return name
+    if v.order <= 2:
+        return name + "'" * v.order
+    return "%s^(%d)" % (name, v.order)
+
+
 # a monomial is a tuple of (DerivVar, exponent) sorted by variable rank
 Monomial = tuple
 
@@ -220,7 +231,8 @@ class DiffPoly:
     def _require_order(self, indeterminate: int) -> int:
         n = self.order(indeterminate)
         if n is None or n < 0:
-            raise NotApplicable("polynomial has no positive-rank leader in x%d" % indeterminate)
+            name = _var_name(DerivVar(0, indeterminate), self.num_indeterminates)
+            raise NotApplicable("polynomial has no positive-rank leader in %s" % name)
         return n
 
     def leader(self, indeterminate: int = 0) -> DerivVar:
@@ -312,8 +324,8 @@ class DiffPoly:
             val = c
             for v, e in mono:
                 if v not in assignment:
-                    raise IncompleteAssignment("no value for x%d^(%d)"
-                                               % (v.indeterminate, v.order))
+                    raise IncompleteAssignment(
+                        "no value for %s" % _var_name(v, self.num_indeterminates))
                 val = val * _coeff(assignment[v]) ** e
             total = total + val
         return total
@@ -335,13 +347,7 @@ class DiffPoly:
         return _signed_sum(terms) or "0"
 
     def _var_str(self, v: DerivVar, e: int) -> str:
-        name = "x" if self.num_indeterminates == 1 else "x%d" % (v.indeterminate + 1)
-        if v.order == 0:
-            s = name
-        elif v.order <= 2:
-            s = name + "'" * v.order
-        else:
-            s = "%s^(%d)" % (name, v.order)
+        s = _var_name(v, self.num_indeterminates)
         if e == 1:
             return s
         if v.order == 0:

@@ -4,9 +4,9 @@ Two classifiers: one for u' = a (the group is trivial when a has an
 antiderivative in the field, the full additive group of constants when
 not), one for u' = a*u (full multiplicative group when no power of the
 extension collapses into the field; cyclic of order n when n is the least
-exponent with f' = n a f solvable; trivial at n = 1).  Dimension and
-transcendence degree agree variant by variant, which is the consistency
-statement the acceptance checks pin down.
+exponent with f' = n a f solvable; trivial at n = 1).  Dimension (from the
+kind) and transcendence degree (from the witness and size) agree, which
+is the consistency statement the acceptance checks pin down.
 """
 
 from __future__ import annotations
@@ -99,9 +99,11 @@ def descriptor_dimension(d: GaloisDescriptor) -> int:
 
 
 def descriptor_trdeg(d: GaloisDescriptor) -> int:
-    """Transcendence degree of the classified extension."""
-    if d.kind is GroupKind.TRIVIAL or d.kind is GroupKind.CYCLIC:
+    """Transcendence degree, read off the extension's data, not its kind:
+    0 with an algebraic witness, n^2 for the generic GL(n) fundamental
+    matrix, 1 for a first-order extension with no witness."""
+    if d.witness is not None:
         return 0
-    if d.kind is GroupKind.ADDITIVE or d.kind is GroupKind.MULTIPLICATIVE:
-        return 1
-    return d.n * d.n
+    if d.n is not None:
+        return d.n * d.n
+    return 1

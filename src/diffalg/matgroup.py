@@ -18,10 +18,9 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations, permutations
 
 from .basefield import RatFunc
-from .diffpoly import DerivVar, DiffPoly, _coeff
+from .diffpoly import DerivVar, DiffPoly, _coeff, _var_name
 from .errors import (
     DegeneratePoint,
     IncompleteAssignment,
@@ -31,7 +30,8 @@ from .errors import (
     SingularTransform,
 )
 from .galois import GaloisDescriptor, GroupKind
-from .wronskian import _det, _monic_coefficients, _solve, apply_constant_matrix
+from .wronskian import (_cofactor_det, _det, _monic_coefficients, _solve,
+                        apply_constant_matrix)
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ class AlgebraicMatrixGroup:
         if self.equations is not None:
             return self.equations
         n = self.n
-        det = _symbolic_det([[_entry_var(n, i, j) for j in range(n)] for i in range(n)])
+        det = _cofactor_det([[_entry_var(n, i, j) for j in range(n)] for i in range(n)])
         return (det - DiffPoly.const(1, n * n),)
 
 
@@ -196,19 +196,6 @@ def descriptor_to_matrix_group(d: GaloisDescriptor) -> AlgebraicMatrixGroup:
     return catalog_group(GroupLabel.GENERAL_LINEAR, d.n)
 
 
-def _symbolic_det(rows) -> DiffPoly:
-    """Leibniz expansion, n! terms; used only where the polynomial is wanted."""
-    n = len(rows)
-    total = None
-    for perm in permutations(range(n)):
-        sign = (-1) ** sum(a > b for a, b in combinations(perm, 2))
-        prod = DiffPoly.const(sign, rows[0][0].num_indeterminates)
-        for i, j in enumerate(perm):
-            prod = prod * rows[i][j]
-        total = prod if total is None else total + prod
-    return total
-
-
 def wronskian_minor_polynomials(n: int) -> list:
     """Minors of the bordered Wronskian in n differential indeterminates.
 
@@ -218,7 +205,7 @@ def wronskian_minor_polynomials(n: int) -> list:
     """
     rows = [[DiffPoly.from_var(DerivVar(order, i), n) for i in range(n)]
             for order in range(n + 1)]
-    return [_symbolic_det([rows[r] for r in range(n + 1) if r != j])
+    return [_cofactor_det([rows[r] for r in range(n + 1) if r != j])
             for j in range(n + 1)]
 
 
@@ -239,9 +226,7 @@ def gl_invariance_witness(n: int, transform: ConstMatrix, generic_point: dict) -
         rows = [[_coeff(generic_point[DerivVar(order, i)]) for order in range(n + 1)]
                 for i in range(n)]
     except KeyError as exc:
-        v = exc.args[0]
-        raise IncompleteAssignment("no value for x%d^(%d)"
-                                   % (v.indeterminate, v.order)) from None
+        raise IncompleteAssignment("no value for %s" % _var_name(exc.args[0], n)) from None
     moved = [apply_constant_matrix(col, transform.entries) for col in zip(*rows)]
     before = _monic_coefficients(rows)
     if before is None:

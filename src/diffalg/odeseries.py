@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .basefield import RatFunc, _as_fraction, _signed_sum
 from .errors import PoleAtBasePoint, ShapeError
-from .wronskian import LinearODE
+from .wronskian import LinearODE, _cofactor_det, wronsky_matrix
 
 
 class TruncatedSeries:
@@ -196,23 +196,7 @@ def series_wronskian(series: list) -> TruncatedSeries:
     n = len(series)
     if min(s.precision for s in series) < n - 1:
         raise ShapeError("not enough precision for %d derivatives" % (n - 1))
-    rows = [list(series)]
-    for _ in range(n - 1):
-        rows.append([s.derive() for s in rows[-1]])
-    return _series_det(rows, list(range(n)))
-
-
-def _series_det(rows, cols):
-    if len(cols) == 1:
-        return rows[0][cols[0]]
-    acc = None
-    for pos, c in enumerate(cols):
-        minor = _series_det(rows[1:], cols[:pos] + cols[pos + 1:])
-        term = rows[0][c] * minor
-        if pos % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
+    return _cofactor_det(wronsky_matrix(series))
 
 
 def ode_residual(ode: LinearODE, s: TruncatedSeries) -> TruncatedSeries:

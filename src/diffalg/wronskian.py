@@ -5,7 +5,9 @@ linearly dependent over the constants iff their Wronskian vanishes.  The
 certificate direction never touches the Wronskian; it solves for the
 constants directly on cleared polynomial coefficients, which is what makes
 it usable as an independent oracle.  Determinants, solves and kernel
-vectors all come from one fraction-free elimination, _bareiss.
+vectors of evaluated matrices come from one fraction-free elimination,
+_bareiss (one solve gives a fundamental system's W and monic ODE);
+expanded determinants come from one cofactor expansion, _cofactor_det.
 """
 
 from __future__ import annotations
@@ -33,24 +35,23 @@ def _exact_div(a, b):
     return a.exact_div(b) if isinstance(a, Poly) else a / b
 
 
-def _bareiss(m: list, width: int) -> tuple[list, int, int]:
+def _bareiss(m: list, width: int) -> tuple[list, int]:
     """Fraction-free elimination (Bareiss 1968) over an exact ring.
 
     Columns 0, 1, ... (up to width) become pivots until one has no nonzero
-    entry left.  Returns (rows, rank, sign): rows[k][k] (k < rank) and the
-    entries right of it are minors of the row-swapped input, so every
-    division is exact; entries below a pivot are stale.
+    entry left.  Returns (rows, rank): rows[k][k] (k < rank) and the
+    entries right of it are minors of the input with rows swapped, each
+    swap negating its incoming row so that no minor changes sign; every
+    division is exact, and entries below a pivot are stale.
     """
     rows = [row[:] for row in m]
-    sign = 1
     prev = None
     for k in range(min(width, len(rows))):
         if not rows[k][k]:
             hit = next((i for i in range(k + 1, len(rows)) if rows[i][k]), None)
             if hit is None:
-                return rows, k, sign
-            rows[k], rows[hit] = rows[hit], rows[k]
-            sign = -sign
+                return rows, k
+            rows[k], rows[hit] = [-v for v in rows[hit]], rows[k]
         piv = rows[k]
         for i in range(k + 1, len(rows)):
             row = rows[i]
@@ -59,7 +60,24 @@ def _bareiss(m: list, width: int) -> tuple[list, int, int]:
                 v = row[j] * piv[k] - lead * piv[j]
                 row[j] = v if prev is None else _exact_div(v, prev)
         prev = piv[k]
-    return rows, min(width, len(rows)), sign
+    return rows, min(width, len(rows))
+
+
+def _cofactor_det(rows: list):
+    """Expansion along the first row, n! products, over any ring with *, +
+    and unary -: for truncated series, where exact division is unsafe, and
+    where the expanded polynomial is itself the answer."""
+    def expand(r, cols):
+        if len(cols) == 1:
+            return rows[r][cols[0]]
+        acc = None
+        for pos, c in enumerate(cols):
+            term = rows[r][c] * expand(r + 1, cols[:pos] + cols[pos + 1:])
+            if pos % 2:
+                term = -term
+            acc = term if acc is None else acc + term
+        return acc
+    return expand(0, list(range(len(rows))))
 
 
 def _back_substitute(rows: list, rank: int, col: int) -> tuple:
@@ -78,10 +96,10 @@ def _back_substitute(rows: list, rank: int, col: int) -> tuple:
 
 def _det(m: list):
     """Determinant of a square matrix over an exact ring."""
-    rows, rank, sign = _bareiss(m, len(m))
+    rows, rank = _bareiss(m, len(m))
     # below full rank, elimination stopped at a zero rows[rank][rank]
     k = min(rank, len(m) - 1)
-    return -rows[k][k] if sign < 0 else rows[k][k]
+    return rows[k][k]
 
 
 def _poly_det_bareiss(m: list) -> Poly:
@@ -90,10 +108,10 @@ def _poly_det_bareiss(m: list) -> Poly:
 
 
 def _solve(aug: list) -> tuple | None:
-    """(d, y) with a*y = d*b over the entries' ring, for aug = [a | b] with
-    a square; None when a is singular."""
+    """(det(a), y) with a*y = det(a)*b over the entries' ring, for
+    aug = [a | b] with a square; None when a is singular."""
     n = len(aug)
-    rows, rank, _sign = _bareiss(aug, n)
+    rows, rank = _bareiss(aug, n)
     if rank < n:
         return None
     cols = [_back_substitute(rows, n, c)[1] for c in range(n, len(aug[0]))]
@@ -113,18 +131,23 @@ def _clear_rows(rows: list) -> tuple[list, Poly]:
     return cleared, scale
 
 
-def _monic_coefficients(rows: list) -> list | None:
-    """[c_0, ..., c_{n-1}]: y^(n) + c_{n-1} y^(n-1) + ... + c_0 y kills each u_i.
-
-    Row i holds u_i, u_i', ..., u_i^(n) (RatFunc).  By Cramer's rule
-    c_j = (-1)^(n-j) minor_j / W, minor_j being the bordered Wronskian
-    without order j; None when W = 0.
-    """
-    solved = _solve(_clear_rows(rows)[0])
+def _monic_solve(rows: list) -> tuple | None:
+    """(d, scale, [c_0, ..., c_{n-1}]): W = d/scale, and y^(n) + c_{n-1}
+    y^(n-1) + ... + c_0 y kills each u_i, row i holding u_i, ..., u_i^(n)
+    (RatFunc).  By Cramer's rule c_j = (-1)^(n-j) minor_j / W, minor_j
+    being the bordered Wronskian without order j; None when W = 0."""
+    cleared, scale = _clear_rows(rows)
+    solved = _solve(cleared)
     if solved is None:
         return None
     d, y = solved
-    return [RatFunc(-yj[0], d) for yj in y]
+    return d, scale, [RatFunc(-yj[0], d) for yj in y]
+
+
+def _monic_coefficients(rows: list) -> list | None:
+    """The c_j of _monic_solve alone; None when W = 0."""
+    solved = _monic_solve(rows)
+    return None if solved is None else solved[2]
 
 
 def wronskian(elems) -> RatFunc:
@@ -148,10 +171,7 @@ def dependence_certificate(elems) -> list | None:
     """
     if not elems:
         raise ShapeError("need at least one element")
-    common = Poly((1,))
-    for f in elems:
-        common = poly_lcm(common, f.den)
-    polys = [f.num * common.exact_div(f.den) for f in elems]
+    polys = _clear_rows([elems])[0][0]
     width = len(elems)
     height = max((p.degree() for p in polys), default=-1) + 1
     # rows: coefficient of t^k in sum c_i polys_i = 0
@@ -172,7 +192,7 @@ def _kernel_vector(a: list, width: int) -> list | None:
     The first non-pivot column gets 1 and later columns 0, which fixes
     the vector.
     """
-    rows, rank, _sign = _bareiss(a, width)
+    rows, rank = _bareiss(a, width)
     if rank == width:
         return None
     vec = [Fraction(0)] * width
@@ -245,25 +265,27 @@ def _y_term(mag: RatFunc, order: int) -> str:
 
 @dataclass
 class FundamentalSystem:
-    """Tuple of field elements with nonvanishing Wronskian."""
+    """Tuple of field elements with nonvanishing Wronskian; one solve on
+    the rows f, f', ..., f^(n) gives W (its determinant) and the ODE."""
 
     elems: list
     wronskian: RatFunc = field(init=False)
+    _coefficients: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        w = wronskian(self.elems)
-        if w.is_zero():
+        rows = [list(col) + [col[-1].derive()]
+                for col in zip(*wronsky_matrix(self.elems))]
+        solved = _monic_solve(rows)
+        if solved is None:
             raise NotFundamental("Wronskian vanishes")
-        self.wronskian = w
+        d, scale, self._coefficients = solved
+        self.wronskian = RatFunc(d, scale)
 
 
 def ode_from_fundamental_system(fs: FundamentalSystem) -> LinearODE:
     """The monic ODE annihilating every element of the system.
 
     The coefficients c_j of y^(j) solve sum_j f^(j) c_j = -f^(n) over the
-    elements f, one fraction-free solve on the transposed Wronsky matrix.
+    elements f; the system solved for them when it was built.
     """
-    if fs.wronskian.is_zero():
-        raise NotFundamental("Wronskian vanishes")
-    rows = [list(col) + [col[-1].derive()] for col in zip(*wronsky_matrix(fs.elems))]
-    return LinearODE(len(rows), _monic_coefficients(rows)[::-1])
+    return LinearODE(len(fs._coefficients), fs._coefficients[::-1])

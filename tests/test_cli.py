@@ -178,6 +178,11 @@ def test_json_error_objects():
     assert json.loads(out)["error"] == "domain"
 
 
+def test_errors_name_variables_as_typed():
+    assert invoke(["separant", "t"]) == (
+        1, "", "error: polynomial has no positive-rank leader in x\n")
+
+
 def test_errors_never_print_partial_results():
     code, out, err = invoke(["wronskian", "t", "1/0"])
     assert code == 1 and out == ""

@@ -186,6 +186,8 @@ def test_evaluate():
         assert p.evaluate(zeros) == p.constant_coefficient()
     with pytest.raises(IncompleteAssignment):
         X2.evaluate({var(0, 0): RatFunc(1)})
+    with pytest.raises(IncompleteAssignment, match="no value for x''$"):
+        EXAMPLE_P.derive().evaluate({var(0, 0): RatFunc(1), var(0, 1): RatFunc(1)})
 
 
 def test_str_forms():

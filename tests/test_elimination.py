@@ -5,6 +5,7 @@ route: sympy's determinant, the Leibniz expansion, the symbolic
 substitute-then-evaluate path, and Gauss-Jordan elimination over Q.
 """
 
+import importlib
 from fractions import Fraction
 from itertools import permutations
 
@@ -23,9 +24,11 @@ from diffalg.matgroup import (
 )
 from diffalg.wronskian import (
     FundamentalSystem,
+    _cofactor_det,
     _det,
     _kernel_vector,
     _monic_coefficients,
+    _solve,
     dependence_certificate,
     ode_from_fundamental_system,
     wronskian,
@@ -61,6 +64,16 @@ def test_fraction_det_and_inverse_against_sympy(rows):
     assert det == Fraction(int(expected.p), int(expected.q))
     if det:
         assert m.inverse() @ m == ConstMatrix.identity(m.n)
+        # the solve's determinant carries the sign of its row swaps
+        assert _solve([list(r) + [Fraction(1)] for r in rows])[0] == det
+
+
+@settings(max_examples=60, deadline=None)
+@given(_square(rationals, 1, 5))
+def test_cofactor_det_against_sympy(rows):
+    expected = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator)
+                              for v in r] for r in rows]).det()
+    assert _cofactor_det(rows) == Fraction(int(expected.p), int(expected.q))
 
 
 @settings(max_examples=40, deadline=None)
@@ -144,6 +157,25 @@ def test_ode_from_against_cofactor_formula(elems):
     expected = [_leibniz([rows[r] for r in range(n + 1) if r != n - i])
                 * (-1) ** i / w for i in range(1, n + 1)]
     assert ode_from_fundamental_system(FundamentalSystem(elems)).coeffs == expected
+    assert FundamentalSystem(elems).wronskian == w
+
+
+def test_ode_from_eliminates_once(monkeypatch):
+    # the Wronskian and the ODE come from the same solve
+    module = importlib.import_module("diffalg.wronskian")
+    original = module._bareiss
+    calls = []
+
+    def counted(m, width):
+        calls.append(width)
+        return original(m, width)
+
+    monkeypatch.setattr(module, "_bareiss", counted)
+    t = RatFunc(Poly.t())
+    elems = [RatFunc(1), t, 1 / (t + 1), t * t * t]
+    ode = ode_from_fundamental_system(FundamentalSystem(elems))
+    assert calls == [len(elems)]
+    assert all(ode.apply(f).is_zero() for f in elems)
 
 
 def _rref_kernel_vector(a, width):

@@ -105,6 +105,16 @@ def test_dimension_equals_trdeg_everywhere():
         assert descriptor_dimension(d) == descriptor_trdeg(d)
 
 
+def test_trdeg_reads_extension_data():
+    # the kind alone does not fix the transcendence degree: without its
+    # algebraic witness a "trivial" extension is transcendental, so
+    # criterion 7 can tell the two tables apart
+    bare = GaloisDescriptor(GroupKind.TRIVIAL)
+    assert descriptor_dimension(bare) == 0 and descriptor_trdeg(bare) == 1
+    assert descriptor_trdeg(GaloisDescriptor(GroupKind.ADDITIVE, RatFunc(1))) == 0
+    assert descriptor_trdeg(GaloisDescriptor(GroupKind.CYCLIC, n=3)) == 9
+
+
 def test_additive_case_series_cross_check():
     # u' = a with no antiderivative: (1, u) solves y'' - (a'/a) y' = 0
     a = RatFunc(1, T)

@@ -7,6 +7,7 @@ from conftest import generic_wronskian_point, random_invertible, random_ratfunc
 from diffalg.basefield import Poly, RatFunc
 from diffalg.errors import (
     DegeneratePoint,
+    IncompleteAssignment,
     NonMemberSample,
     NotInCatalog,
     ShapeError,
@@ -186,6 +187,9 @@ def test_gl_witness_examples():
     degenerate = {k: RatFunc(1) if k.order == 0 else RatFunc(0) for k in pt}
     with pytest.raises(DegeneratePoint):
         gl_invariance_witness(2, ConstMatrix.identity(2), degenerate)
+    partial = {k: v for k, v in pt.items() if k != DerivVar(2, 1)}
+    with pytest.raises(IncompleteAssignment, match="no value for x2''$"):
+        gl_invariance_witness(2, ConstMatrix.identity(2), partial)
 
 
 def test_gl_witness_random_trials():
