@@ -36,6 +36,30 @@ def _signed_sum(terms) -> str:
     return " ".join(parts)
 
 
+def _grouped(s: str) -> str:
+    """s as a factor of a product: in parentheses when it is a sum."""
+    return "(%s)" % s if " + " in s or " - " in s else s
+
+
+def _derivative_name(name: str, order: int) -> str:
+    """name, name', name'', name^(3), ... as the printers write derivatives."""
+    if order == 0:
+        return name
+    if order <= 2:
+        return name + "'" * order
+    return "%s^(%d)" % (name, order)
+
+
+def _power(acc, base, e: int):
+    """acc * base^e, e >= 0, by repeated squaring."""
+    while e:
+        if e & 1:
+            acc = acc * base
+        base = base * base
+        e >>= 1
+    return acc
+
+
 class BaseField(Enum):
     """Which differential field an element lives in."""
 
@@ -143,14 +167,7 @@ class Poly:
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly((1,))
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(Poly((1,)), self, e)
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         """Euclidean division, other nonzero."""
@@ -372,16 +389,6 @@ class RatFunc:
     def __bool__(self) -> bool:
         return not self.num.is_zero()
 
-    def is_constant(self) -> bool:
-        return self.num.degree() <= 0 and self.den.degree() <= 0
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError("not a constant")
-        if self.num.is_zero():
-            return Fraction(0)
-        return self.num.coeffs[0]
-
     def __eq__(self, other) -> bool:
         other = _coerce(other, self.field)
         if other is None:
@@ -468,9 +475,7 @@ class RatFunc:
         scale = math.lcm(*(c.denominator for c in self.num.coeffs))
         num = self.num * scale
         den = self.den * scale
-        num_s = str(num)
-        if " + " in num_s or " - " in num_s:
-            num_s = "(%s)" % num_s
+        num_s = _grouped(str(num))
         den_s = str(den)
         monomial = sum(1 for c in den.coeffs if c) == 1 and den.lead() == 1
         if not monomial:

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .basefield import BaseField, Poly, RatFunc, _signed_sum
+from .basefield import (BaseField, Poly, RatFunc, _derivative_name, _grouped,
+                        _power, _signed_sum)
 from .errors import IncompleteAssignment, NotApplicable, ShapeError
 
 
@@ -38,11 +39,7 @@ def _var_name(v: DerivVar, count: int) -> str:
     """v as the user types it among count indeterminates: x, x', x'', x^(3)
     for a single one, x1..x9 otherwise."""
     name = "x" if count == 1 else "x%d" % (v.indeterminate + 1)
-    if v.order == 0:
-        return name
-    if v.order <= 2:
-        return name + "'" * v.order
-    return "%s^(%d)" % (name, v.order)
+    return _derivative_name(name, v.order)
 
 
 # a monomial is a tuple of (DerivVar, exponent) sorted by variable rank
@@ -118,10 +115,6 @@ class DiffPoly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def is_constant(self) -> bool:
-        """True when the polynomial lies in the coefficient field."""
-        return all(mono == () for mono in self.terms)
-
     def constant_coefficient(self) -> RatFunc:
         return self.terms.get((), _ZERO_RF)
 
@@ -175,14 +168,7 @@ class DiffPoly:
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono = _mono_mul(m1, m2)
-                c = c1 * c2
-                acc = out.get(mono)
-                acc = c if acc is None else acc + c
-                if acc.is_zero():
-                    out.pop(mono, None)
-                else:
-                    out[mono] = acc
+                _acc_term(out, _mono_mul(m1, m2), c1 * c2)
         return DiffPoly(out, max(self.num_indeterminates, other.num_indeterminates))
 
     __rmul__ = __mul__
@@ -190,14 +176,7 @@ class DiffPoly:
     def __pow__(self, e: int) -> "DiffPoly":
         if e < 0:
             raise ValueError("negative power of a differential polynomial")
-        result = DiffPoly.const(1, self.num_indeterminates)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(DiffPoly.const(1, self.num_indeterminates), self, e)
 
     def derive(self) -> "DiffPoly":
         """Total derivative: coefficients via the field derivation, x_i^(j) -> x_i^(j+1)."""
@@ -337,10 +316,7 @@ class DiffPoly:
         for mono, c in items:
             negative = c.num.lead() < 0
             mag = -c if negative else c
-            mag_s = str(mag)
-            if " + " in mag_s or " - " in mag_s:
-                mag_s = "(%s)" % mag_s
-            factors = [] if mono and mag == RatFunc(1) else [mag_s]
+            factors = [] if mono and mag == RatFunc(1) else [_grouped(str(mag))]
             for v, e in mono:
                 factors.append(self._var_str(v, e))
             terms.append((negative, "*".join(factors)))

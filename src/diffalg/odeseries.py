@@ -4,6 +4,11 @@ Exact truncated Taylor series with Fraction coefficients stand in for the
 abstract solutions of a monic linear ODE.  The system produced here has
 identity initial data, so its Wronskian is a unit (constant term 1), which
 is the fundamental-system criterion.
+
+One recurrence, _taylor, gives every series: a fundamental system solves
+the ODE cleared of denominators, and series_expand is the order-0 case
+den * y = num.  ode_residual expands through series_expand, so the tests
+check both against sympy.
 """
 
 from __future__ import annotations
@@ -11,9 +16,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .basefield import RatFunc, _as_fraction, _signed_sum
+from .basefield import Poly, RatFunc, _as_fraction, _signed_sum
 from .errors import PoleAtBasePoint, ShapeError
-from .wronskian import LinearODE, _cofactor_det, wronsky_matrix
+from .wronskian import LinearODE, _clear_rows, _cofactor_det, wronsky_matrix
 
 
 class TruncatedSeries:
@@ -105,11 +110,6 @@ class TruncatedSeries:
         return TruncatedSeries(self.base_point,
                                [k * c for k, c in enumerate(self.coeffs)][1:])
 
-    def integrate(self, constant=0) -> "TruncatedSeries":
-        out = [_as_fraction(constant)]
-        out.extend(c / (k + 1) for k, c in enumerate(self.coeffs))
-        return TruncatedSeries(self.base_point, out)
-
     def __str__(self) -> str:
         if self.base_point == 0:
             sym = "t"
@@ -136,54 +136,56 @@ class TruncatedSeries:
         return "TruncatedSeries(%s)" % (str(self),)
 
 
+def _taylor(q: list, rhs: Poly, t0: Fraction, inits: list,
+            precision: int) -> list:
+    """The series at t0 of y with q_0 y^(n) + ... + q_n y = rhs (Poly q_i
+    and rhs, n = len(q) - 1), one per block (y^(j)(t0)/j!, j < n) in inits.
+    In y = sum c_m s^m, s = t - t0, the coefficient of s^k reads
+    q_0(t0) (k+n)!/k! c_{k+n} = rhs_k - sum of q_i[l] (k-l+n-i)!/(k-l)!
+    c_{k-l+n-i} over (i, l) != (0, 0) with l <= k."""
+    q = [p.shift(t0).coeffs for p in q]
+    lead = q[0][0]
+    if lead == 0:
+        raise PoleAtBasePoint("denominator vanishes at %s" % t0)
+    rhs = rhs.shift(t0).coeffs
+    n = len(q) - 1
+    terms = sorted((l, n - i, a) for i, qi in enumerate(q)
+                   for l, a in enumerate(qi) if a and (i or l))
+    out = []
+    for init in inits:
+        c = list(init)
+        for k in range(precision - n + 1):
+            total = rhs[k] if k < len(rhs) else 0
+            for l, d, a in terms:
+                if l > k:
+                    break
+                total -= a * c[k - l + d] * math.perm(k - l + d, d)
+            c.append(total / (lead * math.perm(k + n, n)))
+        out.append(TruncatedSeries(t0, c))
+    return out
+
+
 def series_expand(f: RatFunc, base_point, precision: int) -> TruncatedSeries:
-    """Taylor expansion of a rational function at an ordinary value."""
+    """Taylor expansion of a rational function at an ordinary value: the
+    order-0 equation den * y = num."""
     t0 = _as_fraction(base_point)
     if precision < 0:
         raise ShapeError("negative precision")
-    den = f.den.shift(t0)
-    if den.coeffs and den.coeffs[0] == 0:
-        raise PoleAtBasePoint("denominator vanishes at %s" % t0)
-    num = f.num.shift(t0)
-    n_c = list(num.coeffs) + [Fraction(0)] * (precision + 1)
-    d_c = list(den.coeffs) + [Fraction(0)] * (precision + 1)
-    inv0 = 1 / d_c[0]
-    out = []
-    for k in range(precision + 1):
-        acc = n_c[k]
-        for j in range(1, k + 1):
-            acc -= d_c[j] * out[k - j]
-        out.append(acc * inv0)
-    return TruncatedSeries(t0, out)
+    return _taylor([f.den], f.num, t0, [()], precision)[0]
 
 
 def fundamental_system_series(ode: LinearODE, base_point, precision: int = 16) -> list:
-    """n series solutions with u_i^(j)(t0) = delta_ij, i, j < n.
-
-    Coefficients beyond the initial block come from the recurrence read
-    off the equation: the k-th Taylor coefficient of y^(n) must cancel
-    the corresponding coefficient of sum a_i y^(n-i).
-    """
+    """n series solutions with u_i^(j)(t0) = delta_ij, i, j < n, of the
+    cleared equation D y^(n) + D a_1 y^(n-1) + ... = 0, D the lcm of the
+    denominators: D(t0) = 0 iff some a_i has a pole at t0."""
     n = ode.order
     t0 = _as_fraction(base_point)
     if precision < n:
         raise ShapeError("precision must be at least the order")
-    a_series = [series_expand(a, t0, precision) for a in ode.coeffs]
-    out = []
-    for i in range(n):
-        c = [Fraction(0)] * (precision + 1)
-        c[i] = Fraction(1, math.factorial(i))
-        for k in range(precision - n + 1):
-            total = Fraction(0)
-            for idx, a in enumerate(a_series, start=1):
-                d = n - idx
-                for l in range(k + 1):
-                    al = a.coeffs[l]
-                    if al:
-                        total += al * c[k - l + d] * math.perm(k - l + d, d)
-            c[k + n] = -total / math.perm(k + n, n)
-        out.append(TruncatedSeries(t0, c))
-    return out
+    (cleared,), den = _clear_rows([ode.coeffs])
+    inits = [[Fraction(int(i == j), math.factorial(j)) for j in range(n)]
+             for i in range(n)]
+    return _taylor([den] + cleared, Poly(), t0, inits, precision)
 
 
 def series_wronskian(series: list) -> TruncatedSeries:

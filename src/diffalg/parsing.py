@@ -19,6 +19,7 @@ only defined by constants of the differential ring, i.e. expressions with
 no indeterminate in them.
 """
 
+import sys
 from fractions import Fraction
 
 from .basefield import BaseField, Poly, RatFunc
@@ -69,7 +70,12 @@ def _tokenize(text: str) -> list:
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append((_INT, int(text[i:j]), col))
+            try:
+                value = int(text[i:j])
+            except ValueError:
+                raise ParseError("integer literal longer than %d digits"
+                                 % sys.get_int_max_str_digits(), col) from None
+            tokens.append((_INT, value, col))
             i = j
         elif c == "t":
             tokens.append((_T, None, col))
@@ -239,9 +245,7 @@ def parse_fraction(text: str) -> Fraction:
     """Parse a plain rational number such as '3', '-1/2'."""
     try:
         return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        if isinstance(exc, ZeroDivisionError):
-            raise
+    except ValueError:
         raise ParseError("expected a rational number", 1) from None
 
 

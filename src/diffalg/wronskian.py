@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .basefield import Poly, RatFunc, _signed_sum, poly_lcm
+from .basefield import (Poly, RatFunc, _derivative_name, _grouped, _signed_sum,
+                        poly_lcm)
 from .errors import NotFundamental, ShapeError
 
 
@@ -249,18 +250,8 @@ class LinearODE:
 
 
 def _y_term(mag: RatFunc, order: int) -> str:
-    if order == 0:
-        name = "y"
-    elif order <= 2:
-        name = "y" + "'" * order
-    else:
-        name = "y^(%d)" % order
-    if mag == RatFunc(1):
-        return name
-    s = str(mag)
-    if " + " in s or " - " in s:
-        s = "(%s)" % s
-    return "%s*%s" % (s, name)
+    name = _derivative_name("y", order)
+    return name if mag == RatFunc(1) else "%s*%s" % (_grouped(str(mag)), name)
 
 
 @dataclass

@@ -224,6 +224,43 @@ def test_gl_witness_size_limit():
         assert err == "error: matrix size must be between 1 and 8\n"
 
 
+def test_series_precision_limit():
+    # 10^12 ran out of memory and 10^8 ran for hours
+    for precision in ("1000000000000", "100000000", "513"):
+        result, elapsed = _timed(["solve-series", "0", "-1",
+                                  "--precision", precision])
+        assert result == (1, "", "error: precision must be at most 512\n")
+        assert elapsed < 0.5
+    code, out, err = invoke(["solve-series", "0", "-1", "--precision", "512"])
+    assert code == 0 and err == "" and out.count("O(t^513)") == 2
+
+
+def test_long_integers_are_errors():
+    limit = sys.get_int_max_str_digits()
+    # a literal past the int-conversion limit is a syntax error at its column
+    code, out, err = invoke(["order", "x + " + "1" * (limit + 100)])
+    assert (code, out) == (2, "")
+    assert err == ("error: integer literal longer than %d digits (column 5)\n"
+                   % limit)
+    # an answer past it is a domain error, with nothing partial on stdout
+    message = "the answer has an integer of more than %d digits" % limit
+    big = "10^%d*x" % (limit + 100)
+    assert invoke(["derive", big]) == (1, "", "error: %s\n" % message)
+    code, out, err = invoke(["derive", big, "--format", "json"])
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"error": "domain", "message": message}
+    assert invoke(["solve-series", "10^9", "--precision", "512"]) \
+        == (1, "", "error: %s\n" % message)
+
+
+def test_other_value_errors_propagate(monkeypatch):
+    def broken(pos, opts):
+        raise ValueError("not about digits")
+    monkeypatch.setitem(cli._HANDLERS, "derive", broken)
+    with pytest.raises(ValueError, match="not about digits"):
+        invoke(["derive", "x"])
+
+
 def test_batch_mode():
     script = "\n".join([
         "# fundamental example",
@@ -242,6 +279,23 @@ def test_batch_mode():
     code = cli._batch(io.StringIO("order \"t++1\"\norder \"t\"\n"), out, err)
     assert code == 2
     assert out.getvalue() == ""
+    assert err.getvalue() == ("error: unexpected '+' (column 3)\n"
+                              "error: batch stopped at line 1\n")
+    # the line number counts blank and comment lines; a domain error
+    # keeps its exit code and a shlex error exits 2
+    out = io.StringIO()
+    err = io.StringIO()
+    code = cli._batch(io.StringIO(script + "separant t\norder t\n"), out, err)
+    assert code == 1
+    assert out.getvalue() == "2*x'\ntrue\n"
+    assert err.getvalue().endswith("\nerror: batch stopped at line 5\n")
+    out = io.StringIO()
+    err = io.StringIO()
+    code = cli._batch(io.StringIO("\norder t\norder \"t\n"), out, err)
+    assert code == 2
+    assert out.getvalue() == "-1\n"
+    assert err.getvalue() == ("error: No closing quotation\n"
+                              "error: batch stopped at line 3\n")
 
 
 def test_module_entry_point():

@@ -1,11 +1,15 @@
+import math
 from fractions import Fraction
 from random import Random
 
 import pytest
+import sympy
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import random_poly, random_ratfunc
 from diffalg.basefield import Poly, RatFunc
 from diffalg.errors import PoleAtBasePoint, ShapeError
+from diffalg import odeseries
 from diffalg.odeseries import (
     TruncatedSeries,
     fundamental_system_series,
@@ -152,3 +156,72 @@ def test_series_str():
     cosh = fundamental_system_series(LinearODE(2, [ZERO, RatFunc(-1)]), 0, 4)[0]
     assert str(cosh) == "1 + 1/2*t^2 + 1/24*t^4 + O(t^5)"
     assert str(TruncatedSeries(Fraction(1, 2), [0, -1])) == "-(t - 1/2) + O((t - 1/2)^2)"
+
+
+# sympy oracles: series_expand and fundamental_system_series share one
+# recurrence, and ode_residual expands through series_expand, so these
+# tests take every expansion from sympy instead
+
+_T, _S = sympy.symbols("t s")
+
+base_points = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+polys = st.lists(st.integers(-4, 4), max_size=4).map(Poly)
+ratfuncs = st.builds(RatFunc, polys, polys.filter(bool))
+
+
+def _sympy_taylor(f: RatFunc, t0: Fraction, precision: int) -> TruncatedSeries:
+    def expr(p):
+        return sum(sympy.Rational(c.numerator, c.denominator) * _T**k
+                   for k, c in enumerate(p.coeffs))
+    r0 = sympy.Rational(t0.numerator, t0.denominator)
+    ser = sympy.series(expr(f.num) / expr(f.den), _T, r0, precision + 1)
+    shifted = sympy.expand(ser.removeO().subs(_T, _S + r0))
+    coeffs = [shifted.coeff(_S, k) for k in range(precision + 1)]
+    return TruncatedSeries(t0, [Fraction(int(c.p), int(c.q)) for c in coeffs])
+
+
+@settings(max_examples=30, deadline=None)
+@given(ratfuncs, base_points, st.integers(0, 12))
+def test_series_expand_against_sympy(f, t0, precision):
+    assume(f.den(t0) != 0)
+    assert series_expand(f, t0, precision) == _sympy_taylor(f, t0, precision)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 4).flatmap(
+           lambda n: st.lists(ratfuncs, min_size=n, max_size=n)),
+       base_points, st.integers(0, 12))
+def test_fundamental_system_against_sympy(coeffs, t0, extra):
+    assume(all(a.den(t0) != 0 for a in coeffs))
+    n = len(coeffs)
+    precision = n + extra
+    ode = LinearODE(n, coeffs)
+    expanded = [_sympy_taylor(a, t0, precision - n) for a in coeffs]
+    system = fundamental_system_series(ode, t0, precision)
+    assert len(system) == n
+    for i, u in enumerate(system):
+        assert u.precision == precision
+        # u_i^(j)(t0) = delta_ij for j < n
+        assert [u.coeffs[j] * math.factorial(j) for j in range(n)] \
+            == [int(i == j) for j in range(n)]
+        derivs = [u]
+        for _ in range(n):
+            derivs.append(derivs[-1].derive())
+        residual = derivs[n]
+        for k, a in enumerate(expanded, start=1):
+            residual = residual + a * derivs[n - k]
+        assert residual.precision == precision - n and residual.is_zero()
+
+
+def test_fundamental_system_expands_no_coefficient(monkeypatch):
+    # the equation is cleared of denominators and solved by one
+    # recurrence; no coefficient a_i is expanded into a series first
+    calls = []
+    expand = odeseries.series_expand
+    monkeypatch.setattr(odeseries, "series_expand",
+                        lambda *args: calls.append(args) or expand(*args))
+    ode = LinearODE(3, [RatFunc(1, Poly((1, 1))), RatFunc(Poly((0, 1))),
+                        RatFunc(2)])
+    system = fundamental_system_series(ode, 1, 10)
+    assert calls == []
+    assert all(ode_residual(ode, u).is_zero() for u in system)
