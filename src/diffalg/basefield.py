@@ -36,6 +36,15 @@ def _signed_sum(terms) -> str:
     return " ".join(parts)
 
 
+def _power_term(c: Fraction, k: int, sym: str) -> tuple:
+    """c*sym^k as a (negative, body) pair for _signed_sum."""
+    mag = abs(c)
+    if k == 0:
+        return c < 0, str(mag)
+    pw = sym if k == 1 else "%s^%d" % (sym, k)
+    return c < 0, pw if mag == 1 else "%s*%s" % (mag, pw)
+
+
 def _grouped(s: str) -> str:
     """s as a factor of a product: in parentheses when it is a sum."""
     return "(%s)" % s if " + " in s or " - " in s else s
@@ -225,19 +234,8 @@ class Poly:
         return acc
 
     def __str__(self) -> str:
-        terms = []
-        for k in range(self.degree(), -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            elif k == 1:
-                body = "t" if mag == 1 else "%s*t" % mag
-            else:
-                body = "t^%d" % k if mag == 1 else "%s*t^%d" % (mag, k)
-            terms.append((c < 0, body))
+        terms = [_power_term(self.coeffs[k], k, "t")
+                 for k in range(self.degree(), -1, -1) if self.coeffs[k]]
         return _signed_sum(terms) or "0"
 
     def __repr__(self) -> str:

@@ -221,17 +221,9 @@ def _descriptor_output(d):
     elif d.witness is not None:
         payload["witness"] = str(d.witness)
     payload["dimension"] = descriptor_dimension(d)
-
-    parts = [d.kind.value]
-    if d.kind is GroupKind.CYCLIC:
-        parts.append("n=%d" % d.n)
-        parts.append("beta=%s" % d.witness)
-    parts.append("dimension=%d" % payload["dimension"])
-    if d.kind is GroupKind.CYCLIC:
-        parts.append("minimal_polynomial=%s" % d.minimal_polynomial())
-    elif d.witness is not None:
-        parts.append("witness=%s" % d.witness)
-    return " ".join(parts), payload
+    text_keys = ("n", "beta", "dimension", "minimal_polynomial", "witness")
+    parts = ["%s=%s" % (key, payload[key]) for key in text_keys if key in payload]
+    return " ".join([d.kind.value] + parts), payload
 
 
 def _cmd_classify_int(pos, opts):

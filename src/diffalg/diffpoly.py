@@ -5,6 +5,10 @@ differential indeterminates, with RatFunc coefficients.  The module
 implements the total derivation, order/separant/initial data, Ritt
 pseudo-reduction with an expansion certificate, and membership in the
 general-solution ideal of an irreducible polynomial (zero remainder).
+
+Monomials are edited only through _mono_exp and _mono_set.  Ritt
+reduction repeats one step (by the separant above P's order, by the
+initial at it), its multiplier read off the remainder's top terms.
 """
 
 from __future__ import annotations
@@ -48,6 +52,20 @@ Monomial = tuple
 
 def _mono_from_dict(d: dict) -> Monomial:
     return tuple(sorted((v, e) for v, e in d.items() if e))
+
+
+def _mono_exp(m: Monomial, v: DerivVar) -> int:
+    """Exponent of v in m."""
+    for w, e in m:
+        if w == v:
+            return e
+    return 0
+
+
+def _mono_set(m: Monomial, v: DerivVar, e: int) -> Monomial:
+    """m with the exponent of v set to e (v dropped when e is 0)."""
+    rest = [(w, f) for w, f in m if w != v]
+    return tuple(sorted(rest + [(v, e)])) if e else tuple(rest)
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
@@ -143,11 +161,7 @@ class DiffPoly:
             return NotImplemented
         out = dict(self.terms)
         for mono, c in other.terms.items():
-            acc = out.get(mono, _ZERO_RF) + c
-            if acc.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = acc
+            _acc_term(out, mono, c)
         return DiffPoly(out, max(self.num_indeterminates, other.num_indeterminates))
 
     __radd__ = __add__
@@ -183,14 +197,9 @@ class DiffPoly:
         out = {}
         for mono, c in self.terms.items():
             _acc_term(out, mono, c.derive())
-            for idx, (v, e) in enumerate(mono):
-                d = dict(mono)
-                if e == 1:
-                    del d[v]
-                else:
-                    d[v] = e - 1
-                d[v.derived()] = d.get(v.derived(), 0) + 1
-                _acc_term(out, _mono_from_dict(d), c * e)
+            for v, e in mono:
+                lowered, w = _mono_set(mono, v, e - 1), v.derived()
+                _acc_term(out, _mono_set(lowered, w, _mono_exp(lowered, w) + 1), c * e)
         return DiffPoly(out, self.num_indeterminates)
 
     def order(self, indeterminate: int = 0) -> int | None:
@@ -207,69 +216,44 @@ class DiffPoly:
                     best = max(best, v.order)
         return best
 
-    def _require_order(self, indeterminate: int) -> int:
+    def leader(self, indeterminate: int = 0) -> DerivVar:
         n = self.order(indeterminate)
         if n is None or n < 0:
             name = _var_name(DerivVar(0, indeterminate), self.num_indeterminates)
             raise NotApplicable("polynomial has no positive-rank leader in %s" % name)
-        return n
-
-    def leader(self, indeterminate: int = 0) -> DerivVar:
-        return DerivVar(self._require_order(indeterminate), indeterminate)
+        return DerivVar(n, indeterminate)
 
     def separant(self, indeterminate: int = 0) -> "DiffPoly":
         """Partial derivative with respect to the leader."""
         return self.partial(self.leader(indeterminate))
 
     def leader_degree(self, indeterminate: int = 0) -> int:
-        lead = self.leader(indeterminate)
-        return max(dict(mono).get(lead, 0) for mono in self.terms)
+        return self.degree_in(self.leader(indeterminate))
 
     def initial(self, indeterminate: int = 0) -> "DiffPoly":
         """Coefficient of the highest power of the leader."""
         lead = self.leader(indeterminate)
-        deg = self.leader_degree(indeterminate)
-        out = {}
-        for mono, c in self.terms.items():
-            d = dict(mono)
-            if d.get(lead, 0) == deg:
-                del d[lead]
-                _acc_term(out, _mono_from_dict(d), c)
-        return DiffPoly(out, self.num_indeterminates)
+        deg = self.degree_in(lead)
+        return _top_terms(self, lead, deg, deg)
 
     def partial(self, v: DerivVar) -> "DiffPoly":
         """Formal partial derivative with respect to one derivative variable."""
         out = {}
         for mono, c in self.terms.items():
-            d = dict(mono)
-            e = d.get(v, 0)
-            if not e:
-                continue
-            if e == 1:
-                del d[v]
-            else:
-                d[v] = e - 1
-            _acc_term(out, _mono_from_dict(d), c * e)
+            e = _mono_exp(mono, v)
+            if e:
+                _acc_term(out, _mono_set(mono, v, e - 1), c * e)
         return DiffPoly(out, self.num_indeterminates)
 
     def coefficients_in(self, v: DerivVar) -> dict:
         """View as a univariate polynomial in v: exponent -> DiffPoly coefficient."""
         slices: dict[int, dict] = {}
         for mono, c in self.terms.items():
-            d = dict(mono)
-            e = d.pop(v, 0)
-            _acc_term(slices.setdefault(e, {}), _mono_from_dict(d), c)
-        return {
-            e: DiffPoly(t, self.num_indeterminates)
-            for e, t in slices.items()
-            if any(not c.is_zero() for c in t.values())
-        }
+            _acc_term(slices.setdefault(_mono_exp(mono, v), {}), _mono_set(mono, v, 0), c)
+        return {e: DiffPoly(t, self.num_indeterminates) for e, t in slices.items()}
 
     def degree_in(self, v: DerivVar) -> int:
-        deg = 0
-        for mono in self.terms:
-            deg = max(deg, dict(mono).get(v, 0))
-        return deg
+        return max((_mono_exp(mono, v) for mono in self.terms), default=0)
 
     def substitute_linear(self, matrix) -> "DiffPoly":
         """Replace x_i^(j) by sum_k T[i][k] x_k^(j) for a constant matrix T."""
@@ -345,6 +329,12 @@ def _acc_term(d: dict, mono: Monomial, c: RatFunc) -> None:
         d[mono] = acc
 
 
+def _top_terms(p: DiffPoly, v: DerivVar, e: int, d: int) -> DiffPoly:
+    """The terms of p of degree e in v, with the exponent of v lowered by d."""
+    return DiffPoly({_mono_set(mono, v, e - d): c for mono, c in p.terms.items()
+                     if _mono_exp(mono, v) == e}, p.num_indeterminates)
+
+
 def _as_diffpoly(x):
     if isinstance(x, DiffPoly):
         return x
@@ -374,12 +364,25 @@ class ReductionResult:
     certificate: list
 
 
+def _derivatives(p: DiffPoly):
+    """k -> p^(k), each derivative computed once."""
+    tower = [p]
+
+    def deriv(k: int) -> DiffPoly:
+        while len(tower) <= k:
+            tower.append(tower[-1].derive())
+        return tower[k]
+    return deriv
+
+
 def ritt_reduce(q: DiffPoly, p: DiffPoly, indeterminate: int = 0) -> ReductionResult:
     """Pseudo-reduce q modulo p and its derivatives in one indeterminate.
 
-    Derivatives of p are linear in their leaders with the separant as
-    leading coefficient, so the order drops first; the final stretch
-    divides by p itself using the initial.
+    Each step removes the top power v^e of the remainder's highest
+    derivative v = x^(m): for m above the order n of p by the separant
+    against p^(m-n), which is linear in v with the separant as its
+    coefficient, and at m = n, while e is at least the leader degree of
+    p, by the initial against p itself.
     """
     n = p.order(indeterminate)
     if n is None or n < 0:
@@ -387,51 +390,30 @@ def ritt_reduce(q: DiffPoly, p: DiffPoly, indeterminate: int = 0) -> ReductionRe
     sep = p.separant(indeterminate)
     init = p.initial(indeterminate)
     lead_deg = p.leader_degree(indeterminate)
+    deriv = _derivatives(p)
 
     rem = q
-    s_power = 0
-    i_power = 0
+    s_power = i_power = 0
     cofactors: dict[int, DiffPoly] = {}
-    derivs = {0: p}
-
-    def deriv(k: int) -> DiffPoly:
-        while k not in derivs:
-            top = max(derivs)
-            derivs[top + 1] = derivs[top].derive()
-        return derivs[k]
-
-    while True:
-        m = rem.order(indeterminate)
-        if m is None or m <= n:
-            break
-        k = m - n
-        v = DerivVar(m, indeterminate)
-        dpk = deriv(k)
-        slices = rem.coefficients_in(v)
-        e = max(slices)
-        top = slices[e]
-        multiplier = DiffPoly.from_var(v, rem.num_indeterminates) ** (e - 1) * top
-        rem = sep * rem - multiplier * dpk
-        s_power += 1
-        for j in list(cofactors):
-            cofactors[j] = sep * cofactors[j]
-        cofactors[k] = cofactors.get(k, DiffPoly({}, q.num_indeterminates)) + multiplier
-
-    lead = DerivVar(n, indeterminate)
     while True:
         m = rem.order(indeterminate)
         if m is None or m < n:
             break
-        e = rem.degree_in(lead)
-        if e < lead_deg:
+        v = DerivVar(m, indeterminate)
+        e = rem.degree_in(v)
+        if m > n:
+            k, h, d = m - n, sep, 1
+            s_power += 1
+        elif e >= lead_deg:
+            k, h, d = 0, init, lead_deg
+            i_power += 1
+        else:
             break
-        top = rem.coefficients_in(lead)[e]
-        multiplier = DiffPoly.from_var(lead, rem.num_indeterminates) ** (e - lead_deg) * top
-        rem = init * rem - multiplier * p
-        i_power += 1
-        for j in list(cofactors):
-            cofactors[j] = init * cofactors[j]
-        cofactors[0] = cofactors.get(0, DiffPoly({}, q.num_indeterminates)) + multiplier
+        mult = _top_terms(rem, v, e, d)
+        rem = h * rem - mult * deriv(k)
+        for j in cofactors:
+            cofactors[j] = h * cofactors[j]
+        cofactors[k] = cofactors.get(k, DiffPoly({}, q.num_indeterminates)) + mult
 
     certificate = [(k, c) for k, c in sorted(cofactors.items()) if not c.is_zero()]
     return ReductionResult(rem, s_power, i_power, certificate)
@@ -453,10 +435,7 @@ def certificate_checks(q: DiffPoly, p: DiffPoly, result: ReductionResult,
     init = p.initial(indeterminate)
     lhs = sep ** result.sep_power * init ** result.init_power * q
     rhs = result.remainder
-    derivs = {0: p}
+    deriv = _derivatives(p)
     for k, cofactor in result.certificate:
-        while k not in derivs:
-            top = max(derivs)
-            derivs[top + 1] = derivs[top].derive()
-        rhs = rhs + cofactor * derivs[k]
+        rhs = rhs + cofactor * deriv(k)
     return lhs == rhs

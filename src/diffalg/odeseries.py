@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .basefield import Poly, RatFunc, _as_fraction, _signed_sum
+from .basefield import Poly, RatFunc, _as_fraction, _power_term, _signed_sum
 from .errors import PoleAtBasePoint, ShapeError
 from .wronskian import LinearODE, _clear_rows, _cofactor_det, wronsky_matrix
 
@@ -117,17 +117,7 @@ class TruncatedSeries:
             sym = "(t - %s)" % self.base_point
         else:
             sym = "(t + %s)" % (-self.base_point)
-        terms = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            else:
-                pw = sym if k == 1 else "%s^%d" % (sym, k)
-                body = pw if mag == 1 else "%s*%s" % (mag, pw)
-            terms.append((c < 0, body))
+        terms = [_power_term(c, k, sym) for k, c in enumerate(self.coeffs) if c]
         tail = "O(%s^%d)" % (sym, self.precision + 1)
         body = _signed_sum(terms)
         return body + " + " + tail if body else tail

@@ -2,9 +2,13 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from sympy import QQ
+from sympy.polys.fields import field
+from sympy.polys.rings import ring
 
 from conftest import random_diffpoly, random_poly
-from diffalg.basefield import Poly, RatFunc
+from diffalg.basefield import BaseField, Poly, RatFunc
 from diffalg.diffpoly import (
     DerivVar,
     DiffPoly,
@@ -197,3 +201,108 @@ def test_str_forms():
     assert str(DiffPoly({})) == "0"
     t = RatFunc(Poly.t())
     assert str(DiffPoly({((var(0, 2), 1),): t}) + X) == "t*x'' + x"
+
+
+def test_ritt_reduce_reads_multiplier_off_remainder(monkeypatch):
+    # each step takes its multiplier from the remainder's top terms; no
+    # power of the leader is built and no coefficient slice is taken
+    q = X3 * X + X1 * X1 * X1
+    calls = []
+    for name in ("__pow__", "coefficients_in"):
+        method = getattr(DiffPoly, name)
+        monkeypatch.setattr(DiffPoly, name, lambda self, *args, _m=method, _n=name:
+                            calls.append(_n) or _m(self, *args))
+    r = ritt_reduce(q, EXAMPLE_P)
+    assert r.sep_power > 0 and r.init_power > 0
+    assert calls == []
+
+
+# sympy oracles: ritt_reduce and certificate_checks share one derivative
+# tower, so these tests take the derivation, separant, initial and the
+# certificate identity from sympy, in its polynomial ring over Q(t) with
+# x^(j) as the generator x<j> and the total derivation
+# d/dt + sum_j x<j+1> d/dx<j>
+
+_K, _T = field("t", QQ)
+_R, *_X = ring(["x%d" % j for j in range(8)], _K)
+
+
+def _sym_poly(p: Poly):
+    return sum((QQ(c.numerator, c.denominator) * _T**k
+                for k, c in enumerate(p.coeffs)), _K.zero)
+
+
+def _sym(p: DiffPoly):
+    out = _R.zero
+    for mono, c in p.terms.items():
+        term = _R(_sym_poly(c.num) / _sym_poly(c.den))
+        for v, e in mono:
+            term *= _X[v.order] ** e
+        out += term
+    return out
+
+
+def _orders(f) -> list:
+    return [j for j, x in enumerate(_X) if f.degree(x) > 0]
+
+
+def _sym_derive(f):
+    assert f.degree(_X[-1]) <= 0
+    out = _R({mono: c.diff(_T) for mono, c in f.items()})
+    for j in _orders(f):
+        out += _X[j + 1] * f.diff(_X[j])
+    return out
+
+
+def _sym_leader_data(f):
+    """Leader x<n>, leader degree, separant and initial of f, by sympy."""
+    lead = _X[max(_orders(f))]
+    deg = f.degree(lead)
+    return lead, deg, f.diff(lead), f.coeff_wrt(lead, deg)
+
+
+# order <= 2, exponents <= 2, <= 4 terms; coefficients of degree <= 1 over
+# 1, t + 1, t or t - 2
+_denominators = st.sampled_from([Poly((1,)), Poly((1, 1)), Poly((0, 1)), Poly((-2, 1))])
+_coeffs = st.builds(lambda num, den: RatFunc(num, den, BaseField.RATIONAL),
+                    st.lists(st.integers(-3, 3), min_size=1, max_size=2)
+                    .map(Poly).filter(bool), _denominators)
+_monomials = st.dictionaries(st.integers(0, 2), st.integers(1, 2), max_size=2).map(
+    lambda d: tuple(sorted((var(0, j), e) for j, e in d.items())))
+diffpolys = st.dictionaries(_monomials, _coeffs, min_size=1, max_size=4).map(DiffPoly)
+reducers = diffpolys.filter(lambda p: p.order() >= 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(diffpolys)
+def test_derive_against_sympy(p):
+    assert _sym(p.derive()) == _sym_derive(_sym(p))
+
+
+@settings(max_examples=60, deadline=None)
+@given(reducers)
+def test_leader_data_against_sympy(p):
+    lead, deg, sep, init = _sym_leader_data(_sym(p))
+    assert _X[p.leader().order] == lead
+    assert p.leader_degree() == deg
+    assert _sym(p.separant()) == sep
+    assert _sym(p.initial()) == init
+
+
+@settings(max_examples=60, deadline=None)
+@given(diffpolys, reducers)
+def test_ritt_reduce_against_sympy(q, p):
+    r = ritt_reduce(q, p)
+    f = _sym(p)
+    lead, deg, sep, init = _sym_leader_data(f)
+    derivs = [f]
+    rhs = _sym(r.remainder)
+    for k, cofactor in r.certificate:
+        while len(derivs) <= k:
+            derivs.append(_sym_derive(derivs[-1]))
+        rhs += _sym(cofactor) * derivs[k]
+    assert sep ** r.sep_power * init ** r.init_power * _sym(q) == rhs
+    # reduced: order below that of p, or the same order and a lower degree
+    rem = _sym(r.remainder)
+    m, n = max(_orders(rem), default=-1), max(_orders(f))
+    assert m < n or (m == n and rem.degree(lead) < deg)
