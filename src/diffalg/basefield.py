@@ -1,9 +1,14 @@
 """Exact arithmetic in the differential fields Q and Q(t).
 
-Elements are rational functions of t with Fraction coefficients, kept in
-lowest terms with monic denominator.  Q is the same type with the
-ConstantsOnly tag and the zero derivation.  On top of the field arithmetic
-this module decides two questions exactly:
+Elements are rational functions of t over Q, kept in lowest terms with
+monic denominator.  Q is the same type with the ConstantsOnly tag and the
+zero derivation.  The coefficient arithmetic runs on integers: a
+polynomial is one rational content times a primitive integer polynomial
+(Geddes, Czapor, Labahn, *Algorithms for Computer Algebra*, ch. 2).  By
+Gauss's lemma a product of primitive polynomials is primitive, so a
+product multiplies the contents and convolves the ints without a gcd,
+and gcds run Collins's primitive remainder sequence on the stored ints.
+On top of the field arithmetic this module decides two questions exactly:
 
 * does a given element have an antiderivative inside the field (Hermite
   reduction), and
@@ -60,12 +65,14 @@ def _derivative_name(name: str, order: int) -> str:
 
 
 def _power(acc, base, e: int):
-    """acc * base^e, e >= 0, by repeated squaring."""
+    """acc * base^e, e >= 0, by repeated squaring (no square past the
+    top bit of e)."""
     while e:
         if e & 1:
             acc = acc * base
-        base = base * base
         e >>= 1
+        if e:
+            base = base * base
     return acc
 
 
@@ -84,65 +91,93 @@ class BaseField(Enum):
 class Poly:
     """Dense univariate polynomial in t over Q.
 
-    coeffs is an ascending tuple of Fractions with no trailing zero; the
-    zero polynomial has an empty tuple and degree -1.
+    Stored as content * prim: content is a nonzero Fraction and prim an
+    ascending tuple of ints with gcd 1, a positive last entry and no
+    trailing zero.  The zero polynomial has prim () (content 0) and degree
+    -1.  The pair is unique, so equality and hashing read it directly.
+    Gauss's lemma keeps a product of primitive polynomials primitive, so
+    __mul__ convolves the ints and runs no gcd; sums, quotients and
+    derivatives take one integer gcd to restore the invariant.
+
+    coeffs, the ascending tuple of Fraction coefficients, is computed on
+    each read; the arithmetic never goes through it.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("content", "prim")
 
     def __init__(self, coeffs=()):
         cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        den = math.lcm(*(c.denominator for c in cs))
+        p = _primitive(Fraction(1, den), [c.numerator * (den // c.denominator) for c in cs])
+        self.content, self.prim = p.content, p.prim
 
     @classmethod
     def const(cls, c) -> "Poly":
-        return cls((c,))
+        return _poly(_as_fraction(c), (1,)) if c else _ZERO_POLY
 
     @classmethod
     def t(cls) -> "Poly":
         return cls((0, 1))
 
+    @property
+    def coeffs(self) -> tuple:
+        c = self.content
+        return tuple(c * x for x in self.prim)
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.prim
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.prim)
 
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.prim) - 1
 
     def lead(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
+        if not self.prim:
+            return _ZERO_F
+        return self.content * self.prim[-1]
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = Poly((other,))
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.prim == other.prim and self.content == other.content
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.content, self.prim))
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return _poly(-self.content, self.prim)
 
     def __add__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
             other = Poly((other,))
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b = self.prim, other.prim
+        if not a:
+            return other
+        if not b:
+            return self
+        ca, cb = self.content, other.content
+        if ca == cb:
+            c, ma, mb = ca, 1, 1
+        else:
+            # ca*a + cb*b = (h/l) * (ma*a + mb*b), l the lcm of the
+            # denominators and h the gcd of the scaled numerators
+            l = math.lcm(ca.denominator, cb.denominator)
+            ma = ca.numerator * (l // ca.denominator)
+            mb = cb.numerator * (l // cb.denominator)
+            h = math.gcd(ma, mb)
+            c, ma, mb = Fraction(h, l), ma // h, mb // h
         if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+            a, b, ma, mb = b, a, mb, ma
+        out = [ma * x for x in a]
+        for i, y in enumerate(b):
+            out[i] += mb * y
+        return _primitive(c, out)
 
     __radd__ = __add__
 
@@ -158,43 +193,46 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            return Poly(tuple(c * other for c in self.coeffs))
+            if not other or not self.prim:
+                return _ZERO_POLY
+            return _poly(self.content * other, self.prim)
         if not isinstance(other, Poly):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        a, b = self.prim, other.prim
+        if not a or not b:
+            return _ZERO_POLY
+        ca, cb = self.content, other.content
+        c = cb if ca == 1 else ca if cb == 1 else ca * cb
+        if len(a) == 1:
+            return _poly(c, b)
+        if len(b) == 1:
+            return _poly(c, a)
+        # Gauss's lemma: the convolution of primitive a and b is primitive
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return _poly(c, tuple(out))
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
             raise ValueError("negative power of a polynomial")
-        return _power(Poly((1,)), self, e)
+        return _power(_ONE_POLY, self, e)
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         """Euclidean division, other nonzero."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        db = other.degree()
-        lb = other.lead()
-        quo = [Fraction(0)] * max(len(rem) - db, 0)
-        while len(rem) - 1 >= db and rem:
-            dr = len(rem) - 1
-            q = rem[-1] / lb
-            quo[dr - db] = q
-            for j, b in enumerate(other.coeffs):
-                rem[j + dr - db] -= q * b
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Poly(quo), Poly(rem)
+        if len(self.prim) < len(other.prim):
+            return _ZERO_POLY, self
+        # m*a = q*b + r over Z, so self = (ca/(cb*m))*q * other + (ca/m)*r
+        m, q, r = _pseudo_divmod(self.prim, other.prim)
+        ca = self.content
+        return (_primitive(ca / (other.content * m), q),
+                _primitive(ca / m, r))
 
     def exact_div(self, other: "Poly") -> "Poly":
         q, r = self.divmod(other)
@@ -203,91 +241,135 @@ class Poly:
         return q
 
     def derivative(self) -> "Poly":
-        return Poly(tuple(c * k for k, c in enumerate(self.coeffs) if k))
+        return _primitive(self.content, [k * x for k, x in enumerate(self.prim) if k])
 
     def monic(self) -> "Poly":
-        if self.is_zero() or self.lead() == 1:
+        a = self.prim
+        if not a:
             return self
-        inv = 1 / self.lead()
-        return Poly(tuple(c * inv for c in self.coeffs))
+        c = self.content
+        if c.numerator == 1 and c.denominator == a[-1]:
+            return self
+        return _poly(Fraction(1, a[-1]), a)
 
     def shift(self, a) -> "Poly":
         """p(t + a), exact binomial expansion."""
         a = _as_fraction(a)
         if a == 0 or self.is_zero():
             return self
-        out = [Fraction(0)] * len(self.coeffs)
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            pw = Fraction(1)
-            for j in range(k, -1, -1):
-                out[j] += c * math.comb(k, j) * pw
-                pw *= a
-        return Poly(out)
+        # with a = u/v: v^n p(t + u/v) = sum_k p_k sum_j C(k, j) u^(k-j)
+        # v^(n-k+j) t^j, all in Z
+        u, v = a.numerator, a.denominator
+        n = self.degree()
+        u_pw = [1]
+        v_pw = [1]
+        for _ in range(n):
+            u_pw.append(u_pw[-1] * u)
+            v_pw.append(v_pw[-1] * v)
+        out = [0] * (n + 1)
+        for k, x in enumerate(self.prim):
+            if x:
+                for j in range(k + 1):
+                    out[j] += x * math.comb(k, j) * u_pw[k - j] * v_pw[n - k + j]
+        return _primitive(self.content / v_pw[n], out)
 
     def __call__(self, x) -> Fraction:
         x = _as_fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        if not self.prim:
+            return _ZERO_F
+        # homogeneous Horner: acc = v^n p(u/v) in Z
+        u, v = x.numerator, x.denominator
+        acc = 0
+        pw = 1
+        for c in reversed(self.prim):
+            acc = acc * u + c * pw
+            pw *= v
+        return self.content * Fraction(acc, pw // v)
 
     def __str__(self) -> str:
-        terms = [_power_term(self.coeffs[k], k, "t")
-                 for k in range(self.degree(), -1, -1) if self.coeffs[k]]
+        coeffs = self.coeffs
+        terms = [_power_term(coeffs[k], k, "t")
+                 for k in range(self.degree(), -1, -1) if coeffs[k]]
         return _signed_sum(terms) or "0"
 
     def __repr__(self) -> str:
         return "Poly(%s)" % (str(self),)
 
 
-def _int_primitive(cs: list[int]) -> list[int]:
-    # primitive part with positive leading coefficient
-    while cs and cs[-1] == 0:
+_ZERO_F = Fraction(0)
+_ONE_F = Fraction(1)
+_new = object.__new__
+
+
+def _poly(content: Fraction, prim: tuple) -> Poly:
+    """The Poly content * prim, prim already primitive (or ())."""
+    p = _new(Poly)
+    p.content = content
+    p.prim = prim
+    return p
+
+
+_ZERO_POLY = _poly(_ZERO_F, ())
+_ONE_POLY = _poly(_ONE_F, (1,))
+
+
+def _primitive(content: Fraction, cs: list) -> Poly:
+    """content * cs for an int list cs, brought to content * primitive."""
+    while cs and not cs[-1]:
         cs.pop()
     if not cs:
-        return cs
-    g = 0
-    for c in cs:
-        g = math.gcd(g, c)
+        return _ZERO_POLY
+    g = math.gcd(*cs)
     if cs[-1] < 0:
         g = -g
-    return [c // g for c in cs]
+    if g != 1:
+        cs = [x // g for x in cs]
+        content = content * g
+    return _poly(content, tuple(cs))
 
 
-def _poly_to_ints(p: Poly) -> list[int]:
-    den = math.lcm(*(c.denominator for c in p.coeffs)) if p.coeffs else 1
-    return _int_primitive([int(c * den) for c in p.coeffs])
+def _pseudo_divmod(a: tuple, b: tuple) -> tuple[int, list, list]:
+    """(m, q, r) with m*a = q*b + r over Z, deg r < deg b, m >= 1.
 
-
-def _int_reduce(a: list[int], b: list[int]) -> list[int]:
-    # remainder of a modulo b up to a unit, exact integer arithmetic
+    Each step scales the remainder only by lead(b)/gcd(lead(b), lead(r)),
+    so m is 1 when b is monic or every step divides exactly.
+    """
     r = list(a)
     db = len(b) - 1
     lb = b[-1]
-    while r and len(r) - 1 >= db:
+    q = [0] * (len(r) - db)
+    m = 1
+    while len(r) > db:
         dr = len(r) - 1
         c = r[-1]
-        r = [lb * x for x in r]
-        for j, bc in enumerate(b):
-            r[j + dr - db] -= c * bc
-        while r and r[-1] == 0:
+        g = math.gcd(c, lb)
+        s, c = lb // g, c // g
+        if s != 1:
+            r = [s * x for x in r]
+            q = [s * x for x in q]
+            m *= s
+        q[dr - db] = c
+        for j, y in enumerate(b, dr - db):
+            r[j] -= c * y
+        r.pop()
+        while r and not r[-1]:
             r.pop()
-    return r
+    return m, q, r
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd via the primitive polynomial remainder sequence."""
+    """Monic gcd via the primitive polynomial remainder sequence, run on
+    the stored primitive parts; 1 at once for a nonzero constant."""
     if a.is_zero():
         return b.monic()
     if b.is_zero():
         return a.monic()
-    ra = _poly_to_ints(a)
-    rb = _poly_to_ints(b)
+    ra, rb = a.prim, b.prim
+    if len(ra) == 1 or len(rb) == 1:
+        return _ONE_POLY
     while rb:
-        ra, rb = rb, _int_primitive(_int_reduce(ra, rb))
-    return Poly(ra).monic()
+        ra, rb = rb, _primitive(_ONE_F, _pseudo_divmod(ra, rb)[2]).prim
+    return _poly(Fraction(1, ra[-1]), ra)
 
 
 def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
@@ -350,23 +432,25 @@ class RatFunc:
 
     def __init__(self, num, den=1, field: BaseField = BaseField.RATIONAL):
         if isinstance(num, (int, Fraction)):
-            num = Poly((num,))
+            num = Poly.const(num)
         if isinstance(den, (int, Fraction)):
-            den = Poly((den,))
+            den = Poly.const(den)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
-            den = Poly((1,))
+            den = _ONE_POLY
         else:
-            g = poly_gcd(num, den)
-            if g.degree() > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-            lead = den.lead()
-            if lead != 1:
-                inv = 1 / lead
-                num = num * inv
-                den = den * inv
+            # a constant on either side has no common factor to cancel
+            if len(num.prim) > 1 and len(den.prim) > 1:
+                g = poly_gcd(num, den)
+                if g.degree() > 0:
+                    num = num.exact_div(g)
+                    den = den.exact_div(g)
+            # monic den: its content is 1/lead(den.prim), num takes the rest
+            c, lead = den.content, den.prim[-1]
+            if c.numerator != 1 or c.denominator != lead:
+                num = _poly(num.content / (c * lead), num.prim)
+                den = _poly(Fraction(1, lead), den.prim)
         if field is BaseField.CONSTANTS and (num.degree() > 0 or den.degree() > 0):
             raise ValueError("a constant-field element cannot involve t")
         self.num = num
@@ -397,17 +481,19 @@ class RatFunc:
         return hash((self.num, self.den))
 
     def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den, self.field)
+        return _ratfunc(-self.num, self.den, self.field)
 
     def __add__(self, other) -> "RatFunc":
         other = _coerce(other, self.field)
         if other is None:
             return NotImplemented
-        return RatFunc(
-            self.num * other.den + other.num * self.den,
-            self.den * other.den,
-            self.field.join(other.field),
-        )
+        field = self.field.join(other.field)
+        a, b = (self, other) if self.den.degree() <= other.den.degree() else (other, self)
+        if a.den.degree() == 0:
+            # a is a polynomial: a*den(b) + num(b) stays prime to den(b)
+            return _ratfunc(a.num * b.den + b.num, b.den, field)
+        return RatFunc(self.num * other.den + other.num * self.den,
+                       self.den * other.den, field)
 
     __radd__ = __add__
 
@@ -424,9 +510,10 @@ class RatFunc:
         other = _coerce(other, self.field)
         if other is None:
             return NotImplemented
-        return RatFunc(
-            self.num * other.num, self.den * other.den, self.field.join(other.field)
-        )
+        field = self.field.join(other.field)
+        if self.den.degree() == 0 and other.den.degree() == 0:
+            return _ratfunc(self.num * other.num, _ONE_POLY, field)
+        return RatFunc(self.num * other.num, self.den * other.den, field)
 
     __rmul__ = __mul__
 
@@ -451,13 +538,16 @@ class RatFunc:
             if self.is_zero():
                 raise ZeroDivisionError("negative power of zero")
             return RatFunc(self.den**(-e), self.num**(-e), self.field)
-        return RatFunc(self.num**e, self.den**e, self.field)
+        # powers of coprime polynomials stay coprime, of monic ones monic
+        return _ratfunc(self.num**e, self.den**e, self.field)
 
     def derive(self) -> "RatFunc":
         """Apply the field derivation: d/dt on Q(t), zero on Q."""
         if self.field is BaseField.CONSTANTS:
             return RatFunc(Poly(), 1, self.field)
         n, d = self.num, self.den
+        if d.degree() == 0:
+            return _ratfunc(n.derivative(), d, self.field)
         return RatFunc(n.derivative() * d - n * d.derivative(), d * d, self.field)
 
     def __call__(self, x) -> Fraction:
@@ -470,7 +560,8 @@ class RatFunc:
     def __str__(self) -> str:
         if self.den == Poly((1,)):
             return str(self.num)
-        scale = math.lcm(*(c.denominator for c in self.num.coeffs))
+        # the lcm of num's coefficient denominators: prim has gcd 1
+        scale = self.num.content.denominator
         num = self.num * scale
         den = self.den * scale
         num_s = _grouped(str(num))
@@ -484,11 +575,20 @@ class RatFunc:
         return "RatFunc(%s)" % (str(self),)
 
 
+def _ratfunc(num: Poly, den: Poly, field: BaseField) -> RatFunc:
+    """num/den, already coprime with den monic (or num zero and den 1)."""
+    f = _new(RatFunc)
+    f.num = num
+    f.den = den
+    f.field = field
+    return f
+
+
 def _coerce(x, field: BaseField):
     if isinstance(x, RatFunc):
         return x
     if isinstance(x, (int, Fraction)):
-        return RatFunc(Poly((x,)), 1, field)
+        return _ratfunc(Poly.const(x), _ONE_POLY, field)
     if isinstance(x, Poly):
         return RatFunc(x, 1, field)
     return None

@@ -245,13 +245,6 @@ class DiffPoly:
                 _acc_term(out, _mono_set(mono, v, e - 1), c * e)
         return DiffPoly(out, self.num_indeterminates)
 
-    def coefficients_in(self, v: DerivVar) -> dict:
-        """View as a univariate polynomial in v: exponent -> DiffPoly coefficient."""
-        slices: dict[int, dict] = {}
-        for mono, c in self.terms.items():
-            _acc_term(slices.setdefault(_mono_exp(mono, v), {}), _mono_set(mono, v, 0), c)
-        return {e: DiffPoly(t, self.num_indeterminates) for e, t in slices.items()}
-
     def degree_in(self, v: DerivVar) -> int:
         return max((_mono_exp(mono, v) for mono in self.terms), default=0)
 

@@ -1,0 +1,106 @@
+"""Regenerate cli.txt, the byte-identity record of the command-line front end.
+
+    python3 tests/golden/regenerate.py
+
+Run from the repository root.  The file is regenerated only when a change
+of output is intended: tests/test_golden.py replays every entry through
+diffalg.cli.run and fails on any difference in exit code, stdout or
+stderr, so a change meant to keep the output (a speed-up, a refactor) must
+leave cli.txt as it is.
+
+Each line of cli.txt is one JSON object {"argv", "exit", "stdout",
+"stderr"}.  Every command is recorded twice, in text and in --format json.
+The commands are every STRIDE-th command of seeds 1 and 2 of the three
+benchmark corpora (bench/corpus.py), then EDGE: errors, poles, bad flags,
+series at nonzero base points, classification in both formats and
+reductions of several steps.
+"""
+
+import io
+import json
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "bench"))
+
+STRIDE = 40
+# commands that take over a second are left out: the replay runs in tier 1
+SLOW_VERBS = ("gl-witness",)
+
+EDGE = [
+    ["derive", "(x')^2-2*x"],
+    ["separant", "t"],
+    ["order", "t++1"],
+    ["order", "0"],
+    ["order", "x1 + x"],
+    ["derive", "x^(3)/(t-1) + x'/t"],
+    ["wronskian", "1/0"],
+    ["wronskian", "t", "1/(t^2+1)", "(t-2)/(t+3)"],
+    ["depend", "t", "2*t", "t^2"],
+    ["ode-from", "1/t", "t^2"],
+    ["member", "x"],
+    ["frobnicate"],
+    ["derive", "x", "--frob", "1"],
+    ["solve-series", "1/t", "--base-point", "0"],
+    ["solve-series", "1/t", "-1", "--base-point", "2", "--precision", "5"],
+    ["solve-series", "0", "t/(t+1)", "--base-point", "-1/3",
+     "--precision", "4"],
+    ["solve-series", "1", "--precision", "513"],
+    ["classify-int", "1/t"],
+    ["classify-int", "1/t^2 + 2*t"],
+    ["classify-exp", "1/(2*t)"],
+    ["classify-exp", "1/(t^2-2)"],
+    ["classify-exp", "(3*t^2+1)/(t^3+t)"],
+    ["group-check", "sl2", "1,1;0,1"],
+    ["group-check", "borel", "1"],
+    ["group-check", "mu4", "-1"],
+    ["gl-witness", "2", "--seed", "4"],
+    ["gl-witness", "2", "--matrix", "1,1;1,1"],
+    ["reduce", "x''-1", "--mod", "(x')^2-2*x"],
+    ["reduce", "x^(4)*x + t*(x'')^2", "--mod", "(x')^2 - t*x"],
+    ["reduce", "(x'')^3 + x", "--mod", "x'^2 + x/t"],
+    ["member", "x''-1", "--mod", "(x')^2-2*x"],
+    ["reduce", "x2' + x1", "--mod", "x1' - x2"],
+]
+
+
+def commands():
+    import corpus
+
+    out = []
+    for make in (corpus.ritt, corpus.linalg_galois, corpus.series_batch):
+        for seed in (1, 2):
+            cmds = [c.argv for c in make(seed)]
+            out.extend(a for a in cmds[::STRIDE] if a[0] not in SLOW_VERBS)
+    return out + EDGE
+
+
+def formats(argv):
+    """argv in text and in --format json."""
+    base = list(argv)
+    if "--format" in base:
+        i = base.index("--format")
+        del base[i:i + 2]
+    return [base, base + ["--format", "json"]]
+
+
+def record(argv):
+    from diffalg import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.run(argv, out, err)
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(),
+            "stderr": err.getvalue()}
+
+
+def main():
+    lines = [json.dumps(record(a)) for argv in commands() for a in formats(argv)]
+    (HERE / "cli.txt").write_text("\n".join(lines) + "\n")
+    print("wrote %d entries to %s" % (len(lines), HERE / "cli.txt"))
+
+
+if __name__ == "__main__":
+    main()

@@ -1,9 +1,16 @@
+import math
 from fractions import Fraction
 from random import Random
 
 import pytest
+import sympy
+from hypothesis import assume, given, settings, strategies as st
+from sympy import QQ
+from sympy.integrals.rationaltools import ratint, ratint_ratpart
+from sympy.polys.fields import field
 
 from conftest import random_poly, random_ratfunc
+from diffalg import basefield
 from diffalg.basefield import (
     BaseField,
     Poly,
@@ -245,3 +252,266 @@ def test_smallest_exponential_index_properties():
             assert any((c * m).denominator != 1 for _p, c in dec)
         found += 1
     assert found > 20
+
+
+# sympy oracles: Poly and RatFunc against sympy's polynomials over QQ
+
+_t = sympy.Symbol("t")
+_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+_polys = st.lists(_fractions, max_size=6).map(Poly)
+_small_polys = st.lists(_fractions, max_size=4).map(Poly)
+_nonzero_polys = _polys.filter(bool)
+
+
+def _sp(p: Poly) -> sympy.Poly:
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(p.coeffs)] or [0], _t, domain="QQ")
+
+
+def _frac(q) -> Fraction:
+    q = sympy.Rational(q)
+    return Fraction(int(q.p), int(q.q))
+
+
+def _canonical(p: Poly) -> Poly:
+    """p, after checking the content * primitive invariant."""
+    if not p.prim:
+        assert p.content == 0 and p.coeffs == ()
+    else:
+        assert p.content != 0 and isinstance(p.content, Fraction)
+        assert all(type(x) is int for x in p.prim)
+        assert math.gcd(*p.prim) == 1 and p.prim[-1] > 0
+    return p
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polys, _polys)
+def test_poly_arithmetic_against_sympy(a, b):
+    sa, sb = _sp(a), _sp(b)
+    assert _sp(_canonical(a + b)) == sa + sb
+    assert _sp(_canonical(a - b)) == sa - sb
+    assert _sp(_canonical(a * b)) == sa * sb
+    assert _sp(_canonical(-a)) == -sa
+    assert _sp(_canonical(a.derivative())) == sa.diff(_t)
+    if a:
+        assert _sp(_canonical(a.monic())) == sa.monic()
+    if b:
+        q, r = a.divmod(b)
+        assert (_sp(_canonical(q)), _sp(_canonical(r))) == sa.div(sb)
+        assert _canonical((a * b).exact_div(b)) == a
+        if r:
+            with pytest.raises(ArithmeticError):
+                a.exact_div(b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_polys, st.integers(0, 5))
+def test_poly_power_against_sympy(a, e):
+    assert _sp(_canonical(a ** e)) == _sp(a) ** e
+
+
+@settings(max_examples=100, deadline=None)
+@given(_polys, _fractions)
+def test_poly_shift_and_value_against_sympy(a, x):
+    sa = _sp(a)
+    assert _sp(_canonical(a.shift(x))) == sa.shift(sympy.Rational(x.numerator, x.denominator))
+    value = a(x)
+    assert isinstance(value, Fraction)
+    assert value == _frac(sa.eval(sympy.Rational(x.numerator, x.denominator)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_polys, _nonzero_polys, _fractions.filter(bool))
+def test_poly_equality_and_hash_agree(a, b, k):
+    # the same value built from Fractions and built by arithmetic
+    built = [(a * b + a) - a * b, Poly(list(a.coeffs)), (a * k) * (1 / k),
+             Poly([c * k for c in a.coeffs]) * (1 / k), a * b.exact_div(b)]
+    for p in built:
+        assert p == a and hash(p) == hash(a)
+    assert len({a, *built}) == 1
+    assert (a == Poly((k,))) == (a.degree() == 0 and a.lead() == k)
+    assert (a == b) == (_sp(a) == _sp(b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_polys, _nonzero_polys)
+def test_ratfunc_normalisation_against_sympy(num, den):
+    f = RatFunc(num, den)
+    # monic denominator, gcd 1, and the same value
+    assert f.den.lead() == 1
+    assert sympy.gcd(_sp(f.num), _sp(f.den)).degree() <= 0
+    assert _sp(f.num) * _sp(den) == _sp(num) * _sp(f.den)
+    if num.is_zero():
+        assert f.den == Poly((1,))
+
+
+def _normal(f: RatFunc):
+    """(num, den) of f as sympy polynomials, after checking that f is in
+    lowest terms with a monic denominator."""
+    n, d = _sp(_canonical(f.num)), _sp(_canonical(f.den))
+    assert d.LC() == 1 and sympy.gcd(n, d) == 1
+    if n.is_zero:
+        assert d == 1
+    return n, d
+
+
+_ratfuncs = st.builds(RatFunc, _small_polys, _small_polys.filter(bool))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ratfuncs, _ratfuncs, st.integers(-3, 3))
+def test_ratfunc_arithmetic_against_sympy(f, g, e):
+    (fn, fd), (gn, gd) = _normal(f), _normal(g)
+    n, d = _normal(f + g)
+    assert n * fd * gd == (fn * gd + gn * fd) * d
+    n, d = _normal(f * g)
+    assert n * fd * gd == fn * gn * d
+    n, d = _normal(-f)
+    assert n * fd == -fn * d
+    n, d = _normal(f.derive())
+    assert n * fd ** 2 == (fn.diff(_t) * fd - fn * fd.diff(_t)) * d
+    if e >= 0 or f:
+        n, d = _normal(f ** e)
+        if e >= 0:
+            assert n * fd ** e == fn ** e * d
+        else:
+            assert n * fn ** -e == fd ** -e * d
+
+
+def test_constant_denominator_runs_no_gcd(monkeypatch):
+    calls = []
+    gcd = basefield.poly_gcd
+    monkeypatch.setattr(basefield, "poly_gcd",
+                        lambda a, b: calls.append((a, b)) or gcd(a, b))
+    p, q = Poly((1, 2, 3)), Poly((Fraction(1, 2), 0, 5))
+    f = RatFunc(p, Poly((4,)))
+    assert f.num == p * Fraction(1, 4) and f.den == Poly((1,))
+    g = RatFunc(q)
+    f * g + g - f
+    (f * g).derive()
+    assert calls == []
+    RatFunc(p, q)
+    assert len(calls) == 1
+
+
+def test_poly_product_builds_no_fraction(monkeypatch):
+    # Gauss's lemma: the product convolves the primitive ints and builds no
+    # Fraction per coefficient; only contents other than 1 on both sides
+    # cost one, their product
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+    a, b = Poly((3, -1, 4, 1, 5)), Poly((2, 7, 1, 8))
+    c, d = Poly((Fraction(1, 3), 2)), Poly((Fraction(-2, 5), 0, 7))
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    a * b
+    a * c * a
+    assert made == []
+    c * d
+    assert len(made) == 1
+
+
+# step 0 of the integer core: the algorithms on top of Poly against sympy
+
+
+@settings(max_examples=100, deadline=None)
+@given(_polys, _polys)
+def test_gcd_and_xgcd_against_sympy(a, b):
+    sa, sb = _sp(a), _sp(b)
+    g = poly_gcd(a, b)
+    assert _sp(g) == sympy.gcd(sa, sb)
+    g2, u, v = poly_xgcd(a, b)
+    assert g2 == g
+    assert _sp(u) * sa + _sp(v) * sb == _sp(g)
+    if a.degree() > 0 and b.degree() > 0:
+        s, t, h = sympy.gcdex(sa, sb)
+        assert (_sp(u), _sp(v), _sp(g)) == (s, t, h)
+
+
+_factors = st.lists(st.lists(st.integers(-4, 4), min_size=2, max_size=3)
+                    .map(Poly).filter(lambda p: p.degree() > 0),
+                    min_size=1, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_factors, st.lists(st.integers(1, 3), min_size=3, max_size=3),
+       _fractions.filter(bool))
+def test_squarefree_decomposition_against_sympy(factors, mults, c):
+    p = Poly((c,))
+    for f, m in zip(factors, mults):
+        p = p * f ** m
+    dec = squarefree_decomposition(p)
+    _coeff, expected = sympy.sqf_list(_sp(p))
+    assert [(_sp(f), m) for f, m in dec] == sorted(expected, key=lambda fm: fm[1])
+
+
+_K, _KT = field("t", QQ)
+
+
+def _k(f: RatFunc):
+    """f in sympy's field QQ(t)."""
+    n, d = (sum((QQ(c.numerator, c.denominator) * _KT**k
+                 for k, c in enumerate(p.coeffs)), _K.zero) for p in (f.num, f.den))
+    return n / d
+
+
+@settings(max_examples=30, deadline=None)
+@given(_small_polys, _factors, st.lists(st.integers(1, 3), min_size=3, max_size=3))
+def test_hermite_reduce_against_ratint(num, factors, mults):
+    den = Poly((1,))
+    for f, m in zip(factors, mults):
+        den = den * f ** m
+    a = RatFunc(num, den)
+    g, h = hermite_reduce(a)
+    # sympy's ratint splits off the same rational part (up to a constant)
+    # and the same remainder, whose integral is logarithms alone
+    quo, rem = a.num.divmod(a.den)
+    ratpart, logpart = ratint_ratpart(_sp(rem).as_expr(), _sp(a.den).as_expr(), _t)
+    polypart = _K.from_expr(sympy.integrate(_sp(quo).as_expr(), _t))
+    assert (_k(g) - polypart - _K.from_expr(ratpart)).diff(_KT) == 0
+    assert _k(h) == _K.from_expr(logpart)
+    b = antiderivative_in_field(a)
+    assert (b is None) == (logpart != 0)
+    if b is not None:
+        assert (_k(b) - _K.from_expr(ratint(_sym_rf(a), _t))).diff(_KT) == 0
+
+
+def _sym_rf(f: RatFunc):
+    return _sp(f.num).as_expr() / _sp(f.den).as_expr()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.lists(st.integers(-3, 3), min_size=2, max_size=3)
+                .map(lambda cs: Poly(cs + [1])), min_size=1, max_size=3),
+       st.lists(_fractions, min_size=3, max_size=3), _small_polys)
+def test_log_derivative_residues_against_rothstein_trager(bases, residues, extra):
+    # a = sum c_i p_i'/p_i plus a proper part over the same denominator,
+    # which may bring residues outside Q
+    a = RatFunc(Poly())
+    for p, c in zip(bases, residues):
+        a = a + RatFunc(p.derivative() * c, p)
+    if a.den.degree() > 0:
+        a = a + RatFunc(extra.divmod(a.den)[1], a.den)
+    assume(a and a.num.degree() < a.den.degree())
+    assume(poly_gcd(a.den, a.den.derivative()).degree() == 0)
+    dec = log_derivative_decompose(a)
+    # residues are the roots of R(z) = res_t(den, num - z den')
+    z = sympy.Symbol("z")
+    n, d = _sp(a.num).as_expr(), _sp(a.den).as_expr()
+    res = sympy.Poly(sympy.resultant(d, n - z * sympy.diff(d, _t), _t), z)
+    roots = sympy.roots(res, filter="Q")
+    rational = sum(roots.values()) == res.degree()
+    assert (dec is not None) == rational
+    if dec is not None:
+        assert {c for _p, c in dec} == {_frac(r) for r in roots}
+        for r in roots:
+            c = _frac(r)
+            prod = Poly((1,))
+            for p, ci in dec:
+                if ci == c:
+                    prod = prod * p
+            rt = sympy.gcd(_sp(a.den), _sp(a.num) - _sp(Poly((c,))) * _sp(a.den).diff(_t))
+            assert _sp(prod) == rt.monic()

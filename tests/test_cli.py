@@ -235,6 +235,27 @@ def test_series_precision_limit():
     assert code == 0 and err == "" and out.count("O(t^513)") == 2
 
 
+def test_size_budgets():
+    # each ran for 17-90 s and exited 0 before the budgets
+    for argv, message in [
+            (["order", "(1+t)^3000"],
+             "a power of t-degree 3000 is over the limit of 1000"),
+            (["order", "t^2000000"],
+             "a power of t-degree 2000000 is over the limit of 1000"),
+            (["reduce", "x^(800)", "--mod", "x'-x"],
+             "derivative order 800 is over the limit of 100")]:
+        result, elapsed = _timed(argv)
+        assert result == (1, "", "error: %s\n" % message)
+        assert elapsed < 1
+    # the limits themselves are accepted, and the budget reads the base's
+    # t-degree: a power of a constant is not refused
+    assert invoke(["order", "(1+t)^1000"]) == (0, "-1\n", "")
+    assert invoke(["order", "(t^2+1)^501"])[0] == 1
+    assert invoke(["order", "x^(100) + 2^2000"]) == (0, "100\n", "")
+    code, out, _ = invoke(["order", "x^(101)", "--format", "json"])
+    assert code == 1 and json.loads(out)["error"] == "domain"
+
+
 def test_long_integers_are_errors():
     limit = sys.get_int_max_str_digits()
     # a literal past the int-conversion limit is a syntax error at its column

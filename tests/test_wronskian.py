@@ -2,6 +2,10 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
+from sympy import QQ
+from sympy.polys.fields import field
 
 from conftest import random_ratfunc
 from diffalg.basefield import Poly, RatFunc
@@ -178,3 +182,24 @@ def test_ode_str():
     assert str(ode_from_fundamental_system(FundamentalSystem([ONE, T]))) == "y'' = 0"
     assert str(ode_from_fundamental_system(FundamentalSystem([ONE, T * T]))) == "y'' - 1/t*y' = 0"
     assert str(LinearODE(1, [T])) == "y' + t*y = 0"
+
+
+_t = sympy.Symbol("t")
+_K, _KT = field("t", QQ)
+_polys = st.lists(st.integers(-4, 4), max_size=3).map(Poly)
+_ratfuncs = st.builds(RatFunc, _polys, _polys.filter(bool))
+
+
+def _expr(p: Poly):
+    return sum((sympy.Rational(c.numerator, c.denominator) * _t**k
+                for k, c in enumerate(p.coeffs)), sympy.Integer(0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_ratfuncs, min_size=1, max_size=4))
+def test_wronskian_against_sympy(elems):
+    # sympy's determinant of expressions, compared in its field QQ(t)
+    expected = sympy.wronskian([_expr(f.num) / _expr(f.den) for f in elems], _t,
+                               method="berkowitz")
+    w = wronskian(elems)
+    assert _K.from_expr(_expr(w.num)) == _K.from_expr(expected) * _K.from_expr(_expr(w.den))
