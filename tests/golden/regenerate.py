@@ -49,6 +49,10 @@ EDGE = [
     ["solve-series", "0", "t/(t+1)", "--base-point", "-1/3",
      "--precision", "4"],
     ["solve-series", "1", "--precision", "513"],
+    ["solve-series", "t", "-1/(t-3)", "2*t+1", "-2", "--precision", "512",
+     "--base-point", "1/2"],
+    ["solve-series", "(t+1)/(3-2*t)", "--precision", "256", "--base-point",
+     "-3/2"],
     ["classify-int", "1/t"],
     ["classify-int", "1/t^2 + 2*t"],
     ["classify-exp", "1/(2*t)"],
