@@ -30,6 +30,26 @@ def _as_fraction(x) -> Fraction:
     raise TypeError("expected an integer or Fraction, got %r" % (x,))
 
 
+class _Record:
+    """A plain value record: == and hash read the attributes named in
+    _fields, so a record that holds a list is unhashable."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in self._fields))
+
+
 def _signed_sum(terms) -> str:
     """Join (negative, body) pairs as "a - b + c"; "" for no terms."""
     parts = []
@@ -43,11 +63,12 @@ def _signed_sum(terms) -> str:
 
 def _power_term(c: Fraction, k: int, sym: str) -> tuple:
     """c*sym^k as a (negative, body) pair for _signed_sum."""
-    mag = abs(c)
+    num, den = c.numerator, c.denominator
+    mag = str(abs(num)) if den == 1 else "%d/%d" % (abs(num), den)
     if k == 0:
-        return c < 0, str(mag)
+        return num < 0, mag
     pw = sym if k == 1 else "%s^%d" % (sym, k)
-    return c < 0, pw if mag == 1 else "%s*%s" % (mag, pw)
+    return num < 0, pw if mag == "1" else "%s*%s" % (mag, pw)
 
 
 def _grouped(s: str) -> str:

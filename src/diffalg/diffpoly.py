@@ -13,23 +13,21 @@ initial at it), its multiplier read off the remainder's top terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .basefield import (BaseField, Poly, RatFunc, _derivative_name, _grouped,
-                        _power, _signed_sum)
+                        _power, _Record, _signed_sum)
 from .errors import IncompleteAssignment, NotApplicable, ShapeError
 
 
-@dataclass(frozen=True, order=True)
-class DerivVar:
+class DerivVar(namedtuple("DerivVar", "order indeterminate")):
     """The variable x_i^(j): indeterminate index i, derivative order j.
 
-    Ranked by order first, then index; field order below matches that.
+    Ranked by order first, then index: the tuple order of the fields.
     """
 
-    order: int
-    indeterminate: int
+    __slots__ = ()
 
     def derived(self) -> "DerivVar":
         return DerivVar(self.order + 1, self.indeterminate)
@@ -338,8 +336,7 @@ def _as_diffpoly(x):
     return None
 
 
-@dataclass
-class ReductionResult:
+class ReductionResult(_Record):
     """Outcome of Ritt pseudo-reduction of Q by P.
 
     The certificate cofactors satisfy, identically,
@@ -351,10 +348,12 @@ class ReductionResult:
     with strictly smaller leader degree.
     """
 
-    remainder: DiffPoly
-    sep_power: int
-    init_power: int
-    certificate: list
+    _fields = ("remainder", "sep_power", "init_power", "certificate")
+
+    def __init__(self, remainder: DiffPoly, sep_power: int, init_power: int,
+                 certificate: list):
+        self.remainder, self.sep_power = remainder, sep_power
+        self.init_power, self.certificate = init_power, certificate
 
 
 def _derivatives(p: DiffPoly):

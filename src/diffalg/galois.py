@@ -11,10 +11,10 @@ is the consistency statement the acceptance checks pin down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
-from .basefield import RatFunc, antiderivative_in_field, smallest_exponential_index
+from .basefield import (RatFunc, _Record, antiderivative_in_field,
+                        smallest_exponential_index)
 
 
 class GroupKind(Enum):
@@ -25,8 +25,7 @@ class GroupKind(Enum):
     FULL_GL = "general_linear"
 
 
-@dataclass(frozen=True)
-class GaloisDescriptor:
+class GaloisDescriptor(_Record):
     """Classification outcome.
 
     witness: antiderivative b (trivial integral case) or beta with
@@ -34,9 +33,11 @@ class GaloisDescriptor:
     order, or the matrix size for the full general linear variant.
     """
 
-    kind: GroupKind
-    witness: RatFunc | None = None
-    n: int | None = None
+    _fields = ("kind", "witness", "n")
+
+    def __init__(self, kind: GroupKind, witness: RatFunc | None = None,
+                 n: int | None = None):
+        self.kind, self.witness, self.n = kind, witness, n
 
     @classmethod
     def trivial(cls, witness: RatFunc) -> "GaloisDescriptor":

@@ -14,12 +14,11 @@ same det(T) factor, so the ratios must agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from fractions import Fraction
 
-from .basefield import RatFunc
+from .basefield import RatFunc, _Record
 from .diffpoly import DerivVar, DiffPoly, _coeff, _var_name
 from .errors import (
     DegeneratePoint,
@@ -34,11 +33,13 @@ from .wronskian import (_cofactor_det, _det, _monic_coefficients, _solve,
                         apply_constant_matrix)
 
 
-@dataclass(frozen=True)
-class ConstMatrix:
+class ConstMatrix(_Record):
     """Square matrix of rationals."""
 
-    entries: tuple
+    _fields = ("entries",)
+
+    def __init__(self, entries: tuple):
+        self.entries = entries
 
     @classmethod
     def from_rows(cls, rows) -> "ConstMatrix":
@@ -85,18 +86,20 @@ class GroupLabel(Enum):
     ROOTS_OF_UNITY = "roots_of_unity"
 
 
-@dataclass(frozen=True)
-class AlgebraicMatrixGroup:
+class AlgebraicMatrixGroup(_Record):
     """Invertible matrices annihilating every polynomial of the defining set.
 
     equations=None stands for det - 1 (special linear), whose n! terms are
     expanded only when defining_set is read; membership tests det(M) = 1.
     """
 
-    n: int
-    equations: tuple | None
-    label: GroupLabel | None = None
-    unity_order: int | None = None
+    _fields = ("n", "equations", "label", "unity_order")
+
+    def __init__(self, n: int, equations: tuple | None,
+                 label: GroupLabel | None = None,
+                 unity_order: int | None = None):
+        self.n, self.equations = n, equations
+        self.label, self.unity_order = label, unity_order
 
     @cached_property
     def defining_set(self) -> tuple:

@@ -5,10 +5,10 @@ abstract solutions of a monic linear ODE.  The system produced here has
 identity initial data, so its Wronskian is a unit (constant term 1), which
 is the fundamental-system criterion.
 
-One recurrence, _taylor, gives every series: a fundamental system solves
-the ODE cleared of denominators, and series_expand is the order-0 case
-den * y = num.  ode_residual expands through series_expand, so the tests
-check both against sympy.
+One recurrence, _taylor, gives every series, in ints over one common
+denominator: a fundamental system solves the ODE cleared of denominators,
+and series_expand is the order-0 case den * y = num.  ode_residual
+expands through series_expand, so the tests check both against sympy.
 """
 
 from __future__ import annotations
@@ -132,25 +132,43 @@ def _taylor(q: list, rhs: Poly, t0: Fraction, inits: list,
     and rhs, n = len(q) - 1), one per block (y^(j)(t0)/j!, j < n) in inits.
     In y = sum c_m s^m, s = t - t0, the coefficient of s^k reads
     q_0(t0) (k+n)!/k! c_{k+n} = rhs_k - sum of q_i[l] (k-l+n-i)!/(k-l)!
-    c_{k-l+n-i} over (i, l) != (0, 0) with l <= k."""
-    q = [p.shift(t0).coeffs for p in q]
-    lead = q[0][0]
-    if lead == 0:
+    c_{k-l+n-i} over (i, l) != (0, 0) with l <= k.
+
+    The equation is scaled to Z once; the last n + max deg q_i coefficients
+    are ints over one denominator, and one int gcd per step rescales them."""
+    q = [p.shift(t0) for p in q] + [rhs.shift(t0)]
+    lead = q[0].content * q[0].prim[0]
+    if not lead:
         raise PoleAtBasePoint("denominator vanishes at %s" % t0)
-    rhs = rhs.shift(t0).coeffs
-    n = len(q) - 1
-    terms = sorted((l, n - i, a) for i, qi in enumerate(q)
+    # the equation over Z, with q_0(t0) > 0
+    scale = math.lcm(*(p.content.denominator for p in q)) * (1 if lead > 0 else -1)
+    *q, r = [[x * (p.content * scale).numerator for x in p.prim] for p in q]
+    lead, n = q[0][0], len(q) - 1
+    # at step k the window holds c_{k+n-width}, ..., c_{k+n-1}: term
+    # (l, i) reads c_{k-l+n-i} at width - l - i
+    width = n + max(map(len, q)) - 1
+    terms = sorted((l, n - i, a, width - l - i) for i, qi in enumerate(q)
                    for l, a in enumerate(qi) if a and (i or l))
     out = []
     for init in inits:
+        den = math.lcm(*(c.denominator for c in init))
+        window = [0] * (width - n) + [c.numerator * den // c.denominator for c in init]
         c = list(init)
         for k in range(precision - n + 1):
-            total = rhs[k] if k < len(rhs) else 0
-            for l, d, a in terms:
+            total = r[k] * den if k < len(r) else 0
+            for l, d, a, at in terms:
                 if l > k:
                     break
-                total -= a * c[k - l + d] * math.perm(k - l + d, d)
-            c.append(total / (lead * math.perm(k + n, n)))
+                total -= a * window[at] * math.perm(k - l + d, d)
+            # c_{k+n} = total / (den * step); step / gcd joins den
+            step = lead * math.perm(k + n, n)
+            g = math.gcd(total, step)
+            del window[:1]
+            if g != step:
+                den *= step // g
+                window = [x * (step // g) for x in window]
+            window.append(total // g)
+            c.append(Fraction(window[-1], den))
         out.append(TruncatedSeries(t0, c))
     return out
 

@@ -270,6 +270,8 @@ def parse_fraction(text: str) -> Fraction:
         return Fraction(text.strip())
     except ValueError:
         raise ParseError("expected a rational number", 1) from None
+    except ZeroDivisionError:
+        raise ZeroDivisionError("division by zero") from None
 
 
 def parse_matrix(text: str) -> ConstMatrix:

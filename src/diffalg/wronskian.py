@@ -12,11 +12,10 @@ expanded determinants come from one cofactor expansion, _cofactor_det.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .basefield import (Poly, RatFunc, _derivative_name, _grouped, _signed_sum,
-                        poly_lcm)
+from .basefield import (Poly, RatFunc, _derivative_name, _grouped, _Record,
+                        _signed_sum, poly_lcm)
 from .errors import NotFundamental, ShapeError
 
 
@@ -218,16 +217,15 @@ def apply_constant_matrix(elems, matrix) -> list:
     return out
 
 
-@dataclass
-class LinearODE:
+class LinearODE(_Record):
     """Monic linear ODE y^(n) + a1 y^(n-1) + ... + an y = 0."""
 
-    order: int
-    coeffs: list  # [a1, ..., an]
+    _fields = ("order", "coeffs")
 
-    def __post_init__(self):
-        if self.order < 1 or len(self.coeffs) != self.order:
+    def __init__(self, order: int, coeffs: list):
+        if order < 1 or len(coeffs) != order:
             raise ShapeError("order must match the coefficient count")
+        self.order, self.coeffs = order, coeffs  # [a1, ..., an]
 
     def apply(self, f: RatFunc) -> RatFunc:
         """Left-hand side evaluated at a field element."""
@@ -254,18 +252,16 @@ def _y_term(mag: RatFunc, order: int) -> str:
     return name if mag == RatFunc(1) else "%s*%s" % (_grouped(str(mag)), name)
 
 
-@dataclass
-class FundamentalSystem:
+class FundamentalSystem(_Record):
     """Tuple of field elements with nonvanishing Wronskian; one solve on
     the rows f, f', ..., f^(n) gives W (its determinant) and the ODE."""
 
-    elems: list
-    wronskian: RatFunc = field(init=False)
-    _coefficients: list = field(init=False, repr=False, compare=False)
+    _fields = ("elems", "wronskian")
 
-    def __post_init__(self):
+    def __init__(self, elems: list):
+        self.elems = elems
         rows = [list(col) + [col[-1].derive()]
-                for col in zip(*wronsky_matrix(self.elems))]
+                for col in zip(*wronsky_matrix(elems))]
         solved = _monic_solve(rows)
         if solved is None:
             raise NotFundamental("Wronskian vanishes")

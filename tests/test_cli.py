@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -176,6 +177,23 @@ def test_json_error_objects():
     code, out, err = invoke(["order", "0", "--format", "json"])
     assert code == 1
     assert json.loads(out)["error"] == "domain"
+    # flag values are checked after --format is read, and a zero
+    # denominator in a number is the domain error of one in an expression
+    for args, code, error in (
+            (["solve-series", "1", "--precision", "x"], 2,
+             {"error": "usage",
+              "message": "--seed and --precision take integers"}),
+            (["solve-series", "1", "--base-point", "abc"], 2,
+             {"error": "syntax", "message": "expected a rational number",
+              "column": 1}),
+            (["solve-series", "1", "--base-point", "1/0"], 1,
+             {"error": "domain", "message": "division by zero"}),
+            (["group-check", "sl2", "1/0,0;0,1"], 1,
+             {"error": "domain", "message": "division by zero"})):
+        assert invoke(args) == (code, "", "error: %s%s\n" % (
+            error["message"], " (column 1)" if "column" in error else ""))
+        assert invoke(args + ["--format", "json"]) == (
+            code, json.dumps(error, separators=(",", ":")) + "\n", "")
 
 
 def test_errors_name_variables_as_typed():
@@ -325,3 +343,16 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "2*x'\n"
+
+
+def test_cli_import_loads_no_dataclasses():
+    # the records are plain classes: dataclasses imports inspect, which
+    # pulls in ast, dis and tokenize (0.75 MB of the 3.4 MB peak that
+    # importing diffalg.cli added)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, diffalg.cli; print(sorted("
+         "{'dataclasses', 'inspect', 'diffalg.cli'} & set(sys.modules)))"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout == "['diffalg.cli']\n"

@@ -141,6 +141,10 @@ def test_pole_rejection_and_precision_guards():
     ode = LinearODE(1, [RatFunc(1, Poly.t())])
     with pytest.raises(PoleAtBasePoint):
         fundamental_system_series(ode, 0, 8)
+    # (6t^2 + 7t - 5)/7 = (2t - 1)(3t + 5)/7 vanishes at 1/2
+    pole = RatFunc(1, Poly((Fraction(-5, 7), 1, Fraction(6, 7))))
+    with pytest.raises(PoleAtBasePoint):
+        fundamental_system_series(LinearODE(1, [pole]), Fraction(1, 2), 8)
     # fine at a different base point
     sys = fundamental_system_series(ode, 1, 8)
     assert ode_residual(ode, sys[0]).is_zero()
@@ -211,6 +215,74 @@ def test_fundamental_system_against_sympy(coeffs, t0, extra):
         for k, a in enumerate(expanded, start=1):
             residual = residual + a * derivs[n - k]
         assert residual.precision == precision - n and residual.is_zero()
+
+
+# the Fraction recurrence that the integer _taylor replaced, as its oracle
+
+
+def _fraction_taylor(q, rhs, t0, inits, precision):
+    q = [p.shift(t0).coeffs for p in q]
+    lead = q[0][0]
+    if lead == 0:
+        raise PoleAtBasePoint("denominator vanishes at %s" % t0)
+    rhs = rhs.shift(t0).coeffs
+    n = len(q) - 1
+    terms = sorted((l, n - i, a) for i, qi in enumerate(q)
+                   for l, a in enumerate(qi) if a and (i or l))
+    out = []
+    for init in inits:
+        c = list(init)
+        for k in range(precision - n + 1):
+            total = rhs[k] if k < len(rhs) else 0
+            for l, d, a in terms:
+                if l > k:
+                    break
+                total -= a * c[k - l + d] * math.perm(k - l + d, d)
+            c.append(total / (lead * math.perm(k + n, n)))
+        out.append(TruncatedSeries(t0, c))
+    return out
+
+
+_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+_rational_polys = st.lists(_fractions, max_size=4).map(Poly)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_taylor_against_fraction_recurrence(data):
+    n = data.draw(st.integers(0, 4), label="order")
+    t0 = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=7),
+                   label="t0")
+    # any sign and scale of q_0, including negative and non-monic ones
+    q = data.draw(st.lists(_rational_polys, min_size=n + 1, max_size=n + 1),
+                  label="q")
+    assume(q[0] and q[0](t0) != 0)
+    rhs = data.draw(_rational_polys.filter(bool) if n == 0
+                    else _rational_polys, label="rhs")
+    inits = data.draw(st.lists(st.lists(_fractions, min_size=n, max_size=n),
+                               min_size=1, max_size=3), label="inits")
+    precision = data.draw(st.integers(n, 96), label="precision")
+    assert odeseries._taylor(q, rhs, t0, inits, precision) \
+        == _fraction_taylor(q, rhs, t0, inits, precision)
+
+
+def test_fundamental_system_builds_one_fraction_per_coefficient(monkeypatch):
+    # the recurrence runs on ints over one common denominator; the only
+    # Fraction built per step is the coefficient itself
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+    ode = LinearODE(3, [RatFunc(Poly((1, 1)), Poly((2, -3))),
+                        RatFunc(Poly((0, Fraction(1, 3)))), RatFunc(-2)])
+    precision = 40
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    system = fundamental_system_series(ode, Fraction(-1, 2), precision)
+    monkeypatch.undo()
+    assert len(system) == 3
+    assert len(made) <= 3 * (precision + 1 + 20)
 
 
 def test_fundamental_system_expands_no_coefficient(monkeypatch):
