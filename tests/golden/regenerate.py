@@ -9,13 +9,17 @@ stderr, so a change meant to keep the output (a speed-up, a refactor) must
 leave cli.txt as it is.
 
 Each line of cli.txt is one JSON object {"argv", "exit", "stdout",
-"stderr"}.  Every command is recorded twice, in text and in --format json.
+"stderr"}.  A stdout longer than STDOUT_TEXT_MAX bytes is recorded as
+"stdout_sha256" and "stdout_bytes" (its UTF-8 length) in place of the
+text, so the file stays small and the replay still checks every byte.
+Every command is recorded twice, in text and in --format json.
 The commands are every STRIDE-th command of seeds 1 and 2 of the three
 benchmark corpora (bench/corpus.py), then EDGE: errors, poles, bad flags,
 series at nonzero base points, classification in both formats and
 reductions of several steps.
 """
 
+import hashlib
 import io
 import json
 import sys
@@ -27,6 +31,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "bench"))
 
 STRIDE = 40
+STDOUT_TEXT_MAX = 64 * 1024
 # commands that take over a second are left out: the replay runs in tier 1
 SLOW_VERBS = ("gl-witness",)
 
@@ -91,12 +96,22 @@ def formats(argv):
     return [base, base + ["--format", "json"]]
 
 
+def stdout_record(text: str) -> dict:
+    """stdout as recorded: the text, or its SHA-256 and length past
+    STDOUT_TEXT_MAX bytes."""
+    data = text.encode("utf-8")
+    if len(data) <= STDOUT_TEXT_MAX:
+        return {"stdout": text}
+    return {"stdout_sha256": hashlib.sha256(data).hexdigest(),
+            "stdout_bytes": len(data)}
+
+
 def record(argv):
     from diffalg import cli
 
     out, err = io.StringIO(), io.StringIO()
     code = cli.run(argv, out, err)
-    return {"argv": argv, "exit": code, "stdout": out.getvalue(),
+    return {"argv": argv, "exit": code, **stdout_record(out.getvalue()),
             "stderr": err.getvalue()}
 
 
