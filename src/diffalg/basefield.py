@@ -1,13 +1,13 @@
-"""Exact arithmetic in the differential fields Q and Q(t).
+"""Exact arithmetic in the differential field Q(t), d/dt its derivation.
 
 Elements are rational functions of t over Q, kept in lowest terms with
-monic denominator.  Q is the same type with the ConstantsOnly tag and the
-zero derivation.  The coefficient arithmetic runs on integers: a
-polynomial is one rational content times a primitive integer polynomial
-(Geddes, Czapor, Labahn, *Algorithms for Computer Algebra*, ch. 2).  By
-Gauss's lemma a product of primitive polynomials is primitive, so a
-product multiplies the contents and convolves the ints without a gcd,
-and gcds run Collins's primitive remainder sequence on the stored ints.
+monic denominator; the constants Q are the elements free of t.  The
+coefficient arithmetic runs on integers: a polynomial is one rational
+content times a primitive integer polynomial (Geddes, Czapor, Labahn,
+*Algorithms for Computer Algebra*, ch. 2).  By Gauss's lemma a product
+of primitive polynomials is primitive, so a product multiplies the
+contents and convolves the ints without a gcd, and gcds run Collins's
+primitive remainder sequence on the stored ints.
 On top of the field arithmetic this module decides two questions exactly:
 
 * does a given element have an antiderivative inside the field (Hermite
@@ -19,7 +19,6 @@ On top of the field arithmetic this module decides two questions exactly:
 from __future__ import annotations
 
 import math
-from enum import Enum
 from fractions import Fraction
 
 def _as_fraction(x) -> Fraction:
@@ -95,18 +94,6 @@ def _power(acc, base, e: int):
         if e:
             base = base * base
     return acc
-
-
-class BaseField(Enum):
-    """Which differential field an element lives in."""
-
-    CONSTANTS = "Q"
-    RATIONAL = "Q(t)"
-
-    def join(self, other: "BaseField") -> "BaseField":
-        if self is BaseField.CONSTANTS and other is BaseField.CONSTANTS:
-            return BaseField.CONSTANTS
-        return BaseField.RATIONAL
 
 
 class Poly:
@@ -442,16 +429,11 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
 
 
 class RatFunc:
-    """Rational function num/den over Q, den monic, gcd(num, den) = 1.
+    """Rational function num/den over Q, den monic, gcd(num, den) = 1."""
 
-    field tags the ambient differential field; it changes the derivation
-    (zero on Q) and the antiderivative question, but not the value, so
-    equality and hashing ignore it.
-    """
+    __slots__ = ("num", "den")
 
-    __slots__ = ("num", "den", "field")
-
-    def __init__(self, num, den=1, field: BaseField = BaseField.RATIONAL):
+    def __init__(self, num, den=1):
         if isinstance(num, (int, Fraction)):
             num = Poly.const(num)
         if isinstance(den, (int, Fraction)):
@@ -472,19 +454,8 @@ class RatFunc:
             if c.numerator != 1 or c.denominator != lead:
                 num = _poly(num.content / (c * lead), num.prim)
                 den = _poly(Fraction(1, lead), den.prim)
-        if field is BaseField.CONSTANTS and (num.degree() > 0 or den.degree() > 0):
-            raise ValueError("a constant-field element cannot involve t")
         self.num = num
         self.den = den
-        self.field = field
-
-    @classmethod
-    def const(cls, c, field: BaseField = BaseField.RATIONAL) -> "RatFunc":
-        return cls(Poly((c,)), 1, field)
-
-    @classmethod
-    def t(cls) -> "RatFunc":
-        return cls(Poly.t())
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -493,7 +464,7 @@ class RatFunc:
         return not self.num.is_zero()
 
     def __eq__(self, other) -> bool:
-        other = _coerce(other, self.field)
+        other = _coerce(other)
         if other is None:
             return NotImplemented
         return self.num == other.num and self.den == other.den
@@ -502,24 +473,23 @@ class RatFunc:
         return hash((self.num, self.den))
 
     def __neg__(self) -> "RatFunc":
-        return _ratfunc(-self.num, self.den, self.field)
+        return _ratfunc(-self.num, self.den)
 
     def __add__(self, other) -> "RatFunc":
-        other = _coerce(other, self.field)
+        other = _coerce(other)
         if other is None:
             return NotImplemented
-        field = self.field.join(other.field)
         a, b = (self, other) if self.den.degree() <= other.den.degree() else (other, self)
         if a.den.degree() == 0:
             # a is a polynomial: a*den(b) + num(b) stays prime to den(b)
-            return _ratfunc(a.num * b.den + b.num, b.den, field)
+            return _ratfunc(a.num * b.den + b.num, b.den)
         return RatFunc(self.num * other.den + other.num * self.den,
-                       self.den * other.den, field)
+                       self.den * other.den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other, self.field)
+        other = _coerce(other)
         if other is None:
             return NotImplemented
         return self + (-other)
@@ -528,28 +498,25 @@ class RatFunc:
         return (-self) + other
 
     def __mul__(self, other) -> "RatFunc":
-        other = _coerce(other, self.field)
+        other = _coerce(other)
         if other is None:
             return NotImplemented
-        field = self.field.join(other.field)
         if self.den.degree() == 0 and other.den.degree() == 0:
-            return _ratfunc(self.num * other.num, _ONE_POLY, field)
-        return RatFunc(self.num * other.num, self.den * other.den, field)
+            return _ratfunc(self.num * other.num, _ONE_POLY)
+        return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "RatFunc":
-        other = _coerce(other, self.field)
+        other = _coerce(other)
         if other is None:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(
-            self.num * other.den, self.den * other.num, self.field.join(other.field)
-        )
+        return RatFunc(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
-        other = _coerce(other, self.field)
+        other = _coerce(other)
         if other is None:
             return NotImplemented
         return other / self
@@ -558,18 +525,16 @@ class RatFunc:
         if e < 0:
             if self.is_zero():
                 raise ZeroDivisionError("negative power of zero")
-            return RatFunc(self.den**(-e), self.num**(-e), self.field)
+            return RatFunc(self.den**(-e), self.num**(-e))
         # powers of coprime polynomials stay coprime, of monic ones monic
-        return _ratfunc(self.num**e, self.den**e, self.field)
+        return _ratfunc(self.num**e, self.den**e)
 
     def derive(self) -> "RatFunc":
-        """Apply the field derivation: d/dt on Q(t), zero on Q."""
-        if self.field is BaseField.CONSTANTS:
-            return RatFunc(Poly(), 1, self.field)
+        """Apply the field derivation d/dt."""
         n, d = self.num, self.den
         if d.degree() == 0:
-            return _ratfunc(n.derivative(), d, self.field)
-        return RatFunc(n.derivative() * d - n * d.derivative(), d * d, self.field)
+            return _ratfunc(n.derivative(), d)
+        return RatFunc(n.derivative() * d - n * d.derivative(), d * d)
 
     def __call__(self, x) -> Fraction:
         x = _as_fraction(x)
@@ -596,22 +561,21 @@ class RatFunc:
         return "RatFunc(%s)" % (str(self),)
 
 
-def _ratfunc(num: Poly, den: Poly, field: BaseField) -> RatFunc:
+def _ratfunc(num: Poly, den: Poly) -> RatFunc:
     """num/den, already coprime with den monic (or num zero and den 1)."""
     f = _new(RatFunc)
     f.num = num
     f.den = den
-    f.field = field
     return f
 
 
-def _coerce(x, field: BaseField):
+def _coerce(x):
     if isinstance(x, RatFunc):
         return x
     if isinstance(x, (int, Fraction)):
-        return _ratfunc(Poly.const(x), _ONE_POLY, field)
+        return _ratfunc(Poly.const(x), _ONE_POLY)
     if isinstance(x, Poly):
-        return RatFunc(x, 1, field)
+        return RatFunc(x)
     return None
 
 
@@ -666,14 +630,9 @@ def hermite_reduce(f: RatFunc) -> tuple[RatFunc, RatFunc]:
     stripped by repeated integration by parts, and what survives in h has
     only simple poles.  f has an antiderivative in Q(t) iff h = 0.
     """
-    zero = RatFunc(Poly(), 1, f.field)
     quo, rem = f.num.divmod(f.den)
-    g = RatFunc(
-        Poly([Fraction(0)] + [c / (k + 1) for k, c in enumerate(quo.coeffs)]),
-        1,
-        f.field,
-    )
-    h = zero
+    g = RatFunc(Poly([Fraction(0)] + [c / (k + 1) for k, c in enumerate(quo.coeffs)]))
+    h = RatFunc(Poly())
     if rem.is_zero():
         return g, h
     sqf = squarefree_decomposition(f.den)
@@ -685,15 +644,12 @@ def hermite_reduce(f: RatFunc) -> tuple[RatFunc, RatFunc]:
         parts, tail = _hermite_tail(piece, base, mult)
         for part in parts:
             g = g + part
-        h = h + RatFunc(tail, base, f.field)
+        h = h + RatFunc(tail, base)
     return g, h
 
 
 def antiderivative_in_field(a: RatFunc) -> RatFunc | None:
-    """An element b of a's field with b' = a, or None if there is none."""
-    if a.field is BaseField.CONSTANTS:
-        # the derivation is zero, so only 0 is a derivative
-        return RatFunc(Poly(), 1, a.field) if a.is_zero() else None
+    """An element b of Q(t) with b' = a, or None if there is none."""
     g, h = hermite_reduce(a)
     return g if h.is_zero() else None
 
@@ -726,8 +682,6 @@ def log_derivative_decompose(a: RatFunc) -> list[tuple[Poly, Fraction]] | None:
     """
     if a.is_zero():
         return []
-    if a.field is BaseField.CONSTANTS:
-        return None
     if a.num.degree() >= a.den.degree():
         return None
     if poly_gcd(a.den, a.den.derivative()).degree() > 0:
@@ -743,7 +697,7 @@ def log_derivative_decompose(a: RatFunc) -> list[tuple[Poly, Fraction]] | None:
             return None
         out.append((p, residue.lead()))
     # residues constant and poles simple force exactness; check anyway
-    total = RatFunc(Poly(), 1, a.field)
+    total = RatFunc(Poly())
     for p, c in out:
         total = total + RatFunc(p.derivative() * c, p)
     if total != a:
@@ -763,7 +717,7 @@ def smallest_exponential_index(a: RatFunc) -> tuple[int, RatFunc] | None:
     if dec is None:
         return None
     if not dec:
-        return 1, RatFunc(Poly((1,)), 1, a.field)
+        return 1, RatFunc(Poly((1,)))
     n = 1
     for _p, c in dec:
         n = math.lcm(n, c.denominator)
@@ -777,4 +731,4 @@ def smallest_exponential_index(a: RatFunc) -> tuple[int, RatFunc] | None:
             num = num * p**e
         elif e < 0:
             den = den * p**(-e)
-    return n, RatFunc(num, den, a.field)
+    return n, RatFunc(num, den)

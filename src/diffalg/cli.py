@@ -14,7 +14,7 @@ import shlex
 import sys
 from fractions import Fraction
 
-from .basefield import BaseField, Poly, RatFunc
+from .basefield import Poly, RatFunc
 from .diffpoly import DerivVar, DiffPoly, ritt_reduce, in_general_ideal
 from .errors import DiffAlgError, NotApplicable, ParseError
 from .galois import (classify_antiderivative_extension,
@@ -68,23 +68,31 @@ def _split_argv(argv):
     while i < len(argv):
         arg = argv[i]
         if arg.startswith("--"):
-            if "=" in arg:
-                name, value = arg.split("=", 1)
-            else:
-                name = arg
-                if name not in _FLAGS:
-                    raise UsageError("unknown option %s" % name)
+            name, eq, value = arg.partition("=")
+            if name not in _FLAGS:
+                raise UsageError("unknown option %s" % name)
+            if not eq:
                 if i + 1 >= len(argv):
                     raise UsageError("option %s needs a value" % name)
                 i += 1
                 value = argv[i]
-            if name not in _FLAGS:
-                raise UsageError("unknown option %s" % name)
             flags[name] = value
         else:
             positionals.append(arg)
         i += 1
     return positionals, flags
+
+
+def _format_of(argv) -> str:
+    """The value of the last --format in argv, read before the options are
+    checked, so that their errors are reported in a valid format."""
+    fmt = "text"
+    for i, arg in enumerate(argv):
+        if arg.startswith("--format="):
+            fmt = arg[len("--format="):]
+        elif arg == "--format" and i + 1 < len(argv):
+            fmt = argv[i + 1]
+    return fmt
 
 
 class _Options:
@@ -280,7 +288,7 @@ def _generic_point(rng: random.Random, n: int) -> dict:
     for i in range(n):
         coeffs = [Fraction(rng.randint(-5, 5)) for _ in range(i)]
         coeffs.append(Fraction(rng.randint(1, 5)))
-        f = RatFunc(Poly(coeffs), 1, BaseField.RATIONAL)
+        f = RatFunc(Poly(coeffs))
         for order in range(n + 1):
             point[DerivVar(order, i)] = f
             f = f.derive()
@@ -340,11 +348,9 @@ def _emit_error(category: str, message: str, fmt: str, stdout, stderr,
 
 def run(argv, stdout=sys.stdout, stderr=sys.stderr) -> int:
     """Execute one command line (without the program name)."""
-    fmt = "text"
+    fmt = _format_of(argv)
     try:
         positionals, flags = _split_argv(argv)
-        # errors in the other flags are reported in a valid --format
-        fmt = flags.get("--format", "text")
         opts = _Options(flags)
         if not positionals:
             raise UsageError("missing verb")

@@ -16,8 +16,8 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .basefield import (BaseField, Poly, RatFunc, _derivative_name, _grouped,
-                        _power, _Record, _signed_sum)
+from .basefield import (Poly, RatFunc, _derivative_name, _grouped, _power,
+                        _Record, _signed_sum)
 from .errors import IncompleteAssignment, NotApplicable, ShapeError
 
 
@@ -80,14 +80,14 @@ def _mono_str_key(m: Monomial):
     return (vars_desc, sum(e for _v, e in m))
 
 
-_ZERO_RF = RatFunc(Poly(), 1, BaseField.RATIONAL)
+_ZERO_RF = RatFunc(Poly())
 
 
 def _coeff(x) -> RatFunc:
     if isinstance(x, RatFunc):
         return x
     if isinstance(x, (int, Fraction, Poly)):
-        return RatFunc(x, 1, BaseField.RATIONAL)
+        return RatFunc(x)
     raise TypeError("cannot use %r as a coefficient" % (x,))
 
 
@@ -104,12 +104,6 @@ class DiffPoly:
                 c = _coeff(c)
                 if c.is_zero():
                     continue
-                mono = _mono_from_dict(dict(mono)) if not isinstance(mono, tuple) else mono
-                if mono in clean:
-                    c = clean[mono] + c
-                    if c.is_zero():
-                        del clean[mono]
-                        continue
                 clean[mono] = c
                 for v, _e in mono:
                     m = max(m, v.indeterminate + 1)

@@ -150,6 +150,9 @@ def group_contains(group: AlgebraicMatrixGroup, m: ConstMatrix) -> bool:
     det = m.det()
     if group.equations is None:
         return det == 1
+    if group.label is GroupLabel.ROOTS_OF_UNITY:
+        # z^k = 1 over Q only for z = 1, or z = -1 with k even: no z^k
+        return det == 1 or (det == -1 and group.unity_order % 2 == 0)
     if det == 0:
         return False
     point = {DerivVar(0, i * group.n + j): RatFunc(m.entries[i][j])

@@ -27,12 +27,12 @@ parser raises NotApplicable, a domain error.
 import sys
 from fractions import Fraction
 
-from .basefield import BaseField, Poly, RatFunc
+from .basefield import Poly, RatFunc
 from .diffpoly import DiffPoly, var
 from .errors import MixedArity, NotApplicable, ParseError
 from .matgroup import ConstMatrix
 
-_T_RF = RatFunc(Poly.t(), 1, BaseField.RATIONAL)
+_T_RF = RatFunc(Poly.t())
 
 # (1+t)^1000 takes 0.2 s and (1+2*t)^1000 0.35 s on a 2-core x86-64 host
 _POWER_DEGREE_MAX = 1000

@@ -7,7 +7,7 @@ reproduce; tests pass their own seeds.
 from fractions import Fraction
 from random import Random
 
-from diffalg.basefield import BaseField, Poly, RatFunc
+from diffalg.basefield import Poly, RatFunc
 
 
 def random_fraction(rng: Random, bound: int = 9, denom: int = 1) -> Fraction:
@@ -28,7 +28,7 @@ def random_ratfunc(rng: Random, max_deg: int = 4, bound: int = 9,
                    nonzero: bool = False) -> RatFunc:
     num = random_poly(rng, max_deg, bound, nonzero=nonzero)
     den = random_poly(rng, max_deg, bound, nonzero=True)
-    return RatFunc(num, den, BaseField.RATIONAL)
+    return RatFunc(num, den)
 
 
 def random_diffpoly(rng: Random, num_indeterminates: int = 1, max_order: int = 2,
@@ -45,7 +45,7 @@ def random_diffpoly(rng: Random, num_indeterminates: int = 1, max_order: int = 2
         if num.is_zero():
             continue
         mono = tuple(sorted(mono.items()))
-        terms[mono] = RatFunc(num, 1, BaseField.RATIONAL)
+        terms[mono] = RatFunc(num)
     return DiffPoly(terms, num_indeterminates)
 
 
@@ -68,7 +68,7 @@ def generic_wronskian_point(rng: Random, n: int) -> dict:
     for i in range(n):
         coeffs = [random_fraction(rng, 5) for _ in range(i)]
         coeffs.append(Fraction(rng.randint(1, 5)))
-        f = RatFunc(Poly(coeffs), 1, BaseField.RATIONAL)
+        f = RatFunc(Poly(coeffs))
         cur = f
         for order in range(n + 1):
             point[DerivVar(order, i)] = cur

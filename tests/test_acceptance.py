@@ -13,7 +13,7 @@ from random import Random
 from conftest import (generic_wronskian_point, random_diffpoly, random_poly,
                       random_invertible, random_ratfunc)
 from diffalg import cli
-from diffalg.basefield import (BaseField, Poly, RatFunc,
+from diffalg.basefield import (Poly, RatFunc,
                                antiderivative_in_field,
                                log_derivative_decompose)
 from diffalg.diffpoly import (DiffPoly, certificate_checks, in_general_ideal,
@@ -46,7 +46,7 @@ def _report(number: int, label: str, failures: list, started: float,
 
 
 def _rf_poly(p: Poly) -> RatFunc:
-    return RatFunc(p, 1, BaseField.RATIONAL)
+    return RatFunc(p)
 
 
 def test_acceptance_01_membership_example():

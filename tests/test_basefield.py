@@ -12,7 +12,6 @@ from sympy.polys.fields import field
 from conftest import random_poly, random_ratfunc
 from diffalg import basefield
 from diffalg.basefield import (
-    BaseField,
     Poly,
     RatFunc,
     antiderivative_in_field,
@@ -29,7 +28,7 @@ ONE = Poly((1,))
 
 
 def rf(num, den=1):
-    return RatFunc(num, den, BaseField.RATIONAL)
+    return RatFunc(num, den)
 
 
 def test_normalization():
@@ -162,16 +161,6 @@ def test_antiderivative_none_is_honest():
         b = antiderivative_in_field(a)
         if b is not None:
             assert b.derive() == a
-
-
-def test_constants_field():
-    c = RatFunc(Poly((3,)), 1, BaseField.CONSTANTS)
-    assert c.derive().is_zero()
-    assert antiderivative_in_field(c) is None
-    zero = RatFunc(Poly(), 1, BaseField.CONSTANTS)
-    assert antiderivative_in_field(zero) == zero
-    with pytest.raises(ValueError):
-        RatFunc(T, 1, BaseField.CONSTANTS)
 
 
 def test_log_derivative_examples():

@@ -13,7 +13,7 @@ import pytest
 
 from conftest import random_diffpoly, random_ratfunc
 from diffalg import cli
-from diffalg.basefield import BaseField, Poly, RatFunc
+from diffalg.basefield import Poly, RatFunc
 from diffalg.diffpoly import DiffPoly, var
 from diffalg.errors import MixedArity, ParseError
 from diffalg.parsing import (parse_diffpoly, parse_fraction, parse_matrix,
@@ -31,8 +31,7 @@ def test_parse_ratfunc_examples():
     f = parse_ratfunc("(t^2+1)/(t-1)")
     assert f.num == Poly((1, 0, 1))
     assert f.den == Poly((-1, 1))
-    assert parse_ratfunc("2/4") == RatFunc(Fraction(1, 2), 1,
-                                           BaseField.RATIONAL)
+    assert parse_ratfunc("2/4") == RatFunc(Fraction(1, 2))
 
 
 def test_parse_error_column():
@@ -74,8 +73,7 @@ def test_derivative_marker_only_on_indeterminates():
     # t^(2) is not valid exponent syntax; exponents take bare integers
     with pytest.raises(ParseError):
         parse_ratfunc("t^(2)")
-    assert parse_ratfunc("t^2") == RatFunc(Poly((0, 0, 1)), 1,
-                                           BaseField.RATIONAL)
+    assert parse_ratfunc("t^2") == RatFunc(Poly((0, 0, 1)))
 
 
 def test_division_rules():
@@ -177,7 +175,7 @@ def test_json_error_objects():
     code, out, err = invoke(["order", "0", "--format", "json"])
     assert code == 1
     assert json.loads(out)["error"] == "domain"
-    # flag values are checked after --format is read, and a zero
+    # options are checked after --format is read, and a zero
     # denominator in a number is the domain error of one in an expression
     for args, code, error in (
             (["solve-series", "1", "--precision", "x"], 2,
@@ -189,7 +187,9 @@ def test_json_error_objects():
             (["solve-series", "1", "--base-point", "1/0"], 1,
              {"error": "domain", "message": "division by zero"}),
             (["group-check", "sl2", "1/0,0;0,1"], 1,
-             {"error": "domain", "message": "division by zero"})):
+             {"error": "domain", "message": "division by zero"}),
+            (["derive", "x", "--frob", "1"], 2,
+             {"error": "usage", "message": "unknown option --frob"})):
         assert invoke(args) == (code, "", "error: %s%s\n" % (
             error["message"], " (column 1)" if "column" in error else ""))
         assert invoke(args + ["--format", "json"]) == (
@@ -230,6 +230,14 @@ def test_large_sizes_stay_fast():
     assert result == (0, "true\n", "") and elapsed < 1.0
     result, elapsed = _timed(["gl-witness", "6", "--seed", "3"])
     assert result == (0, "true\n", "") and elapsed < 10.0
+    # mu<k> reads z^k = 1 as z = 1, or z = -1 with k even; forming
+    # (3/2)^k took about 9 s at k = 10^6
+    result, elapsed = _timed(["group-check", "mu10000000", "3/2"])
+    assert result == (0, "false\n", "") and elapsed < 1.0
+    for group, entry, answer in (("mu10000000", "1", "true"),
+                                 ("mu10000000", "-1", "true"),
+                                 ("mu9999999", "-1", "false")):
+        assert invoke(["group-check", group, entry]) == (0, answer + "\n", "")
 
 
 def test_gl_witness_size_limit():
@@ -356,3 +364,9 @@ def test_cli_import_loads_no_dataclasses():
         capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": src})
     assert proc.stdout == "['diffalg.cli']\n"
+
+
+def test_every_exported_name_resolves():
+    import diffalg
+
+    assert [name for name in diffalg.__all__ if not hasattr(diffalg, name)] == []

@@ -8,7 +8,7 @@ from sympy.polys.fields import field
 from sympy.polys.rings import ring
 
 from conftest import random_diffpoly, random_poly
-from diffalg.basefield import BaseField, Poly, RatFunc
+from diffalg.basefield import Poly, RatFunc
 from diffalg.diffpoly import (
     DerivVar,
     DiffPoly,
@@ -30,6 +30,18 @@ def test_derive():
     assert EXAMPLE_P.derive() == 2 * X1 * X2 - 2 * X1
     assert DiffPoly.const(5).derive().is_zero()
     assert (X * X1).derive() == X1 * X1 + X * X2
+
+
+def test_init_coerces_coefficients_and_widens_indeterminates():
+    u, w = var(0, 1), var(2, 0)
+    p = DiffPoly({((u, 1),): 2, ((u, 2),): Fraction(1, 3),
+                  ((w, 1),): Poly((0, 1)), (): 0, ((w, 2),): RatFunc(0)})
+    assert p.terms == {((u, 1),): RatFunc(2), ((u, 2),): RatFunc(Fraction(1, 3)),
+                       ((w, 1),): RatFunc(Poly((0, 1)))}
+    assert all(type(c) is RatFunc for c in p.terms.values())
+    assert p.num_indeterminates == 3
+    assert DiffPoly({((w, 1),): 1}, 5).num_indeterminates == 5
+    assert DiffPoly({(): Poly()}, 2).terms == {}
 
 
 def test_derive_leibniz():
@@ -264,7 +276,7 @@ def _sym_leader_data(f):
 # order <= 2, exponents <= 2, <= 4 terms; coefficients of degree <= 1 over
 # 1, t + 1, t or t - 2
 _denominators = st.sampled_from([Poly((1,)), Poly((1, 1)), Poly((0, 1)), Poly((-2, 1))])
-_coeffs = st.builds(lambda num, den: RatFunc(num, den, BaseField.RATIONAL),
+_coeffs = st.builds(RatFunc,
                     st.lists(st.integers(-3, 3), min_size=1, max_size=2)
                     .map(Poly).filter(bool), _denominators)
 _monomials = st.dictionaries(st.integers(0, 2), st.integers(1, 2), max_size=2).map(

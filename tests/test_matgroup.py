@@ -67,6 +67,11 @@ def test_membership():
     mu3 = catalog_group(GroupLabel.ROOTS_OF_UNITY, 1, 3)
     assert group_contains(mu3, M([[1]]))
     assert not group_contains(mu3, M([[-1]]))
+    # mu<k> is decided without forming z^k; compare with z^k = 1
+    for k in range(1, 7):
+        mu = catalog_group(GroupLabel.ROOTS_OF_UNITY, 1, k)
+        for z in (-2, -1, Fraction(-1, 2), 0, Fraction(1, 2), 1, Fraction(3, 2)):
+            assert group_contains(mu, M([[z]])) == (Fraction(z) ** k == 1)
 
     sl2 = catalog_group(GroupLabel.SPECIAL_LINEAR, 2)
     assert not group_contains(sl2, M([[2, 0], [0, 1]]))
