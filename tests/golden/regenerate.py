@@ -60,12 +60,27 @@ EDGE = [
      "-3/2"],
     ["classify-int", "1/t"],
     ["classify-int", "1/t^2 + 2*t"],
+    # poles of multiplicity 3-5: derivatives, then inputs with a log part
+    ["classify-int", "-2/(t-1)^3 - 8*t/(t^2+1)^5"],
+    ["classify-int", "(-2*t^10 - 10*t^8 - 20*t^6 - 7*t^5 + 25*t^4 - 92*t^3 "
+     "+ 66*t^2 - 21*t - 3)/(t^13 - 3*t^12 + 8*t^11 - 16*t^10 + 25*t^9 "
+     "- 35*t^8 + 40*t^7 - 40*t^6 + 35*t^5 - 25*t^4 + 16*t^3 - 8*t^2 + 3*t "
+     "- 1)"],
+    ["classify-int", "(-3*t^13 + 21*t^12 - 48*t^11 + 39*t^10 - 48*t^9 "
+     "+ 147*t^8 - 105*t^7 + 6*t^6 - 168*t^5 + 96*t^4 - 22*t^3 + 66*t^2 - 20)"
+     "/(5*t^11 - 35*t^10 + 80*t^9 - 65*t^8 + 80*t^7 - 245*t^6 + 175*t^5 "
+     "- 10*t^4 + 280*t^3 - 160*t^2 - 80*t - 160)"],
+    ["classify-int", "1/(t-1)^3 + 1/t"],
+    ["classify-int", "(t^3-2)/((t-1)^5*(t^2+2)^4*t^3)"],
+    ["classify-int", "(t^4+1)/((t^2-2)^4*(t+3))"],
     ["classify-exp", "1/(2*t)"],
     ["classify-exp", "1/(t^2-2)"],
     ["classify-exp", "(3*t^2+1)/(t^3+t)"],
     ["group-check", "sl2", "1,1;0,1"],
     ["group-check", "borel", "1"],
     ["group-check", "mu4", "-1"],
+    # an order past the interpreter's 4300-digit int conversion limit
+    ["group-check", "mu" + "9" * 5000, "1"],
     ["gl-witness", "2", "--seed", "4"],
     ["gl-witness", "2", "--matrix", "1,1;1,1"],
     ["reduce", "x''-1", "--mod", "(x')^2-2*x"],
