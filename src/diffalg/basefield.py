@@ -10,8 +10,9 @@ contents and convolves the ints without a gcd, and gcds run Collins's
 primitive remainder sequence on the stored ints.
 On top of the field arithmetic this module decides two questions exactly:
 
-* does a given element have an antiderivative inside the field (Hermite
-  reduction), and
+* does a given element have an antiderivative inside the field (Mack's
+  linear Hermite reduction, as in Bronstein, *Symbolic Integration I*,
+  2nd ed., sec. 2.2), and
 * is it a Q-linear combination of logarithmic derivatives of irreducible
   polynomials, and if so with which rational residues.
 """
@@ -402,32 +403,6 @@ def poly_lcm(a: Poly, b: Poly) -> Poly:
     return a.exact_div(poly_gcd(a, b)) * b
 
 
-def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
-    """Yun's algorithm.
-
-    Returns [(f_1, m_1), ...] with the f_i monic, squarefree, pairwise
-    coprime, deg f_i > 0 and prod f_i^(m_i) = monic(p).
-    """
-    p = p.monic()
-    if p.degree() <= 0:
-        return []
-    g = poly_gcd(p, p.derivative())
-    if g.degree() == 0:
-        return [(p, 1)]
-    out = []
-    c = p.exact_div(g)
-    d = p.derivative().exact_div(g) - c.derivative()
-    i = 1
-    while c.degree() > 0:
-        a = poly_gcd(c, d)
-        if a.degree() > 0:
-            out.append((a, i))
-        c = c.exact_div(a)
-        d = d.exact_div(a) - c.derivative()
-        i += 1
-    return out
-
-
 class RatFunc:
     """Rational function num/den over Q, den monic, gcd(num, den) = 1."""
 
@@ -579,73 +554,33 @@ def _coerce(x):
     return None
 
 
-def _partial_fractions(num: Poly, moduli: list[Poly]) -> list[Poly]:
-    """Split num / prod(moduli) into proper parts over pairwise coprime moduli.
-
-    Returns n_i with deg n_i < deg m_i and sum n_i/m_i = num/prod(moduli);
-    requires the input fraction proper.
-    """
-    if len(moduli) == 1:
-        return [num.divmod(moduli[0])[1]]
-    m0 = moduli[0]
-    rest = Poly((1,))
-    for m in moduli[1:]:
-        rest = rest * m
-    g, u, v = poly_xgcd(m0, rest)
-    if g.degree() != 0:
-        raise ArithmeticError("moduli are not coprime")
-    # u*m0 + v*rest = 1  =>  num/(m0*rest) = num*v/m0 + num*u/rest
-    n0 = (num * v).divmod(m0)[1]
-    n_rest = (num * u).divmod(rest)[1]
-    return [n0] + _partial_fractions(n_rest, moduli[1:])
-
-
-def _hermite_tail(num: Poly, base: Poly, mult: int) -> tuple[list[RatFunc], Poly]:
-    """Reduce num/base^mult to derivative terms plus tail/base.
-
-    base is monic squarefree, deg num < mult*deg base.  Returns the list of
-    extracted pieces g_k (their derivatives sum with tail/base to the input)
-    and the tail numerator.
-    """
-    cur = num
-    j = mult
-    parts = []
-    g, w, _ = poly_xgcd(base.derivative(), base)
-    if g.degree() != 0:
-        raise ArithmeticError("base is not squarefree")
-    while j >= 2:
-        # c*base' == cur (mod base);  cur/base^j = (-c/((j-1) base^(j-1)))' + ...
-        c = (cur * w).divmod(base)[1]
-        s = (cur - c * base.derivative()).exact_div(base)
-        parts.append(RatFunc(c * Fraction(-1, j - 1), base**(j - 1)))
-        cur = s + c.derivative() * Fraction(1, j - 1)
-        j -= 1
-    return parts, cur
-
-
 def hermite_reduce(f: RatFunc) -> tuple[RatFunc, RatFunc]:
     """Write f = g' + h with h proper and squarefree-denominator.
 
-    The polynomial part of f integrates termwise into g, multiple poles are
-    stripped by repeated integration by parts, and what survives in h has
-    only simple poles.  f has an antiderivative in Q(t) iff h = 0.
+    The polynomial part of f integrates termwise into g.  The proper part
+    A/D goes through Mack's linear Hermite reduction (Bronstein, *Symbolic
+    Integration I*, sec. 2.2, HermiteReduce): with D- = gcd(D, D') and
+    D* = D/D-, each pass removes one level of multiplicity from D- by one
+    extended Euclidean solve, and what survives in h = A/D* has only
+    simple poles.  f has an antiderivative in Q(t) iff h = 0.
     """
-    quo, rem = f.num.divmod(f.den)
+    quo, num = f.num.divmod(f.den)
     g = RatFunc(Poly([Fraction(0)] + [c / (k + 1) for k, c in enumerate(quo.coeffs)]))
-    h = RatFunc(Poly())
-    if rem.is_zero():
-        return g, h
-    sqf = squarefree_decomposition(f.den)
-    moduli = [base**mult for base, mult in sqf]
-    pieces = _partial_fractions(rem, moduli)
-    for piece, (base, mult) in zip(pieces, sqf):
-        if piece.is_zero():
-            continue
-        parts, tail = _hermite_tail(piece, base, mult)
-        for part in parts:
-            g = g + part
-        h = h + RatFunc(tail, base)
-    return g, h
+    d_minus = poly_gcd(f.den, f.den.derivative())
+    d_star = f.den.exact_div(d_minus)
+    while d_minus.degree() > 0:
+        d_minus2 = poly_gcd(d_minus, d_minus.derivative())
+        d_minus_star = d_minus.exact_div(d_minus2)
+        # a is prime to d_minus_star: solve b*a + c*d_minus_star = num
+        # with deg b < deg d_minus_star
+        a = -(d_star * d_minus.derivative()).exact_div(d_minus)
+        _, u, _ = poly_xgcd(a, d_minus_star)
+        b = (num * u).divmod(d_minus_star)[1]
+        c = (num - b * a).exact_div(d_minus_star)
+        num = c - b.derivative() * d_star.exact_div(d_minus_star)
+        g = g + RatFunc(b, d_minus)
+        d_minus = d_minus2
+    return g, RatFunc(num, d_star)
 
 
 def antiderivative_in_field(a: RatFunc) -> RatFunc | None:

@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from sympy import QQ
 from sympy.integrals.rationaltools import ratint, ratint_ratpart
 from sympy.polys.fields import field
@@ -20,7 +20,6 @@ from diffalg.basefield import (
     poly_gcd,
     poly_xgcd,
     smallest_exponential_index,
-    squarefree_decomposition,
 )
 
 T = Poly.t()
@@ -101,26 +100,6 @@ def test_poly_shift_matches_evaluation():
         assert p.shift(a)(x) == p(x + a)
 
 
-def test_squarefree_decomposition():
-    rng = Random(6)
-    for _ in range(60):
-        p = ONE
-        for _ in range(rng.randint(1, 3)):
-            p = p * random_poly(rng, 2, 4, nonzero=True) ** rng.randint(1, 3)
-        if p.degree() <= 0:
-            continue
-        dec = squarefree_decomposition(p)
-        prod = ONE
-        for f, m in dec:
-            assert f.lead() == 1 and f.degree() > 0
-            assert poly_gcd(f, f.derivative()).degree() == 0
-            prod = prod * f ** m
-        for i in range(len(dec)):
-            for j in range(i + 1, len(dec)):
-                assert poly_gcd(dec[i][0], dec[j][0]).degree() == 0
-        assert prod == p.monic()
-
-
 def test_hermite_reduce_identity():
     rng = Random(7)
     for _ in range(80):
@@ -135,6 +114,9 @@ def test_hermite_reduce_identity():
 def test_antiderivative_examples():
     assert antiderivative_in_field(rf(Poly((0, 2)))) == rf(T * T)
     assert antiderivative_in_field(rf(ONE, T * T)) == rf(Poly((-1,)), T)
+    # poles of multiplicity 5 and 3: four passes of the reduction loop
+    b = rf(T + 2, (T - 1) ** 4 * Poly((1, 0, 1)) ** 2)
+    assert antiderivative_in_field(b.derive()) == b
     # 1/t: the Hermite remainder survives with an irreducible simple pole
     g, h = hermite_reduce(rf(ONE, T))
     assert h == rf(ONE, T) and h.den.degree() == 1
@@ -425,18 +407,6 @@ _factors = st.lists(st.lists(st.integers(-4, 4), min_size=2, max_size=3)
                     min_size=1, max_size=3)
 
 
-@settings(max_examples=60, deadline=None)
-@given(_factors, st.lists(st.integers(1, 3), min_size=3, max_size=3),
-       _fractions.filter(bool))
-def test_squarefree_decomposition_against_sympy(factors, mults, c):
-    p = Poly((c,))
-    for f, m in zip(factors, mults):
-        p = p * f ** m
-    dec = squarefree_decomposition(p)
-    _coeff, expected = sympy.sqf_list(_sp(p))
-    assert [(_sp(f), m) for f, m in dec] == sorted(expected, key=lambda fm: fm[1])
-
-
 _K, _KT = field("t", QQ)
 
 
@@ -448,7 +418,9 @@ def _k(f: RatFunc):
 
 
 @settings(max_examples=30, deadline=None)
-@given(_small_polys, _factors, st.lists(st.integers(1, 3), min_size=3, max_size=3))
+@given(_small_polys, _factors, st.lists(st.integers(1, 5), min_size=3, max_size=3))
+@example(Poly((1, -2, 3)), [T, Poly((1, 0, 1)), Poly((-2, 0, 1))], [5, 4, 3])
+@example(Poly((0, 1)), [T - 1, T - 1, Poly((1, 1, 1))], [5, 4, 5])
 def test_hermite_reduce_against_ratint(num, factors, mults):
     den = Poly((1,))
     for f, m in zip(factors, mults):
