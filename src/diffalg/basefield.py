@@ -619,14 +619,13 @@ def log_derivative_decompose(a: RatFunc) -> list[tuple[Poly, Fraction]] | None:
         return []
     if a.num.degree() >= a.den.degree():
         return None
-    if poly_gcd(a.den, a.den.derivative()).degree() > 0:
+    d_prime = a.den.derivative()
+    if poly_gcd(a.den, d_prime).degree() > 0:
         return None
     out = []
     for p in _irreducible_factors(a.den):
-        cof = a.den.exact_div(p)
-        g, w, _ = poly_xgcd(p.derivative() * cof, p)
-        if g.degree() != 0:
-            return None
+        # den' = p' * den/p (mod p), prime to p as den is squarefree
+        _, w, _ = poly_xgcd(d_prime, p)
         residue = (a.num * w).divmod(p)[1]
         if residue.degree() > 0:
             return None
