@@ -89,8 +89,10 @@ class GroupLabel(Enum):
 class AlgebraicMatrixGroup(_Record):
     """Invertible matrices annihilating every polynomial of the defining set.
 
-    equations=None stands for det - 1 (special linear), whose n! terms are
-    expanded only when defining_set is read; membership tests det(M) = 1.
+    equations=None stands for the one equation of a special linear group,
+    det - 1 (whose n! terms are expanded only when defining_set is read),
+    or of the roots of unity mu<k>, x^k - 1 (built only when read, as k
+    may have thousands of digits).  Membership reads neither.
     """
 
     _fields = ("n", "equations", "label", "unity_order")
@@ -105,6 +107,8 @@ class AlgebraicMatrixGroup(_Record):
     def defining_set(self) -> tuple:
         if self.equations is not None:
             return self.equations
+        if self.label is GroupLabel.ROOTS_OF_UNITY:
+            return (_entry_var(1, 0, 0) ** self.unity_order - DiffPoly.const(1, 1),)
         n = self.n
         det = _cofactor_det([[_entry_var(n, i, j) for j in range(n)] for i in range(n)])
         return (det - DiffPoly.const(1, n * n),)
@@ -118,7 +122,6 @@ def catalog_group(label: GroupLabel, n: int, unity_order: int | None = None) -> 
     """The five stock groups; sizes outside each embedding are rejected."""
     if n < 1:
         raise NotInCatalog("size must be positive")
-    one = DiffPoly.const(1, n * n)
     if label is GroupLabel.GENERAL_LINEAR:
         return AlgebraicMatrixGroup(n, (), label)
     if label is GroupLabel.SPECIAL_LINEAR:
@@ -126,6 +129,7 @@ def catalog_group(label: GroupLabel, n: int, unity_order: int | None = None) -> 
     if label is GroupLabel.UNIPOTENT_ADDITIVE:
         if n != 2:
             raise NotInCatalog("the unipotent embedding is 2x2")
+        one = DiffPoly.const(1, 4)
         polys = (_entry_var(2, 0, 0) - one, _entry_var(2, 1, 1) - one,
                  _entry_var(2, 1, 0))
         return AlgebraicMatrixGroup(2, polys, label)
@@ -138,8 +142,7 @@ def catalog_group(label: GroupLabel, n: int, unity_order: int | None = None) -> 
             raise NotInCatalog("roots of unity embed as 1x1")
         if unity_order is None or unity_order < 1:
             raise NotInCatalog("roots of unity need a positive order")
-        poly = _entry_var(1, 0, 0) ** unity_order - one
-        return AlgebraicMatrixGroup(1, (poly,), label, unity_order)
+        return AlgebraicMatrixGroup(1, None, label, unity_order)
     raise NotInCatalog("unknown label %r" % (label,))
 
 
@@ -148,11 +151,11 @@ def group_contains(group: AlgebraicMatrixGroup, m: ConstMatrix) -> bool:
     if m.n != group.n:
         raise ShapeError("matrix size %d, group size %d" % (m.n, group.n))
     det = m.det()
-    if group.equations is None:
-        return det == 1
     if group.label is GroupLabel.ROOTS_OF_UNITY:
         # z^k = 1 over Q only for z = 1, or z = -1 with k even: no z^k
         return det == 1 or (det == -1 and group.unity_order % 2 == 0)
+    if group.equations is None:
+        return det == 1
     if det == 0:
         return False
     point = {DerivVar(0, i * group.n + j): RatFunc(m.entries[i][j])

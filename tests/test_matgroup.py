@@ -1,10 +1,13 @@
+import io
 from fractions import Fraction
 from random import Random
 
 import pytest
 
 from conftest import generic_wronskian_point, random_invertible, random_ratfunc
+from diffalg import cli
 from diffalg.basefield import Poly, RatFunc
+from diffalg.diffpoly import DerivVar, DiffPoly
 from diffalg.errors import (
     DegeneratePoint,
     IncompleteAssignment,
@@ -47,7 +50,9 @@ def test_catalog_defining_sets():
     assert len(catalog_group(GroupLabel.SPECIAL_LINEAR, 2).defining_set) == 1
     assert len(catalog_group(GroupLabel.UNIPOTENT_ADDITIVE, 2).defining_set) == 3
     assert catalog_group(GroupLabel.DIAGONAL_MULTIPLICATIVE, 1).defining_set == ()
-    assert len(catalog_group(GroupLabel.ROOTS_OF_UNITY, 1, 4).defining_set) == 1
+    x = DiffPoly.from_var(DerivVar(0, 0), 1)
+    assert catalog_group(GroupLabel.ROOTS_OF_UNITY, 1, 4).defining_set == \
+        (x ** 4 - DiffPoly.const(1, 1),)
     with pytest.raises(NotInCatalog):
         catalog_group(GroupLabel.UNIPOTENT_ADDITIVE, 3)
     with pytest.raises(NotInCatalog):
@@ -82,6 +87,25 @@ def test_membership():
     assert not group_contains(ga, M([[1, 0], [5, 1]]))
     with pytest.raises(ShapeError):
         group_contains(ga, M([[1]]))
+
+
+def test_roots_of_unity_membership_builds_no_power(monkeypatch):
+    # x^k - 1 is built only when defining_set is read, so an order of
+    # 4001 digits is decided at once
+    def no_power(self, e):
+        raise AssertionError("x^k was built")
+    monkeypatch.setattr(DiffPoly, "__pow__", no_power)
+    k = 10 ** 4000
+    mu = catalog_group(GroupLabel.ROOTS_OF_UNITY, 1, k)
+    assert group_contains(mu, M([[-1]]))
+    assert not group_contains(mu, M([[Fraction(3, 2)]]))
+    odd = catalog_group(GroupLabel.ROOTS_OF_UNITY, 1, k + 1)
+    assert group_contains(odd, M([[1]])) and not group_contains(odd, M([[-1]]))
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.run(["group-check", "mu%d" % k, "-1"], out, err) == 0
+    assert out.getvalue() == "true\n"
+    with pytest.raises(AssertionError):
+        mu.defining_set
 
 
 def test_closure_examples():
