@@ -257,7 +257,12 @@ def _named_group(label: str):
     if m is None:
         raise UsageError("unknown group %r; use gl<n>, sl<n>, unipotent, "
                          "gm, or mu<k>" % label)
-    family, number = m.group(1), int(m.group(2))
+    family = m.group(1)
+    try:
+        number = int(m.group(2))
+    except ValueError:
+        raise UsageError("the number in group %s<...> has more than %d digits"
+                         % (family, sys.get_int_max_str_digits())) from None
     if family == "gl":
         return catalog_group(GroupLabel.GENERAL_LINEAR, number)
     if family == "sl":

@@ -155,6 +155,16 @@ def test_group_check_verb():
     assert invoke(["group-check", "mu4", "-1"]) == (0, "true\n", "")
     code, _, err = invoke(["group-check", "borel", "1"])
     assert code == 2 and "unknown group" in err
+    # a group number past the int-conversion limit is the input's fault
+    limit = sys.get_int_max_str_digits()
+    for family in ("mu", "gl"):
+        message = "the number in group %s<...> has more than %d digits" \
+            % (family, limit)
+        argv = ["group-check", family + "9" * (limit + 700), "1"]
+        assert invoke(argv) == (2, "", "error: %s\n" % message)
+        code, out, _ = invoke(argv + ["--format", "json"])
+        assert code == 2 and json.loads(out) == {"error": "usage",
+                                                 "message": message}
 
 
 def test_exit_codes():
