@@ -81,6 +81,16 @@ EDGE = [
     ["group-check", "mu4", "-1"],
     # an order past the interpreter's 4300-digit int conversion limit
     ["group-check", "mu" + "9" * 5000, "1"],
+    # unipotent members, then determinant 1 off the unipotent shape
+    ["group-check", "unipotent", "1,0;0,1"],
+    ["group-check", "unipotent", "1,5/2;0,1"],
+    ["group-check", "unipotent", "1,0;3,1"],
+    ["group-check", "unipotent", "2,0;0,1/2"],
+    ["group-check", "unipotent", "1,0;0,2"],
+    ["group-check", "gm", "0"],
+    ["group-check", "gm", "-2/3"],
+    ["group-check", "gl2", "1,2;2,4"],
+    ["group-check", "sl3", "1,0,0;0,1,0;0,0,-1"],
     ["gl-witness", "2", "--seed", "4"],
     ["gl-witness", "2", "--matrix", "1,1;1,1"],
     ["reduce", "x''-1", "--mod", "(x')^2-2*x"],
