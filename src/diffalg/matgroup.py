@@ -1,10 +1,10 @@
 """Algebraic matrix groups over Q and the GL(n) invariance witness.
 
-A group is cut out of the invertible n x n matrices by a defining set of
-polynomials in the n^2 entries (represented as order-0 differential
-polynomials, entry (i, j) being indeterminate i*n + j).  The catalog
-covers the five groups the classification can produce; membership and
-closure are decided exactly.
+A group of the catalog (the five groups the classification can produce)
+is its label: membership tests the label's defining property exactly.
+The defining set, polynomials in the n^2 entries (order-0 differential
+polynomials, entry (i, j) being indeterminate i*n + j), is built from the
+label only when it is read.
 
 The invariance witness evaluates the coefficient ratios of the bordered
 Wronskian operator in n differential indeterminates at a generic point,
@@ -18,7 +18,7 @@ from enum import Enum
 from functools import cached_property
 from fractions import Fraction
 
-from .basefield import RatFunc, _Record
+from .basefield import _Record
 from .diffpoly import DerivVar, DiffPoly, _coeff, _var_name
 from .errors import (
     DegeneratePoint,
@@ -87,80 +87,69 @@ class GroupLabel(Enum):
 
 
 class AlgebraicMatrixGroup(_Record):
-    """Invertible matrices annihilating every polynomial of the defining set.
+    """A catalog group, described by its label (and the order k of mu<k>).
 
-    equations=None stands for the one equation of a special linear group,
-    det - 1 (whose n! terms are expanded only when defining_set is read),
-    or of the roots of unity mu<k>, x^k - 1 (built only when read, as k
-    may have thousands of digits).  Membership reads neither.
+    defining_set is built only when read: det - 1 has n! terms, and k may
+    have thousands of digits.  Membership never reads it.
     """
 
-    _fields = ("n", "equations", "label", "unity_order")
+    _fields = ("n", "label", "unity_order")
 
-    def __init__(self, n: int, equations: tuple | None,
-                 label: GroupLabel | None = None,
-                 unity_order: int | None = None):
-        self.n, self.equations = n, equations
-        self.label, self.unity_order = label, unity_order
+    def __init__(self, n: int, label: GroupLabel | None, unity_order: int | None = None):
+        self.n, self.label, self.unity_order = n, label, unity_order
 
     @cached_property
     def defining_set(self) -> tuple:
-        if self.equations is not None:
-            return self.equations
-        if self.label is GroupLabel.ROOTS_OF_UNITY:
-            return (_entry_var(1, 0, 0) ** self.unity_order - DiffPoly.const(1, 1),)
+        if self.label in (GroupLabel.GENERAL_LINEAR, GroupLabel.DIAGONAL_MULTIPLICATIVE):
+            return ()
         n = self.n
-        det = _cofactor_det([[_entry_var(n, i, j) for j in range(n)] for i in range(n)])
-        return (det - DiffPoly.const(1, n * n),)
-
-
-def _entry_var(n: int, i: int, j: int) -> DiffPoly:
-    return DiffPoly.from_var(DerivVar(0, i * n + j), n * n)
+        x = [[DiffPoly.from_var(DerivVar(0, i * n + j), n * n) for j in range(n)]
+             for i in range(n)]
+        one = DiffPoly.const(1, n * n)
+        if self.label is GroupLabel.SPECIAL_LINEAR:
+            return (_cofactor_det(x) - one,)
+        if self.label is GroupLabel.UNIPOTENT_ADDITIVE:
+            return (x[0][0] - one, x[1][1] - one, x[1][0])
+        if self.label is GroupLabel.ROOTS_OF_UNITY:
+            return (x[0][0] ** self.unity_order - one,)
+        raise NotInCatalog("no defining set for label %r" % (self.label,))
 
 
 def catalog_group(label: GroupLabel, n: int, unity_order: int | None = None) -> AlgebraicMatrixGroup:
     """The five stock groups; sizes outside each embedding are rejected."""
     if n < 1:
         raise NotInCatalog("size must be positive")
-    if label is GroupLabel.GENERAL_LINEAR:
-        return AlgebraicMatrixGroup(n, (), label)
-    if label is GroupLabel.SPECIAL_LINEAR:
-        return AlgebraicMatrixGroup(n, None, label)
-    if label is GroupLabel.UNIPOTENT_ADDITIVE:
-        if n != 2:
-            raise NotInCatalog("the unipotent embedding is 2x2")
-        one = DiffPoly.const(1, 4)
-        polys = (_entry_var(2, 0, 0) - one, _entry_var(2, 1, 1) - one,
-                 _entry_var(2, 1, 0))
-        return AlgebraicMatrixGroup(2, polys, label)
-    if label is GroupLabel.DIAGONAL_MULTIPLICATIVE:
-        if n != 1:
-            raise NotInCatalog("the multiplicative torus here is 1x1")
-        return AlgebraicMatrixGroup(1, (), label)
+    if label is GroupLabel.UNIPOTENT_ADDITIVE and n != 2:
+        raise NotInCatalog("the unipotent embedding is 2x2")
+    if label is GroupLabel.DIAGONAL_MULTIPLICATIVE and n != 1:
+        raise NotInCatalog("the multiplicative torus here is 1x1")
     if label is GroupLabel.ROOTS_OF_UNITY:
         if n != 1:
             raise NotInCatalog("roots of unity embed as 1x1")
         if unity_order is None or unity_order < 1:
             raise NotInCatalog("roots of unity need a positive order")
-        return AlgebraicMatrixGroup(1, None, label, unity_order)
-    raise NotInCatalog("unknown label %r" % (label,))
+        return AlgebraicMatrixGroup(1, label, unity_order)
+    if not isinstance(label, GroupLabel):
+        raise NotInCatalog("unknown label %r" % (label,))
+    return AlgebraicMatrixGroup(n, label)
 
 
 def group_contains(group: AlgebraicMatrixGroup, m: ConstMatrix) -> bool:
-    """Invertible and every defining polynomial vanishes at the entries."""
+    """The defining property of the group's label holds at m."""
     if m.n != group.n:
         raise ShapeError("matrix size %d, group size %d" % (m.n, group.n))
+    if group.label is GroupLabel.UNIPOTENT_ADDITIVE:
+        (a, _), (c, d) = m.entries
+        return a == d == 1 and c == 0
     det = m.det()
     if group.label is GroupLabel.ROOTS_OF_UNITY:
         # z^k = 1 over Q only for z = 1, or z = -1 with k even: no z^k
         return det == 1 or (det == -1 and group.unity_order % 2 == 0)
-    if group.equations is None:
+    if group.label is GroupLabel.SPECIAL_LINEAR:
         return det == 1
-    if det == 0:
-        return False
-    point = {DerivVar(0, i * group.n + j): RatFunc(m.entries[i][j])
-             for i in range(group.n) for j in range(group.n)}
-    return all(p.evaluate(point).is_zero() for p in group.equations)
+    if group.label in (GroupLabel.GENERAL_LINEAR, GroupLabel.DIAGONAL_MULTIPLICATIVE):
+        return det != 0
+    raise NotInCatalog("membership is only decided for catalog groups")
 
 
 def group_closure_sample_check(group: AlgebraicMatrixGroup, samples) -> bool:

@@ -29,6 +29,7 @@ from diffalg.matgroup import (
     identity_component_dimension,
     wronskian_minor_polynomials,
 )
+from diffalg.parsing import parse_matrix
 from diffalg.wronskian import apply_constant_matrix, wronskian
 
 M = ConstMatrix.from_rows
@@ -47,8 +48,12 @@ def test_const_matrix_basics():
 
 def test_catalog_defining_sets():
     assert catalog_group(GroupLabel.GENERAL_LINEAR, 3).defining_set == ()
-    assert len(catalog_group(GroupLabel.SPECIAL_LINEAR, 2).defining_set) == 1
-    assert len(catalog_group(GroupLabel.UNIPOTENT_ADDITIVE, 2).defining_set) == 3
+    x = [DiffPoly.from_var(DerivVar(0, k), 4) for k in range(4)]
+    one = DiffPoly.const(1, 4)
+    assert catalog_group(GroupLabel.SPECIAL_LINEAR, 2).defining_set == \
+        (x[0] * x[3] - x[1] * x[2] - one,)
+    assert catalog_group(GroupLabel.UNIPOTENT_ADDITIVE, 2).defining_set == \
+        (x[0] - one, x[3] - one, x[2])
     assert catalog_group(GroupLabel.DIAGONAL_MULTIPLICATIVE, 1).defining_set == ()
     x = DiffPoly.from_var(DerivVar(0, 0), 1)
     assert catalog_group(GroupLabel.ROOTS_OF_UNITY, 1, 4).defining_set == \
@@ -72,11 +77,6 @@ def test_membership():
     mu3 = catalog_group(GroupLabel.ROOTS_OF_UNITY, 1, 3)
     assert group_contains(mu3, M([[1]]))
     assert not group_contains(mu3, M([[-1]]))
-    # mu<k> is decided without forming z^k; compare with z^k = 1
-    for k in range(1, 7):
-        mu = catalog_group(GroupLabel.ROOTS_OF_UNITY, 1, k)
-        for z in (-2, -1, Fraction(-1, 2), 0, Fraction(1, 2), 1, Fraction(3, 2)):
-            assert group_contains(mu, M([[z]])) == (Fraction(z) ** k == 1)
 
     sl2 = catalog_group(GroupLabel.SPECIAL_LINEAR, 2)
     assert not group_contains(sl2, M([[2, 0], [0, 1]]))
@@ -87,6 +87,71 @@ def test_membership():
     assert not group_contains(ga, M([[1, 0], [5, 1]]))
     with pytest.raises(ShapeError):
         group_contains(ga, M([[1]]))
+
+    # each label is decided from its defining property; the defining set
+    # is the oracle: invertible and every polynomial vanishes at the entries
+    rng = Random(64)
+    groups = ([catalog_group(GroupLabel.GENERAL_LINEAR, n) for n in (1, 2, 3)]
+              + [catalog_group(GroupLabel.SPECIAL_LINEAR, n) for n in (2, 3)]
+              + [ga, catalog_group(GroupLabel.DIAGONAL_MULTIPLICATIVE, 1)]
+              + [catalog_group(GroupLabel.ROOTS_OF_UNITY, 1, k) for k in range(1, 7)])
+    for group in groups:
+        for m in _boundary_shapes(rng, group.n) + [_random_matrix(rng, group.n)
+                                                   for _ in range(20)]:
+            assert group_contains(group, m) == _by_equations(group, m), (group, m)
+
+
+def _by_equations(group: AlgebraicMatrixGroup, m: ConstMatrix) -> bool:
+    n = m.n
+    point = {DerivVar(0, i * n + j): RatFunc(m.entries[i][j])
+             for i in range(n) for j in range(n)}
+    return m.det() != 0 and all(p.evaluate(point).is_zero() for p in group.defining_set)
+
+
+def _random_matrix(rng: Random, n: int) -> ConstMatrix:
+    return M([[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
+              for _ in range(n)])
+
+
+def _boundary_shapes(rng: Random, n: int) -> list:
+    """Matrices on and next to each label's defining condition."""
+    if n == 1:
+        return [M([[z]]) for z in (-2, -1, Fraction(-1, 2), 0, Fraction(1, 2), 1,
+                                   Fraction(3, 2))]
+    out = [ConstMatrix.identity(n), M([[int(i == j or j == 0) for j in range(n)]
+                                       for i in range(n)])]  # singular if n > 1
+    for _ in range(3):
+        g = _random_sl(rng, n)
+        out.append(g)
+        for scale in (-1, 2, Fraction(1, 3)):
+            out.append(M([[v * scale for v in g.entries[0]]] + list(g.entries[1:])))
+    if n == 2:
+        for a, b, c, d in [(1, Fraction(5, 2), 0, 1), (1, 0, 3, 1), (2, 0, 0, Fraction(1, 2)),
+                           (1, 0, 0, 2), (-1, 4, 0, -1), (1, 1, 0, -1), (1, 2, 2, 4)]:
+            out.append(M([[a, b], [c, d]]))
+    return out
+
+
+def test_membership_builds_no_equation(monkeypatch):
+    # every label is decided from the matrix alone, in the library and the CLI
+    def refuse(*args, **kwargs):
+        raise AssertionError("a defining polynomial was built or evaluated")
+    for name in ("evaluate", "__pow__", "from_var"):
+        monkeypatch.setattr(DiffPoly, name, refuse)
+    cases = [(catalog_group(GroupLabel.GENERAL_LINEAR, 2), "gl2", "1,1;0,1", True),
+             (catalog_group(GroupLabel.SPECIAL_LINEAR, 3), "sl3",
+              "1,0,0;0,1,0;0,0,-1", False),
+             (catalog_group(GroupLabel.UNIPOTENT_ADDITIVE, 2), "unipotent",
+              "1,5/2;0,1", True),
+             (catalog_group(GroupLabel.UNIPOTENT_ADDITIVE, 2), "unipotent",
+              "1,0;3,1", False),
+             (catalog_group(GroupLabel.DIAGONAL_MULTIPLICATIVE, 1), "gm", "-2/3", True),
+             (catalog_group(GroupLabel.ROOTS_OF_UNITY, 1, 4), "mu4", "-1", True)]
+    for group, name, literal, member in cases:
+        assert group_contains(group, parse_matrix(literal)) is member
+        out, err = io.StringIO(), io.StringIO()
+        assert cli.run(["group-check", name, literal], out, err) == 0
+        assert (out.getvalue(), err.getvalue()) == ("%s\n" % str(member).lower(), "")
 
 
 def test_roots_of_unity_membership_builds_no_power(monkeypatch):
@@ -161,7 +226,7 @@ def test_identity_component_dimensions():
     assert identity_component_dimension(catalog_group(GroupLabel.UNIPOTENT_ADDITIVE, 2)) == 1
     assert identity_component_dimension(catalog_group(GroupLabel.DIAGONAL_MULTIPLICATIVE, 1)) == 1
     assert identity_component_dimension(catalog_group(GroupLabel.ROOTS_OF_UNITY, 1, 6)) == 0
-    adhoc = AlgebraicMatrixGroup(2, (), None)
+    adhoc = AlgebraicMatrixGroup(2, None)
     with pytest.raises(NotInCatalog):
         identity_component_dimension(adhoc)
 
