@@ -118,8 +118,7 @@ def _boundary_shapes(rng: Random, n: int) -> list:
     if n == 1:
         return [M([[z]]) for z in (-2, -1, Fraction(-1, 2), 0, Fraction(1, 2), 1,
                                    Fraction(3, 2))]
-    out = [ConstMatrix.identity(n), M([[int(i == j or j == 0) for j in range(n)]
-                                       for i in range(n)])]  # singular if n > 1
+    out = [ConstMatrix.identity(n), M([[1] * n] * n)]  # the second is singular
     for _ in range(3):
         g = _random_sl(rng, n)
         out.append(g)
