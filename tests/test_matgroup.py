@@ -48,12 +48,12 @@ def test_const_matrix_basics():
 
 def test_catalog_defining_sets():
     assert catalog_group(GroupLabel.GENERAL_LINEAR, 3).defining_set == ()
-    x = [DiffPoly.from_var(DerivVar(0, k), 4) for k in range(4)]
+    e = [DiffPoly.from_var(DerivVar(0, k), 4) for k in range(4)]  # m00, m01, m10, m11
     one = DiffPoly.const(1, 4)
     assert catalog_group(GroupLabel.SPECIAL_LINEAR, 2).defining_set == \
-        (x[0] * x[3] - x[1] * x[2] - one,)
+        (e[0] * e[3] - e[1] * e[2] - one,)
     assert catalog_group(GroupLabel.UNIPOTENT_ADDITIVE, 2).defining_set == \
-        (x[0] - one, x[3] - one, x[2])
+        (e[0] - one, e[3] - one, e[2])
     assert catalog_group(GroupLabel.DIAGONAL_MULTIPLICATIVE, 1).defining_set == ()
     x = DiffPoly.from_var(DerivVar(0, 0), 1)
     assert catalog_group(GroupLabel.ROOTS_OF_UNITY, 1, 4).defining_set == \
