@@ -76,6 +76,12 @@ EDGE = [
     ["classify-exp", "1/(2*t)"],
     ["classify-exp", "1/(t^2-2)"],
     ["classify-exp", "(3*t^2+1)/(t^3+t)"],
+    # irrational residues over a high-degree denominator
+    ["classify-exp", "1/(t^60+t+1)"],
+    ["classify-exp", "t^39/(t^40+3*t+7)"],
+    # residue 1/3 shared by t^2 + 1 and t - 1; residues 3/5 and -1/5
+    ["classify-exp", "(3*t^2-2*t+1)/(3*t^3-3*t^2+3*t-3)"],
+    ["classify-exp", "(2*t+3)/(5*t^2+5*t)"],
     ["group-check", "sl2", "1,1;0,1"],
     ["group-check", "borel", "1"],
     ["group-check", "mu4", "-1"],
