@@ -1,4 +1,6 @@
+import io
 import math
+import time
 from fractions import Fraction
 from random import Random
 
@@ -10,7 +12,7 @@ from sympy.integrals.rationaltools import ratint, ratint_ratpart
 from sympy.polys.fields import field
 
 from conftest import random_poly, random_ratfunc
-from diffalg import basefield
+from diffalg import basefield, cli
 from diffalg.basefield import (
     Poly,
     RatFunc,
@@ -21,6 +23,7 @@ from diffalg.basefield import (
     poly_xgcd,
     smallest_exponential_index,
 )
+from diffalg.parsing import parse_ratfunc
 
 T = Poly.t()
 ONE = Poly((1,))
@@ -168,11 +171,18 @@ def test_log_derivative_reconstruction():
             a = a + rf(p.derivative() * c, p)
         dec = log_derivative_decompose(a)
         assert dec is not None
+        # one squarefree p_c per distinct residue, pairwise coprime, with
+        # product the denominator
+        assert len({c for _p, c in dec}) == len(dec)
         back = rf(Poly())
-        for p, c in dec:
-            assert poly_gcd(p, p.derivative()).degree() == 0  # squarefree => degree-1 irreducible here
+        prod = ONE
+        for i, (p, c) in enumerate(dec):
+            assert p.lead() == 1 and poly_gcd(p, p.derivative()).degree() == 0
+            assert all(poly_gcd(p, q).degree() == 0 for q, _c in dec[:i])
             back = back + rf(p.derivative() * c, p)
+            prod = prod * p
         assert back == a
+        assert prod == a.den
 
 
 def test_log_derivative_rejects_double_pole():
@@ -186,6 +196,18 @@ def test_log_derivative_irrational_residue():
     # but t/(t^2 - 2) = (1/2) * (t^2-2)'/(t^2-2) works
     dec = log_derivative_decompose(rf(T, Poly((-2, 0, 1))))
     assert dec == [(Poly((-2, 0, 1)), Fraction(1, 2))]
+
+
+def test_log_derivative_early_exit_on_high_degree():
+    # every residue is irrational; modulo a small prime the residue
+    # polynomial does not split, so no exact resultant is formed
+    for text in ("1/(t^60+t+1)", "t^39/(t^40+3*t+7)"):
+        assert log_derivative_decompose(parse_ratfunc(text)) is None
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        assert cli.run(["classify-exp", text], out, err) == 0
+        assert time.perf_counter() - start < 1.0
+        assert out.getvalue() == "multiplicative dimension=1\n"
 
 
 def test_smallest_exponential_index_examples():
@@ -438,6 +460,30 @@ def test_hermite_reduce_against_ratint(num, factors, mults):
     assert (b is None) == (logpart != 0)
     if b is not None:
         assert (_k(b) - _K.from_expr(ratint(_sym_rf(a), _t))).diff(_KT) == 0
+
+
+_root_factors = st.lists(st.tuples(st.one_of(st.integers(-30, 30),
+                                             st.integers(-2**62, 2**62)),
+                                   st.integers(1, 12)), max_size=5)
+_IRREDUCIBLE = (None, (-2, 0, 1), (1, 0, 1), (-1, -1, 0, 1), (3, 0, 0, 0, 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_root_factors, st.sampled_from(_IRREDUCIBLE), st.integers(1, 10**6))
+@example([(0, 1)], None, 1)
+@example([(1, 3), (2, 5), (-3, 7)], None, 1)
+@example([(2**60 + 1, 2**60 - 1), (-(2**60 - 3), 2**59 + 5)], (-2, 0, 1), 1)
+@example([], None, 7)
+def test_rational_roots_against_sympy(factors, extra, scale):
+    # products of (v*z - u), repeats allowed, times an optional
+    # irreducible factor with no rational root
+    f = Poly((scale,))
+    for u, v in factors:
+        f = f * Poly((-u, v))
+    if extra is not None:
+        f = f * Poly(extra)
+    want = sorted(_frac(r) for r in _sp(f).ground_roots())
+    assert basefield._rational_roots(f) == want
 
 
 def _sym_rf(f: RatFunc):

@@ -376,6 +376,40 @@ def test_cli_import_loads_no_dataclasses():
     assert proc.stdout == "['diffalg.cli']\n"
 
 
+_ONE_PER_VERB = [
+    ["derive", "(x')^2-2*x"],
+    ["order", "x''"],
+    ["separant", "(x')^2"],
+    ["reduce", "x''-1", "--mod", "(x')^2-2*x"],
+    ["member", "x''-1", "--mod", "(x')^2-2*x"],
+    ["wronskian", "t", "t^2"],
+    ["depend", "t", "2*t"],
+    ["ode-from", "1/t", "t^2"],
+    ["solve-series", "1/t", "--base-point", "1", "--precision", "4"],
+    ["classify-int", "1/t"],
+    ["classify-exp", "(3*t^2-2*t+1)/(3*t^3-3*t^2+3*t-3)"],
+    ["group-check", "sl2", "1,1;0,1"],
+    ["gl-witness", "2", "--seed", "4"],
+]
+
+
+def test_no_verb_imports_sympy():
+    # the library runs without sympy: residues are found with no
+    # factorization, so no command may pull it in
+    assert sorted(argv[0] for argv in _ONE_PER_VERB) == sorted(cli._HANDLERS)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import io, json, sys\nfrom diffalg import cli\n"
+         "codes = [cli.run(a, io.StringIO(), io.StringIO()) "
+         "for a in json.loads(sys.argv[1])]\n"
+         "print(codes, 'sympy' in sys.modules)",
+         json.dumps(_ONE_PER_VERB)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout == "%s False\n" % ([0] * len(_ONE_PER_VERB),)
+
+
 def test_every_exported_name_resolves():
     import diffalg
 

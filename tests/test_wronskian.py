@@ -6,6 +6,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from sympy import QQ
 from sympy.polys.fields import field
+from sympy.polys.matrices import DomainMatrix
 
 from conftest import random_ratfunc
 from diffalg.basefield import Poly, RatFunc
@@ -195,11 +196,18 @@ def _expr(p: Poly):
                 for k, c in enumerate(p.coeffs)), sympy.Integer(0))
 
 
+def _k(p: Poly):
+    """p in sympy's field QQ(t)."""
+    return _K.from_expr(_expr(p))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(_ratfuncs, min_size=1, max_size=4))
 def test_wronskian_against_sympy(elems):
-    # sympy's determinant of expressions, compared in its field QQ(t)
-    expected = sympy.wronskian([_expr(f.num) / _expr(f.den) for f in elems], _t,
-                               method="berkowitz")
+    # sympy's determinant of the Wronsky matrix built in its field QQ(t)
+    rows = [[_k(f.num) / _k(f.den) for f in elems]]
+    while len(rows) < len(elems):
+        rows.append([x.diff(_KT) for x in rows[-1]])
+    expected = DomainMatrix(rows, (len(elems),) * 2, _K.to_domain()).det()
     w = wronskian(elems)
-    assert _K.from_expr(_expr(w.num)) == _K.from_expr(expected) * _K.from_expr(_expr(w.den))
+    assert _k(w.num) == expected * _k(w.den)
