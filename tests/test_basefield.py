@@ -24,6 +24,7 @@ from diffalg.basefield import (
     smallest_exponential_index,
 )
 from diffalg.parsing import parse_ratfunc
+from diffalg.residues import _rational_roots
 
 T = Poly.t()
 ONE = Poly((1,))
@@ -483,7 +484,7 @@ def test_rational_roots_against_sympy(factors, extra, scale):
     if extra is not None:
         f = f * Poly(extra)
     want = sorted(_frac(r) for r in _sp(f).ground_roots())
-    assert basefield._rational_roots(f) == want
+    assert _rational_roots(f) == want
 
 
 def _sym_rf(f: RatFunc):
