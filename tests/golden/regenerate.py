@@ -46,6 +46,16 @@ EDGE = [
     ["wronskian", "t", "1/(t^2+1)", "(t-2)/(t+3)"],
     ["depend", "t", "2*t", "t^2"],
     ["ode-from", "1/t", "t^2"],
+    # repeated poles, rational contents, zero and constant elements
+    ["wronskian", "1/(t+1)^3", "t/(t+1)^2"],
+    ["ode-from", "1/(t+1)^3", "t/(t+1)^2"],
+    ["wronskian", "1/(t^2+1)^2", "t^5/(t-1)^4", "(3*t-1)/(t^2+1)^3"],
+    ["ode-from", "(t/3)/(2*t^2+2)", "5/7"],
+    ["wronskian", "0", "t"],
+    ["ode-from", "0"],
+    # the five-element ode-from of linalg-galois seed 3
+    ["ode-from", "((-2*t^2+3*t+3)/(t+3))", "(-t/(t-3))", "((2*t+3)/(t+3))",
+     "(-3/t)", "((t-3)/(t-2))"],
     ["member", "x"],
     ["frobnicate"],
     ["derive", "x", "--frob", "1"],
