@@ -6,8 +6,11 @@ coefficient arithmetic runs on integers: a polynomial is one rational
 content times a primitive integer polynomial (Geddes, Czapor, Labahn,
 *Algorithms for Computer Algebra*, ch. 2).  By Gauss's lemma a product
 of primitive polynomials is primitive, so a product multiplies the
-contents and convolves the ints without a gcd, and gcds run Collins's
-primitive remainder sequence on the stored ints.
+contents and convolves the ints without a gcd.  A polynomial gcd runs on
+the stored ints as the heuristic gcd of Char, Geddes and Gonnet: one
+integer gcd of two values at a point, and an exact-division check of the
+candidate read off its digits.  Collins's primitive remainder sequence
+is the fallback.
 On top of the field arithmetic this module decides two questions exactly:
 
 * does a given element have an antiderivative inside the field (Mack's
@@ -368,9 +371,33 @@ def _pseudo_divmod(a: tuple, b: tuple) -> tuple[int, list, list]:
     return m, q, r
 
 
+# evaluation points GCDHEU tries before poly_gcd runs the remainder sequence
+_HEU_TRIES = 6
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd via the primitive polynomial remainder sequence, run on
-    the stored primitive parts; 1 at once for a nonzero constant."""
+    """Monic gcd of a and b; 1 at once for a nonzero constant.
+
+    It runs on the stored primitive parts, first by the heuristic gcd
+    GCDHEU (Char, Geddes, Gonnet, *J. Symbolic Comput.* 7 (1989);
+    Geddes, Czapor, Labahn, ch. 7), which turns the polynomial gcd into
+    one integer gcd: with gamma = gcd(a(xi), b(xi)) at an integer xi, the
+    candidate h is the primitive part of the polynomial whose coefficients
+    are the symmetric xi-adic digits of gamma (each in (-xi/2, xi/2]).  h
+    is accepted only when it divides both a and b exactly; after
+    _HEU_TRIES growing xi, Collins's primitive remainder sequence decides.
+
+    Why an accepted h is the gcd g, for xi >= 2*min(floor(|a|/lc(a)),
+    floor(|b|/lc(b))) + 4 (|.| the largest coefficient in absolute value,
+    lc the leading one): h divides g, say g = h*k with k in Z[t].  g(xi)
+    divides a(xi) and b(xi), hence gamma, and gamma = c*h(xi) for the
+    content c of the digit polynomial, so k(xi) divides c, and 0 < |c| <=
+    xi/2.  Every root z of k is a common root of a and b, so by Cauchy's
+    bound |z| < B = min(1 + |a|/lc(a), 1 + |b|/lc(b)), and xi > 2*B.  If
+    k had a root, |k(xi)| >= prod |xi - z| > (xi - B)^deg(k) >= xi - B >
+    xi/2 >= |c|, which k(xi) | c forbids; so k is the constant 1 (g and h
+    are primitive with positive leading coefficients) and h = g.
+    """
     if a.is_zero():
         return b.monic()
     if b.is_zero():
@@ -378,9 +405,65 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     ra, rb = a.prim, b.prim
     if len(ra) == 1 or len(rb) == 1:
         return _ONE_POLY
-    while rb:
-        ra, rb = rb, _primitive(_ONE_F, _pseudo_divmod(ra, rb)[2]).prim
-    return _poly(Fraction(1, ra[-1]), ra)
+    g = _heuristic_gcd(ra, rb) or _prs_gcd(ra, rb)
+    return _poly(Fraction(1, g[-1]), g)
+
+
+def _heuristic_gcd(a: tuple, b: tuple) -> tuple | None:
+    """GCDHEU on primitive int tuples of degree >= 1 (see poly_gcd): the
+    primitive gcd, or None when no xi tried gave a candidate dividing both."""
+    # at least poly_gcd's bound on xi, leading coefficients being >= 1
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 4
+    top = min(len(a), len(b))
+    for _ in range(_HEU_TRIES):
+        va = vb = 0
+        for x in reversed(a):
+            va = va * xi + x
+        for x in reversed(b):
+            vb = vb * xi + x
+        gamma = math.gcd(va, vb)
+        half = xi // 2
+        digits = []
+        while gamma:
+            x = gamma % xi
+            if x > half:
+                x -= xi
+            digits.append(x)
+            gamma = (gamma - x) // xi
+        if len(digits) == 1:
+            return (1,)
+        if len(digits) <= top:
+            h = _primitive(_ONE_F, digits).prim
+            if _divides(h, a) and _divides(h, b):
+                return h
+        # the multiplier of Geddes, Czapor, Labahn keeps xi off powers of 2
+        xi = xi * 73794 // 27011
+    return None
+
+
+def _divides(h: tuple, a: tuple) -> bool:
+    """Whether the primitive int polynomial h divides a in Z[t] (by Gauss's
+    lemma, the same as in Q[t]): a division that stops at the first
+    leading coefficient h's does not divide."""
+    r = list(a)
+    dh = len(h) - 1
+    lh = h[-1]
+    for top in range(len(r) - 1, dh - 1, -1):
+        q, rem = divmod(r[top], lh)
+        if rem:
+            return False
+        if q:
+            for j, y in enumerate(h, top - dh):
+                r[j] -= q * y
+    return not any(r[:dh])
+
+
+def _prs_gcd(a: tuple, b: tuple) -> tuple:
+    """The primitive gcd of two primitive int tuples by Collins's
+    primitive polynomial remainder sequence."""
+    while b:
+        a, b = b, _primitive(_ONE_F, _pseudo_divmod(a, b)[2]).prim
+    return a
 
 
 def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:

@@ -8,14 +8,19 @@ it usable as an independent oracle.  Determinants, solves and kernel
 vectors of evaluated matrices come from one fraction-free elimination,
 _bareiss (one solve gives a fundamental system's W and monic ODE);
 expanded determinants come from one cofactor expansion, _cofactor_det.
+
+The Wronskian and the fundamental system eliminate over Z[t], on rows
+that _wronsky_rows builds in closed form from u = n/d: u^(k) = N_k/d^(k+1)
+with N_0 = n and N_(k+1) = N_k'*d - (k+1)*N_k*d', so no derivative and no
+common denominator runs a polynomial gcd; each output is normalised once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .basefield import (Poly, RatFunc, _derivative_name, _grouped, _Record,
-                        _signed_sum, poly_lcm)
+from .basefield import (_ONE_POLY, Poly, RatFunc, _derivative_name, _grouped,
+                        _Record, _signed_sum, poly_lcm)
 from .errors import NotFundamental, ShapeError
 
 
@@ -131,29 +136,55 @@ def _clear_rows(rows: list) -> tuple[list, Poly]:
     return cleared, scale
 
 
-def _monic_solve(rows: list) -> tuple | None:
-    """(d, scale, [c_0, ..., c_{n-1}]): W = d/scale, and y^(n) + c_{n-1}
-    y^(n-1) + ... + c_0 y kills each u_i, row i holding u_i, ..., u_i^(n)
-    (RatFunc).  By Cramer's rule c_j = (-1)^(n-j) minor_j / W, minor_j
-    being the bordered Wronskian without order j; None when W = 0."""
-    cleared, scale = _clear_rows(rows)
+def _wronsky_rows(elems, m: int) -> tuple[list, Poly]:
+    """(rows, scale): row i holds u^(k)*d^(m+1) for k = 0..m, u = n/d the
+    i-th element, and scale is the product of the d^(m+1).
+
+    u^(k) = N_k/d^(k+1) with N_0 = n and N_(k+1) = N_k'*d - (k+1)*N_k*d',
+    so entry k is N_k*d^(m-k): built over Z[t] with no gcd.
+    """
+    if not elems:
+        raise ShapeError("need at least one element")
+    rows = []
+    scale = _ONE_POLY
+    for u in elems:
+        d = u.den
+        d1 = d.derivative()
+        nk = [u.num]
+        for k in range(1, m + 1):
+            nk.append(nk[-1].derivative() * d - nk[-1] * d1 * k)
+        pw = [_ONE_POLY]
+        for _ in range(m + 1):
+            pw.append(pw[-1] * d)
+        rows.append([n * pw[m - k] for k, n in enumerate(nk)])
+        scale = scale * pw[m + 1]
+    return rows, scale
+
+
+def _monic_solve(cleared: list) -> tuple | None:
+    """(d, [c_0, ..., c_{n-1}]): W = d/scale, and y^(n) + c_{n-1} y^(n-1)
+    + ... + c_0 y kills each u_i, row i holding u_i, ..., u_i^(n) times a
+    polynomial, scale being the product of those.  By Cramer's rule c_j =
+    (-1)^(n-j) minor_j / W, minor_j being the bordered Wronskian without
+    order j; None when W = 0."""
     solved = _solve(cleared)
     if solved is None:
         return None
     d, y = solved
-    return d, scale, [RatFunc(-yj[0], d) for yj in y]
+    return d, [RatFunc(-yj[0], d) for yj in y]
 
 
 def _monic_coefficients(rows: list) -> list | None:
-    """The c_j of _monic_solve alone; None when W = 0."""
-    solved = _monic_solve(rows)
-    return None if solved is None else solved[2]
+    """The c_j of _monic_solve for RatFunc rows u_i, ..., u_i^(n); None
+    when W = 0."""
+    solved = _monic_solve(_clear_rows(rows)[0])
+    return None if solved is None else solved[1]
 
 
 def wronskian(elems) -> RatFunc:
     """Exact Wronskian determinant."""
     # det of the transpose: one common denominator per element
-    cleared, scale = _clear_rows([list(col) for col in zip(*wronsky_matrix(elems))])
+    cleared, scale = _wronsky_rows(elems, len(elems) - 1)
     return RatFunc(_poly_det_bareiss(cleared), scale)
 
 
@@ -260,12 +291,11 @@ class FundamentalSystem(_Record):
 
     def __init__(self, elems: list):
         self.elems = elems
-        rows = [list(col) + [col[-1].derive()]
-                for col in zip(*wronsky_matrix(elems))]
+        rows, scale = _wronsky_rows(elems, len(elems))
         solved = _monic_solve(rows)
         if solved is None:
             raise NotFundamental("Wronskian vanishes")
-        d, scale, self._coefficients = solved
+        d, self._coefficients = solved
         self.wronskian = RatFunc(d, scale)
 
 

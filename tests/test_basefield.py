@@ -425,6 +425,64 @@ def test_gcd_and_xgcd_against_sympy(a, b):
         assert (_sp(u), _sp(v), _sp(g)) == (s, t, h)
 
 
+_heights = st.integers(-2**64, 2**64)
+_tall = st.lists(_heights, min_size=2, max_size=5).map(Poly).filter(
+    lambda p: p.degree() > 0)
+_contents = st.builds(Fraction, st.integers(1, 2**64), st.integers(1, 2**64))
+
+
+def _gcd_pairs():
+    shared = st.builds(lambda g, u, v, c: (g * u * c, g * v),
+                       _tall, _polys, _polys, _contents)
+    repeated = st.builds(lambda f, u, v, i, j: (f**i * u, f**j * v),
+                         _small_polys.filter(lambda p: p.degree() > 0),
+                         _small_polys, _small_polys, st.integers(1, 4),
+                         st.integers(1, 4))
+    unity = st.builds(lambda m, n, s: (T**m - 1, T**n + s),
+                      st.integers(1, 40), st.integers(1, 40),
+                      st.sampled_from((1, -1)))
+    coprime = st.tuples(st.lists(_heights, max_size=6).map(Poly),
+                        st.lists(_heights, max_size=6).map(Poly))
+    return st.one_of(shared, repeated, unity, coprime)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_gcd_pairs())
+def test_poly_gcd_against_sympy_monic_gcd(pair):
+    a, b = pair
+    g = _canonical(poly_gcd(a, b))
+    assert _sp(g) == _sp(a).gcd(_sp(b))
+
+
+# xi = 8 at first: a(8) = 80 and b(8) = 40 give the candidate t^2 - 3*t
+_RETRY = (T * T + 2 * T, T * T - 3 * T)
+
+
+def test_poly_gcd_retries_then_falls_back(monkeypatch):
+    prs = []
+    run = basefield._prs_gcd
+    monkeypatch.setattr(basefield, "_prs_gcd",
+                        lambda a, b: prs.append((a, b)) or run(a, b))
+    assert poly_gcd(*_RETRY) == T
+    assert prs == []
+    monkeypatch.setattr(basefield, "_HEU_TRIES", 1)
+    assert poly_gcd(*_RETRY) == T
+    assert len(prs) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(_gcd_pairs())
+def test_poly_gcd_prs_fallback_against_sympy(pair):
+    a, b = pair
+    tries = basefield._HEU_TRIES
+    basefield._HEU_TRIES = 0
+    try:
+        g = _canonical(poly_gcd(a, b))
+    finally:
+        basefield._HEU_TRIES = tries
+    assert _sp(g) == _sp(a).gcd(_sp(b))
+
+
 _factors = st.lists(st.lists(st.integers(-4, 4), min_size=2, max_size=3)
                     .map(Poly).filter(lambda p: p.degree() > 0),
                     min_size=1, max_size=3)

@@ -9,11 +9,14 @@ from sympy.polys.fields import field
 from sympy.polys.matrices import DomainMatrix
 
 from conftest import random_ratfunc
+from diffalg import basefield
 from diffalg.basefield import Poly, RatFunc
 from diffalg.errors import NotFundamental, ShapeError
+from diffalg.parsing import parse_ratfunc
 from diffalg.wronskian import (
     FundamentalSystem,
     LinearODE,
+    _wronsky_rows,
     apply_constant_matrix,
     dependence_certificate,
     dependent_over_constants,
@@ -211,3 +214,55 @@ def test_wronskian_against_sympy(elems):
     expected = DomainMatrix(rows, (len(elems),) * 2, _K.to_domain()).det()
     w = wronskian(elems)
     assert _k(w.num) == expected * _k(w.den)
+
+
+def test_wronsky_rows_run_one_gcd_per_output(monkeypatch):
+    # the rows come in closed form; only the normalisation of W (and of
+    # each ODE coefficient) runs a gcd
+    elems = [parse_ratfunc(f) for f in
+             ("1/(t+1)^2", "t/(t^2+1)", "(t-2)/(t^3+t+1)", "3/(2*t-1)")]
+    calls = []
+    gcd = basefield.poly_gcd
+    monkeypatch.setattr(basefield, "poly_gcd",
+                        lambda a, b: calls.append((a, b)) or gcd(a, b))
+    wronskian(elems)
+    assert len(calls) == 1
+    calls.clear()
+    FundamentalSystem(elems)
+    assert len(calls) == len(elems) + 1
+
+
+_monic_factors = st.lists(st.integers(-5, 5), min_size=1, max_size=2).map(
+    lambda cs: Poly(cs + [1]))
+_dens = st.lists(st.tuples(_monic_factors, st.integers(1, 4)), max_size=2).map(
+    lambda fs: _product(f**e for f, e in fs))
+_contents = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9))
+_elements = st.one_of(
+    st.just(RatFunc(0)),
+    _contents.map(RatFunc),
+    st.builds(lambda n, c, d: RatFunc(n * c, d),
+              st.lists(st.integers(-9, 9), max_size=4).map(Poly), _contents, _dens))
+
+
+def _product(polys) -> Poly:
+    acc = Poly((1,))
+    for p in polys:
+        acc = acc * p
+    return acc
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_elements, min_size=1, max_size=4), st.booleans())
+def test_wronsky_rows_clear_the_wronsky_matrix(elems, bordered):
+    # row i is column i of the Wronsky matrix (one order more when
+    # bordered) times d_i^(m+1), m the highest order
+    m = len(elems) - 1 + bordered
+    rows, scale = _wronsky_rows(elems, m)
+    cols = [list(col) for col in zip(*wronsky_matrix(elems))]
+    for u, row, col in zip(elems, rows, cols):
+        if bordered:
+            col.append(col[-1].derive())
+        assert all(isinstance(p, Poly) for p in row)
+        d = RatFunc(u.den ** (m + 1))
+        assert [RatFunc(p) for p in row] == [f * d for f in col]
+    assert scale == _product(u.den ** (m + 1) for u in elems)
