@@ -434,28 +434,13 @@ def _heuristic_gcd(a: tuple, b: tuple) -> tuple | None:
             return (1,)
         if len(digits) <= top:
             h = _primitive(_ONE_F, digits).prim
-            if _divides(h, a) and _divides(h, b):
+            # h is primitive, so by Gauss's lemma h divides a in Z[t] iff
+            # the pseudo-remainder vanishes
+            if not _pseudo_divmod(a, h)[2] and not _pseudo_divmod(b, h)[2]:
                 return h
         # the multiplier of Geddes, Czapor, Labahn keeps xi off powers of 2
         xi = xi * 73794 // 27011
     return None
-
-
-def _divides(h: tuple, a: tuple) -> bool:
-    """Whether the primitive int polynomial h divides a in Z[t] (by Gauss's
-    lemma, the same as in Q[t]): a division that stops at the first
-    leading coefficient h's does not divide."""
-    r = list(a)
-    dh = len(h) - 1
-    lh = h[-1]
-    for top in range(len(r) - 1, dh - 1, -1):
-        q, rem = divmod(r[top], lh)
-        if rem:
-            return False
-        if q:
-            for j, y in enumerate(h, top - dh):
-                r[j] -= q * y
-    return not any(r[:dh])
 
 
 def _prs_gcd(a: tuple, b: tuple) -> tuple:
