@@ -392,11 +392,12 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     lc the leading one): h divides g, say g = h*k with k in Z[t].  g(xi)
     divides a(xi) and b(xi), hence gamma, and gamma = c*h(xi) for the
     content c of the digit polynomial, so k(xi) divides c, and 0 < |c| <=
-    xi/2.  Every root z of k is a common root of a and b, so by Cauchy's
-    bound |z| < B = min(1 + |a|/lc(a), 1 + |b|/lc(b)), and xi > 2*B.  If
-    k had a root, |k(xi)| >= prod |xi - z| > (xi - B)^deg(k) >= xi - B >
-    xi/2 >= |c|, which k(xi) | c forbids; so k is the constant 1 (g and h
-    are primitive with positive leading coefficients) and h = g.
+    xi/2 (gamma is not 0: xi is above a root bound of a or of b).  Every
+    root z of k is a common root of a and b, so by Cauchy's bound |z| <
+    B = min(1 + |a|/lc(a), 1 + |b|/lc(b)), and xi > 2*B.  If k had a
+    root, |k(xi)| >= prod |xi - z| > (xi - B)^deg(k) >= xi - B > xi/2 >=
+    |c|, which k(xi) | c forbids; so k is the constant 1 (g and h are
+    primitive with positive leading coefficients) and h = g.
     """
     if a.is_zero():
         return b.monic()
