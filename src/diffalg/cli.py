@@ -158,15 +158,17 @@ def _cmd_reduce(pos, opts):
     _need(pos, 1, "reduce EXPR --mod P")
     q = _single_indeterminate(parse_diffpoly(pos[0]), "reduce")
     res = ritt_reduce(q, _modulus(opts))
-    lines = ["remainder: %s" % res.remainder,
+    rem = str(res.remainder)
+    lines = ["remainder: %s" % rem,
              "separant_power: %d" % res.sep_power,
              "initial_power: %d" % res.init_power]
     cert = []
     for idx, (k, cof) in enumerate(res.certificate):
+        cof = str(cof)
         lines.append("certificate[%d]: derivative %d, cofactor %s"
                      % (idx, k, cof))
-        cert.append({"derivative": k, "cofactor": str(cof)})
-    payload = {"kind": "reduction", "result": str(res.remainder),
+        cert.append({"derivative": k, "cofactor": cof})
+    payload = {"kind": "reduction", "result": rem,
                "separant_power": res.sep_power,
                "initial_power": res.init_power, "certificate": cert}
     return "\n".join(lines), payload
@@ -190,9 +192,9 @@ def _cmd_depend(pos, opts):
     cert = dependence_certificate([parse_ratfunc(f) for f in pos])
     if cert is None:
         return "false", {"kind": "bool", "result": False}
-    text = "true\ncertificate: %s" % " ".join(str(c) for c in cert)
-    return text, {"kind": "bool", "result": True,
-                  "certificate": [str(c) for c in cert]}
+    cert = [str(c) for c in cert]
+    return ("true\ncertificate: %s" % " ".join(cert),
+            {"kind": "bool", "result": True, "certificate": cert})
 
 
 def _cmd_ode_from(pos, opts):
@@ -214,9 +216,9 @@ def _cmd_solve_series(pos, opts):
         raise NotApplicable("precision must be at most %d"
                             % _SERIES_PRECISION_MAX)
     ode = LinearODE(len(pos), [parse_ratfunc(a) for a in pos])
-    sols = fundamental_system_series(ode, opts.base_point, opts.precision)
-    return ("\n".join(str(s) for s in sols),
-            {"kind": "series", "result": [str(s) for s in sols]})
+    sols = [str(s) for s in
+            fundamental_system_series(ode, opts.base_point, opts.precision)]
+    return "\n".join(sols), {"kind": "series", "result": sols}
 
 
 def _descriptor_output(d):

@@ -10,8 +10,11 @@ are the roots of p_c = gcd(den, num - c*den').  Up to a constant, R is
 the characteristic polynomial of w = num/den' on Q[t]/(den), so Newton's
 identities give it from the traces of w, ..., w^n, with no determinant.
 Its rational roots are found p-adically (Loos, SIAM J. Comput. 12
-(1983)).  The arithmetic modulo a prime runs on lists of ints; over Q it
-is basefield's Poly.
+(1983)).  Modulo a prime p that keeps den squarefree, F_p[t]/(den) is a
+product of fields and R mod p = prod (z - w(r)) over the roots r of den,
+so R splits over F_p iff every w(r)^p = w(r), that is iff w^p = w in
+F_p[t]/(den) (Frobenius).  The arithmetic modulo p runs on lists of ints;
+over Q it is basefield's Poly.
 """
 
 from __future__ import annotations
@@ -91,44 +94,27 @@ def _inverse_mod(f: list, d: list, p: int) -> list | None:
     return [c * x % p for x in s1]
 
 
-def _root_count_mod(f: list, p: int) -> int:
-    """The number of roots of f in F_p, counted with multiplicity."""
-    count = 0
-    for x in range(p):
-        while len(f) > 1:
-            # f = (z - x)*q + f(x), q by synthetic division
-            q, acc = [0] * (len(f) - 1), f[-1]
-            for k in range(len(f) - 2, -1, -1):
-                q[k] = acc
-                acc = (acc * x + f[k]) % p
-            if acc:
-                break
-            f, count = q, count + 1
-    return count
-
-
-def _from_power_sums(traces: list, p: int) -> list:
-    """The monic polynomial whose roots have power sums traces[k - 1],
-    k = 1..n (Newton's identities), ascending; over F_p with p > n, or
-    over Q when p is 0."""
+def _from_power_sums(traces: list) -> list:
+    """The monic polynomial over Q whose roots have power sums
+    traces[k - 1], k = 1..n (Newton's identities), ascending."""
     n = len(traces)
     e = [1]
     for k in range(1, n + 1):
         # k*e_k = sum_i (-1)^(i-1) e_(k-i) tr(w^i)
         x = sum(e[k - i] * traces[i - 1] * (1 if i % 2 else -1)
                 for i in range(1, k + 1))
-        e.append(x * pow(k, -1, p) % p if p else Fraction(x, k))
+        e.append(Fraction(x, k))
     return [e[n - j] * (-1 if (n - j) % 2 else 1) for j in range(n + 1)]
 
 
-def _power_sums(d: list, p: int) -> list:
-    """tr(t^j) on F[t]/(d) for j < deg d, d monic: the power sums of the
-    roots of d, by Newton's identities; over F_p, or over Q when p is 0."""
+def _power_sums(d: list) -> list:
+    """tr(t^j) on Q[t]/(d) for j < deg d, d monic: the power sums of the
+    roots of d, by Newton's identities."""
     n = len(d) - 1
     s = [n]
     for k in range(1, n):
         x = -k * d[n - k] - sum(d[n - i] * s[k - i] for i in range(1, k))
-        s.append(x % p if p else x)
+        s.append(x)
     return s
 
 
@@ -181,12 +167,12 @@ def residue_groups(num: Poly, den: Poly) -> list[tuple[Poly, Fraction]] | None:
     num - c*den'), sorted by (degree, coefficients); None when a residue is
     irrational.  den is monic and squarefree, deg num < deg den.
 
-    Modulo a prime p > deg den that keeps den squarefree, a rational
-    residue is p-integral, so when R mod p has fewer than deg den roots
-    in F_p, counted with multiplicity, some residue is irrational and the
-    exact R is never formed.  Otherwise R is formed over Q and
-    _rational_roots gives its rational roots c; the residues are all
-    rational iff the degrees of the p_c add up to deg den.
+    Modulo a prime p > deg den that keeps den squarefree, the residues
+    are the w(r), w = num/den' and r a root of den, and a rational one is
+    p-integral and lies in F_p.  So when w^p != w in F_p[t]/(den), some
+    residue is irrational and the exact R is never formed.  Otherwise R
+    is formed over Q and _rational_roots gives its rational roots c; the
+    residues are all rational iff the degrees of the p_c add up to deg den.
     """
     n = den.degree()
     for p in _primes_from(n + 1):
@@ -196,21 +182,22 @@ def residue_groups(num: Poly, den: Poly) -> list[tuple[Poly, Fraction]] | None:
         u = _inverse_mod([k * x % p for k, x in enumerate(d) if k], d, p)
         if u is not None:
             break
-    # tr(w^k) mod p, k = 1..n, w = num/den' on F_p[t]/(den)
-    w, wk, s, traces = _mulmod(a, u, d, p), [1], _power_sums(d, p), []
-    for _ in range(n):
-        wk = _mulmod(wk, w, d, p)
-        traces.append(sum(x * y for x, y in zip(wk, s)) % p)
-    if _root_count_mod(_from_power_sums(traces, p), p) < n:
+    # R mod p splits over F_p iff w^p = w on F_p[t]/(den), w = num/den'
+    w = wp = _mulmod(a, u, d, p)
+    for bit in bin(p)[3:]:
+        wp = _mulmod(wp, wp, d, p)
+        if bit == "1":
+            wp = _mulmod(wp, w, d, p)
+    if (wp + [0] * n)[:n] != (w + [0] * n)[:n]:
         return None
-    # the same traces over Q
+    # tr(w^k) over Q, k = 1..n
     d_prime = den.derivative()
     w = (num * poly_xgcd(d_prime, den)[1]).divmod(den)[1]
-    wk, s, traces = _ONE_POLY, _power_sums(list(den.coeffs), 0), []
+    wk, s, traces = _ONE_POLY, _power_sums(list(den.coeffs)), []
     for _ in range(n):
         wk = (wk * w).divmod(den)[1]
         traces.append(sum(x * y for x, y in zip(wk.coeffs, s)))
-    r = Poly(_from_power_sums(traces, 0))
+    r = Poly(_from_power_sums(traces))
     out = [(poly_gcd(den, num - d_prime * c), c) for c in _rational_roots(r)]
     if sum(p.degree() for p, _c in out) != n:
         return None

@@ -188,11 +188,6 @@ def wronskian(elems) -> RatFunc:
     return RatFunc(_poly_det_bareiss(cleared), scale)
 
 
-def dependent_over_constants(elems) -> bool:
-    """Linear dependence over Q, decided through the Wronskian."""
-    return wronskian(elems).is_zero()
-
-
 def dependence_certificate(elems) -> list | None:
     """Constants c with sum c_i elems_i = 0, or None when independent.
 

@@ -581,3 +581,28 @@ def test_log_derivative_residues_against_rothstein_trager(bases, residues, extra
                     prod = prod * p
             rt = sympy.gcd(_sp(a.den), _sp(a.num) - _sp(Poly((c,))) * _sp(a.den).diff(_t))
             assert _sp(prod) == rt.monic()
+
+
+_poles = st.lists(st.tuples(st.integers(-50, 50), st.integers(1, 9),
+                            _fractions.filter(bool)),
+                  min_size=1, max_size=16,
+                  unique_by=lambda uvc: Fraction(uvc[0], uvc[1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_poles, _nonzero_polys, _fractions.filter(bool))
+@example([(u, 1, Fraction(u % 3 + 1, 2)) for u in range(16)], T * T + 1, 3)
+def test_log_derivative_split_residues_are_never_refused(poles, base, c):
+    # a = sum c*v/(v*t - u): every residue is rational, so R splits and
+    # the Frobenius test w^p = w modulo p must pass for any p
+    a, want = RatFunc(Poly()), {}
+    for u, v, ci in poles:
+        a = a + RatFunc(Poly((ci * v,)), Poly((-u, v)))
+        want[ci] = want.get(ci, ONE) * Poly((Fraction(-u, v), 1))
+    dec = log_derivative_decompose(a)
+    assert dec is not None and {ci: p for p, ci in dec} == want
+    # c*base'/base: w = num/den' is the constant c
+    assume(base.degree() > 0)
+    assume(poly_gcd(base, base.derivative()).degree() == 0)
+    a = RatFunc(base.derivative() * c, base)
+    assert log_derivative_decompose(a) == [(base.monic(), Fraction(c))]

@@ -356,9 +356,11 @@ def test_batch_mode():
 
 
 def test_module_entry_point():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     proc = subprocess.run(
         [sys.executable, "-m", "diffalg.cli", "separant", "(x')^2-2*x"],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0
     assert proc.stdout == "2*x'\n"
 
@@ -366,11 +368,13 @@ def test_module_entry_point():
 def test_cli_import_loads_no_dataclasses():
     # the records are plain classes: dataclasses imports inspect, which
     # pulls in ast, dis and tokenize (0.75 MB of the 3.4 MB peak that
-    # importing diffalg.cli added)
+    # importing diffalg.cli added); residues is imported on the first
+    # residue, as compiling it at start cost every command 0.45 MB of peak
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, diffalg.cli; print(sorted("
-         "{'dataclasses', 'inspect', 'diffalg.cli'} & set(sys.modules)))"],
+         "{'dataclasses', 'inspect', 'diffalg.cli', 'diffalg.residues'}"
+         " & set(sys.modules)))"],
         capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": src})
     assert proc.stdout == "['diffalg.cli']\n"
