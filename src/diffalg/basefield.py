@@ -121,7 +121,7 @@ class Poly:
 
     def __init__(self, coeffs=()):
         cs = [_as_fraction(c) for c in coeffs]
-        den = math.lcm(*(c.denominator for c in cs))
+        den = math.lcm(*[c.denominator for c in cs])
         p = _primitive(Fraction(1, den), [c.numerator * (den // c.denominator) for c in cs])
         self.content, self.prim = p.content, p.prim
 
@@ -136,7 +136,7 @@ class Poly:
     @property
     def coeffs(self) -> tuple:
         c = self.content
-        return tuple(c * x for x in self.prim)
+        return tuple([c * x for x in self.prim])
 
     def is_zero(self) -> bool:
         return not self.prim
@@ -222,12 +222,7 @@ class Poly:
         if len(b) == 1:
             return _poly(c, a)
         # Gauss's lemma: the convolution of primitive a and b is primitive
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] += x * y
-        return _poly(c, tuple(out))
+        return _poly(c, tuple(_conv(a, b)))
 
     __rmul__ = __mul__
 
@@ -342,6 +337,16 @@ def _primitive(content: Fraction, cs: list) -> Poly:
     return _poly(content, tuple(cs))
 
 
+def _conv(a, b) -> list:
+    """The product of two nonempty int coefficient sequences."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
 def _pseudo_divmod(a: tuple, b: tuple) -> tuple[int, list, list]:
     """(m, q, r) with m*a = q*b + r over Z, deg r < deg b, m >= 1.
 
@@ -406,13 +411,35 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     ra, rb = a.prim, b.prim
     if len(ra) == 1 or len(rb) == 1:
         return _ONE_POLY
-    g = _heuristic_gcd(ra, rb) or _prs_gcd(ra, rb)
-    return _poly(Fraction(1, g[-1]), g)
+    g = _gcd_parts(ra, rb)[0]
+    return _poly(Fraction(1, g[-1]), tuple(g))
 
 
-def _heuristic_gcd(a: tuple, b: tuple) -> tuple | None:
-    """GCDHEU on primitive int tuples of degree >= 1 (see poly_gcd): the
-    primitive gcd, or None when no xi tried gave a candidate dividing both."""
+def _gcd_parts(a, b) -> tuple:
+    """(g, a/g, b/g) for primitive int sequences a, b of degree >= 1, g
+    their primitive gcd: GCDHEU's check already divides, so its quotients
+    are kept; after the remainder sequence they cost two more divisions."""
+    found = _heuristic_gcd(a, b)
+    if found:
+        return found
+    g = _prs_gcd(a, b)
+    return g, _exact_quotient(a, g), _exact_quotient(b, g)
+
+
+def _exact_quotient(a, b) -> list | None:
+    """a/b for int sequences with b primitive, or None when b does not
+    divide a.  By Gauss's lemma a quotient in Q[t] of a by primitive b lies
+    in Z[t], so the pseudo-quotient q of m*a = q*b is m times it."""
+    m, q, r = _pseudo_divmod(a, b)
+    if r:
+        return None
+    return q if m == 1 else [x // m for x in q]
+
+
+def _heuristic_gcd(a, b) -> tuple | None:
+    """GCDHEU on primitive int sequences of degree >= 1 (see poly_gcd):
+    (g, a/g, b/g) with g the primitive gcd, or None when no xi tried gave
+    a candidate dividing both."""
     # at least poly_gcd's bound on xi, leading coefficients being >= 1
     xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 4
     top = min(len(a), len(b))
@@ -432,13 +459,14 @@ def _heuristic_gcd(a: tuple, b: tuple) -> tuple | None:
             digits.append(x)
             gamma = (gamma - x) // xi
         if len(digits) == 1:
-            return (1,)
+            return (1,), a, b
         if len(digits) <= top:
             h = _primitive(_ONE_F, digits).prim
-            # h is primitive, so by Gauss's lemma h divides a in Z[t] iff
-            # the pseudo-remainder vanishes
-            if not _pseudo_divmod(a, h)[2] and not _pseudo_divmod(b, h)[2]:
-                return h
+            qa = _exact_quotient(a, h)
+            if qa is not None:
+                qb = _exact_quotient(b, h)
+                if qb is not None:
+                    return h, qa, qb
         # the multiplier of Geddes, Czapor, Labahn keeps xi off powers of 2
         xi = xi * 73794 // 27011
     return None
@@ -491,10 +519,11 @@ class RatFunc:
         else:
             # a constant on either side has no common factor to cancel
             if len(num.prim) > 1 and len(den.prim) > 1:
-                g = poly_gcd(num, den)
-                if g.degree() > 0:
-                    num = num.exact_div(g)
-                    den = den.exact_div(g)
+                g, a, b = _gcd_parts(num.prim, den.prim)
+                if len(g) > 1:
+                    # a and b are primitive with positive leads (Gauss)
+                    num = _poly(num.content, tuple(a))
+                    den = _poly(den.content, tuple(b))
             # monic den: its content is 1/lead(den.prim), num takes the rest
             c, lead = den.content, den.prim[-1]
             if c.numerator != 1 or c.denominator != lead:
@@ -547,8 +576,13 @@ class RatFunc:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        if self.den.degree() == 0 and other.den.degree() == 0:
-            return _ratfunc(self.num * other.num, _ONE_POLY)
+        a, b = self, other
+        if len(b.num.prim) < 2 and len(b.den.prim) == 1:
+            a, b = b, a
+        if len(a.den.prim) == 1 and (len(a.num.prim) < 2 or len(b.den.prim) == 1):
+            # a constant, or both polynomials: no factor to cancel appears
+            num = a.num * b.num
+            return _ratfunc(num, b.den if num.prim else _ONE_POLY)
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -590,7 +624,7 @@ class RatFunc:
         return self.num(x) / dv
 
     def __str__(self) -> str:
-        if self.den == Poly((1,)):
+        if len(self.den.prim) == 1:
             return str(self.num)
         # the lcm of num's coefficient denominators: prim has gcd 1
         scale = self.num.content.denominator

@@ -9,15 +9,28 @@ general-solution ideal of an irreducible polynomial (zero remainder).
 Monomials are edited only through _mono_exp and _mono_set.  Ritt
 reduction repeats one step (by the separant above P's order, by the
 initial at it), its multiplier read off the remainder's top terms.
+
+The step and the derivation run on a cleared form: a dict {monomial: int
+list} of numerators in Z[t] over one denominator in Z[t] (ascending int
+lists, the denominator with a positive lead).  With p = P_0/E cleared,
+p^(k) = P_k/E^(k+1) where P_(k+1) = D(P_k)*E - (k+1)*P_k*E', D the total
+derivation on numerators; no gcd runs there.  The remainder takes one
+cancellation per step, the gcd of its denominator with its numerators,
+and only the outputs are turned back into RatFunc terms, one
+normalisation each (Boulier, Lazard, Ollivier, Petitot, ISSAC 1995, and
+Hubert, LNCS 2630, reduce without fractions in the coefficients).
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .basefield import (Poly, RatFunc, _derivative_name, _grouped, _power,
-                        _Record, _signed_sum)
+from .basefield import (_ONE_F, _ONE_POLY, Poly, RatFunc, _conv,
+                        _derivative_name, _exact_quotient, _gcd_parts, _grouped,
+                        _new, _power, _primitive, _ratfunc, _Record,
+                        _signed_sum)
 from .errors import IncompleteAssignment, NotApplicable, ShapeError
 
 
@@ -145,7 +158,7 @@ class DiffPoly:
         return hash(frozenset((m, c) for m, c in self.terms.items()))
 
     def __neg__(self) -> "DiffPoly":
-        return DiffPoly({m: -c for m, c in self.terms.items()}, self.num_indeterminates)
+        return _diffpoly({m: -c for m, c in self.terms.items()}, self.num_indeterminates)
 
     def __add__(self, other) -> "DiffPoly":
         other = _as_diffpoly(other)
@@ -154,7 +167,7 @@ class DiffPoly:
         out = dict(self.terms)
         for mono, c in other.terms.items():
             _acc_term(out, mono, c)
-        return DiffPoly(out, max(self.num_indeterminates, other.num_indeterminates))
+        return _diffpoly(out, max(self.num_indeterminates, other.num_indeterminates))
 
     __radd__ = __add__
 
@@ -175,7 +188,7 @@ class DiffPoly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 _acc_term(out, _mono_mul(m1, m2), c1 * c2)
-        return DiffPoly(out, max(self.num_indeterminates, other.num_indeterminates))
+        return _diffpoly(out, max(self.num_indeterminates, other.num_indeterminates))
 
     __rmul__ = __mul__
 
@@ -185,28 +198,20 @@ class DiffPoly:
         return _power(DiffPoly.const(1, self.num_indeterminates), self, e)
 
     def derive(self) -> "DiffPoly":
-        """Total derivative: coefficients via the field derivation, x_i^(j) -> x_i^(j+1)."""
-        out = {}
-        for mono, c in self.terms.items():
-            _acc_term(out, mono, c.derive())
-            for v, e in mono:
-                lowered, w = _mono_set(mono, v, e - 1), v.derived()
-                _acc_term(out, _mono_set(lowered, w, _mono_exp(lowered, w) + 1), c * e)
-        return DiffPoly(out, self.num_indeterminates)
+        """Total derivative: coefficients via the field derivation, x_i^(j) -> x_i^(j+1).
+
+        p = P/E cleared gives p' = (D(P)*E - P*E')/E^2, the tower's first step.
+        """
+        num, den = _clear(self)
+        return _uncleared(_next_derivative(num, den, _derivative_ints(den), 0),
+                          _conv(den, den), self.num_indeterminates)
 
     def order(self, indeterminate: int = 0) -> int | None:
         """Greatest derivative order of x_i in the polynomial.
 
         -1 for a nonzero element of the coefficient field, None for 0.
         """
-        if not self.terms:
-            return None
-        best = -1
-        for mono in self.terms:
-            for v, _e in mono:
-                if v.indeterminate == indeterminate:
-                    best = max(best, v.order)
-        return best
+        return _order(self.terms, indeterminate)
 
     def leader(self, indeterminate: int = 0) -> DerivVar:
         n = self.order(indeterminate)
@@ -235,10 +240,10 @@ class DiffPoly:
             e = _mono_exp(mono, v)
             if e:
                 _acc_term(out, _mono_set(mono, v, e - 1), c * e)
-        return DiffPoly(out, self.num_indeterminates)
+        return _diffpoly(out, self.num_indeterminates)
 
     def degree_in(self, v: DerivVar) -> int:
-        return max((_mono_exp(mono, v) for mono in self.terms), default=0)
+        return _degree_in(self.terms, v)
 
     def substitute_linear(self, matrix) -> "DiffPoly":
         """Replace x_i^(j) by sum_k T[i][k] x_k^(j) for a constant matrix T."""
@@ -303,6 +308,30 @@ class DiffPoly:
         return "DiffPoly(%s)" % (str(self),)
 
 
+def _diffpoly(terms: dict, num_indeterminates: int) -> DiffPoly:
+    """The DiffPoly of terms, already free of zero coefficients, whose
+    monomials use indeterminates below num_indeterminates."""
+    p = _new(DiffPoly)
+    p.terms = terms
+    p.num_indeterminates = num_indeterminates
+    return p
+
+
+def _order(terms: dict, indeterminate: int) -> int | None:
+    if not terms:
+        return None
+    best = -1
+    for mono in terms:
+        for v, _e in mono:
+            if v.indeterminate == indeterminate and v.order > best:
+                best = v.order
+    return best
+
+
+def _degree_in(terms: dict, v: DerivVar) -> int:
+    return max((_mono_exp(mono, v) for mono in terms), default=0)
+
+
 def _acc_term(d: dict, mono: Monomial, c: RatFunc) -> None:
     if c.is_zero():
         return
@@ -316,8 +345,12 @@ def _acc_term(d: dict, mono: Monomial, c: RatFunc) -> None:
 
 def _top_terms(p: DiffPoly, v: DerivVar, e: int, d: int) -> DiffPoly:
     """The terms of p of degree e in v, with the exponent of v lowered by d."""
-    return DiffPoly({_mono_set(mono, v, e - d): c for mono, c in p.terms.items()
-                     if _mono_exp(mono, v) == e}, p.num_indeterminates)
+    return _diffpoly(_top(p.terms, v, e, d), p.num_indeterminates)
+
+
+def _top(terms: dict, v: DerivVar, e: int, d: int) -> dict:
+    return {_mono_set(mono, v, e - d): c for mono, c in terms.items()
+            if _mono_exp(mono, v) == e}
 
 
 def _as_diffpoly(x):
@@ -350,14 +383,178 @@ class ReductionResult(_Record):
         self.init_power, self.certificate = init_power, certificate
 
 
+# -- the cleared form: {monomial: int list} over one int-list denominator
+
+def _add_ints(a: list, b: list) -> list:
+    """a + b for ascending int lists, without trailing zeros."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, y in enumerate(b):
+        out[i] += y
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _derivative_ints(a: list) -> list:
+    return [k * x for k, x in enumerate(a) if k]
+
+
+def _content(a: list) -> int:
+    g = 0
+    for x in a:
+        g = math.gcd(g, x)
+        if g == 1:
+            break
+    return g
+
+
+def _lcm_ints(a: list, b: list) -> tuple[list, list, list]:
+    """(l, l/a, l/b) for int lists with positive leads, l their lcm in Z[t]."""
+    ca, cb = _content(a), _content(b)
+    pa = a if ca == 1 else [x // ca for x in a]
+    pb = b if cb == 1 else [x // cb for x in b]
+    if len(a) > 1 and len(b) > 1:
+        _g, pa, pb = _gcd_parts(pa, pb)
+    g = math.gcd(ca, cb)
+    ma = [cb // g * x for x in pb]
+    return _conv(a, ma), ma, [ca // g * x for x in pa]
+
+
+def _acc_ints(d: dict, mono: Monomial, c: list) -> None:
+    acc = d.get(mono)
+    if acc is None:
+        d[mono] = c
+    else:
+        acc = _add_ints(acc, c)
+        if acc:
+            d[mono] = acc
+        else:
+            del d[mono]
+
+
+def _mul_cleared(out: dict, a: dict, b: dict) -> dict:
+    """out plus the product of the numerator dicts a and b."""
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            _acc_ints(out, _mono_mul(m1, m2), _conv(c1, c2))
+    return out
+
+
+def _clear(p: DiffPoly) -> tuple[dict, list]:
+    """(P, E) with p = P/E: E the lcm in Z[t] of p's coefficient denominators.
+
+    A coefficient (a/b)*n/d, n and d primitive, has the denominator b*d;
+    the lcm is the int lcm L of the b times the lcm D of the d.
+    """
+    parts = []
+    quotients = {}        # d -> D/d, once D is known
+    ints, polys = 1, [1]
+    for mono, c in p.terms.items():
+        content, den = c.num.content, c.den.prim
+        lead = den[-1]
+        g = math.gcd(content.denominator, lead)
+        a, b = content.numerator * (lead // g), content.denominator // g
+        if b != 1:
+            ints = ints * b // math.gcd(ints, b)
+        if len(den) > 1 and den not in quotients:
+            quotients[den] = None
+            polys = _lcm_ints(polys, den)[0]
+        parts.append((mono, a, b, c.num.prim, den))
+    num = {}
+    for mono, a, b, n, den in parts:
+        q = quotients.get(den)
+        if q is None:
+            q = quotients[den] = _exact_quotient(polys, den)
+        if len(q) > 1:
+            n = _conv(n, q)
+        a *= ints // b
+        num[mono] = [a * x for x in n]
+    return num, [ints * x for x in polys]
+
+
+def _uncleared(num: dict, den: list, num_indeterminates: int) -> DiffPoly:
+    """num/den as a DiffPoly: one normalised RatFunc per term."""
+    if len(den) == 1:
+        scale = Fraction(1, den[0])
+        terms = {mono: _ratfunc(_primitive(scale, c), _ONE_POLY)
+                 for mono, c in num.items()}
+    else:
+        d = _primitive(_ONE_F, den)
+        terms = {mono: RatFunc(_primitive(_ONE_F, c), d) for mono, c in num.items()}
+    return _diffpoly(terms, num_indeterminates)
+
+
+def _cancel(num: dict, den: list) -> tuple[dict, list]:
+    """num/den with the gcd in Z[t] of den and every numerator divided out:
+    the primitive gcd first, then the integer content."""
+    if not num:
+        return num, [1]
+    if len(den) > 1:
+        c = _content(den)
+        g = den if c == 1 else [x // c for x in den]
+        for a in num.values():
+            if len(a) == 1:
+                break
+            c = _content(a)
+            g = _gcd_parts(g, a if c == 1 else [x // c for x in a])[0]
+            if len(g) == 1:
+                break
+        else:
+            den = _exact_quotient(den, g)
+            num = {mono: _exact_quotient(a, g) for mono, a in num.items()}
+    c = _content(den)
+    for a in num.values():
+        if c == 1:
+            return num, den
+        for x in a:
+            c = math.gcd(c, x)
+    if c == 1:
+        return num, den
+    return {mono: [x // c for x in a] for mono, a in num.items()}, [x // c for x in den]
+
+
+def _next_derivative(num: dict, den: list, den1: list, k: int) -> dict:
+    """P_(k+1) = D(P_k)*E - (k+1)*P_k*E' for num = P_k, den = E, den1 = E'."""
+    out = {}
+    for mono, c in num.items():
+        ce = _conv(c, den)
+        part = _derivative_ints(c)
+        part = _conv(part, den) if part else []
+        if den1:
+            part = _add_ints(part, [-(k + 1) * x for x in _conv(c, den1)])
+        if part:
+            _acc_ints(out, mono, part)
+        for v, e in mono:
+            lowered, w = _mono_set(mono, v, e - 1), v.derived()
+            _acc_ints(out, _mono_set(lowered, w, _mono_exp(lowered, w) + 1),
+                      ce if e == 1 else [e * x for x in ce])
+    return out
+
+
+def _tower(num: dict, den: list):
+    """k -> P_k, p^(k) = P_k/E^(k+1) for p = num/den, each built once."""
+    den1 = _derivative_ints(den)
+    tower = [num]
+
+    def deriv(k: int) -> dict:
+        while len(tower) <= k:
+            tower.append(_next_derivative(tower[-1], den, den1, len(tower) - 1))
+        return tower[k]
+    return deriv
+
+
 def _derivatives(p: DiffPoly):
-    """k -> p^(k), each derivative computed once."""
-    tower = [p]
+    """k -> p^(k) as a DiffPoly, from the cleared tower."""
+    num, den = _clear(p)
+    tower = _tower(num, den)
 
     def deriv(k: int) -> DiffPoly:
-        while len(tower) <= k:
-            tower.append(tower[-1].derive())
-        return tower[k]
+        d = den
+        for _ in range(k):
+            d = _conv(d, den)
+        return _uncleared(tower(k), d, p.num_indeterminates)
     return deriv
 
 
@@ -369,24 +566,35 @@ def ritt_reduce(q: DiffPoly, p: DiffPoly, indeterminate: int = 0) -> ReductionRe
     against p^(m-n), which is linear in v with the separant as its
     coefficient, and at m = n, while e is at least the leader degree of
     p, by the initial against p itself.
+
+    On the cleared form, with the multiplier h = H/E (the separant or the
+    initial of p = P_0/E), the remainder R/A and mult = M/A its top terms
+    lowered: h*rem - mult*p^(k) = (H*E^k*R - M*P_k)/(A*E^(k+1)).
     """
     n = p.order(indeterminate)
     if n is None or n < 0:
         raise NotApplicable("reduction needs a polynomial of order >= 0")
-    sep = p.separant(indeterminate)
-    init = p.initial(indeterminate)
-    lead_deg = p.leader_degree(indeterminate)
-    deriv = _derivatives(p)
+    num, den = _clear(p)
+    lead = DerivVar(n, indeterminate)
+    lead_deg = _degree_in(num, lead)
+    sep = {}
+    for mono, c in num.items():
+        e = _mono_exp(mono, lead)
+        if e:
+            _acc_ints(sep, _mono_set(mono, lead, e - 1), [e * x for x in c])
+    init = _top(num, lead, lead_deg, lead_deg)
+    tower = _tower(num, den)
+    powers = [[1], den]       # E^j
 
-    rem = q
+    rem, rem_den = _clear(q)
     s_power = i_power = 0
-    cofactors: dict[int, DiffPoly] = {}
+    cofactors: dict[int, tuple] = {}
     while True:
-        m = rem.order(indeterminate)
+        m = _order(rem, indeterminate)
         if m is None or m < n:
             break
         v = DerivVar(m, indeterminate)
-        e = rem.degree_in(v)
+        e = _degree_in(rem, v)
         if m > n:
             k, h, d = m - n, sep, 1
             s_power += 1
@@ -395,14 +603,39 @@ def ritt_reduce(q: DiffPoly, p: DiffPoly, indeterminate: int = 0) -> ReductionRe
             i_power += 1
         else:
             break
-        mult = _top_terms(rem, v, e, d)
-        rem = h * rem - mult * deriv(k)
-        for j in cofactors:
-            cofactors[j] = h * cofactors[j]
-        cofactors[k] = cofactors.get(k, DiffPoly({}, q.num_indeterminates)) + mult
+        while len(powers) <= k + 1:
+            powers.append(_conv(powers[-1], den))
+        mult = _top(rem, v, e, d)
+        hk = {mono: _conv(c, powers[k]) for mono, c in h.items()} if k else h
+        step = _mul_cleared({}, hk, rem)
+        _mul_cleared(step, {mono: [-x for x in c] for mono, c in mult.items()}, tower(k))
+        for j, (c, c_den) in cofactors.items():
+            cofactors[j] = _mul_cleared({}, h, c), _conv(c_den, den)
+        cofactors[k] = _add_cleared(cofactors.get(k), mult, rem_den)
+        rem, rem_den = _cancel(step, _conv(rem_den, powers[k + 1]))
 
-    certificate = [(k, c) for k, c in sorted(cofactors.items()) if not c.is_zero()]
-    return ReductionResult(rem, s_power, i_power, certificate)
+    m = q.num_indeterminates
+    certificate = [(k, _uncleared(c, c_den, m))
+                   for k, (c, c_den) in sorted(cofactors.items()) if c]
+    return ReductionResult(_uncleared(rem, rem_den, m), s_power, i_power, certificate)
+
+
+def _add_cleared(a, num: dict, den: list) -> tuple[dict, list]:
+    """a + num/den for a cleared pair a (or None), over the lcm of the
+    denominators."""
+    if a is None:
+        return num, den
+    a_num, a_den = a
+    if a_den == den:
+        out = dict(a_num)
+        for mono, c in num.items():
+            _acc_ints(out, mono, c)
+        return out, den
+    l, ma, mb = _lcm_ints(a_den, den)
+    out = {mono: _conv(c, ma) for mono, c in a_num.items()}
+    for mono, c in num.items():
+        _acc_ints(out, mono, _conv(c, mb))
+    return out, l
 
 
 def in_general_ideal(q: DiffPoly, p: DiffPoly, indeterminate: int = 0) -> bool:

@@ -141,7 +141,7 @@ def _taylor(q: list, rhs: Poly, t0: Fraction, inits: list,
     if not lead:
         raise PoleAtBasePoint("denominator vanishes at %s" % t0)
     # the equation over Z, with q_0(t0) > 0
-    scale = math.lcm(*(p.content.denominator for p in q)) * (1 if lead > 0 else -1)
+    scale = math.lcm(*[p.content.denominator for p in q]) * (1 if lead > 0 else -1)
     *q, r = [[x * (p.content * scale).numerator for x in p.prim] for p in q]
     lead, n = q[0][0], len(q) - 1
     # at step k the window holds c_{k+n-width}, ..., c_{k+n-1}: term
@@ -151,7 +151,7 @@ def _taylor(q: list, rhs: Poly, t0: Fraction, inits: list,
                    for l, a in enumerate(qi) if a and (i or l))
     out = []
     for init in inits:
-        den = math.lcm(*(c.denominator for c in init))
+        den = math.lcm(*[c.denominator for c in init])
         window = [0] * (width - n) + [c.numerator * den // c.denominator for c in init]
         c = list(init)
         for k in range(precision - n + 1):

@@ -24,13 +24,14 @@ and a derivative order at most _DERIVATIVE_ORDER_MAX.  Past either the
 parser raises NotApplicable, a domain error.
 """
 
+from __future__ import annotations
+
 import sys
 from fractions import Fraction
 
-from .basefield import Poly, RatFunc
-from .diffpoly import DiffPoly, var
+from .basefield import _ONE_POLY, Poly, RatFunc, _ratfunc
+from .diffpoly import _ZERO_RF, DiffPoly, _diffpoly, var
 from .errors import MixedArity, NotApplicable, ParseError
-from .matgroup import ConstMatrix
 
 _T_RF = RatFunc(Poly.t())
 
@@ -107,12 +108,18 @@ def _tokenize(text: str) -> list:
 
 
 class _Parser:
+    """Recursive descent over the tokens.  A value is a RatFunc while it has
+    no indeterminate in it and a DiffPoly after: scalars multiply and
+    divide in the field, scale a polynomial's terms, and each sum is
+    gathered into one dict."""
+
     def __init__(self, tokens, allow_indeterminates: bool):
         self.tokens = tokens
         self.pos = 0
         self.allow_indeterminates = allow_indeterminates
         self.bare_seen = False
         self.indexed_seen = False
+        self.arity = 1
 
     def peek(self):
         return self.tokens[self.pos]
@@ -128,39 +135,49 @@ class _Parser:
             raise ParseError("expected %s" % what, tok[2])
         return tok
 
-    def expr(self) -> DiffPoly:
+    def expr(self):
         negate = False
         if self.peek()[0] == _MINUS:
             self.advance()
             negate = True
         value = self.term()
-        if negate:
-            value = -value
+        if self.peek()[0] not in (_PLUS, _MINUS):
+            return -value if negate else value
+        acc = {}
+        _add_to(acc, value, negate)
+        polynomial = isinstance(value, DiffPoly)
         while self.peek()[0] in (_PLUS, _MINUS):
             op = self.advance()
-            rhs = self.term()
-            value = value + rhs if op[0] == _PLUS else value - rhs
-        return value
+            value = self.term()
+            _add_to(acc, value, op[0] == _MINUS)
+            polynomial = polynomial or isinstance(value, DiffPoly)
+        if not polynomial:
+            return acc.get((), _ZERO_RF)
+        return _diffpoly({m: c for m, c in acc.items() if c}, self.arity)
 
-    def term(self) -> DiffPoly:
+    def term(self):
         value = self.factor()
         while self.peek()[0] in (_STAR, _SLASH):
             op = self.advance()
             rhs = self.factor()
             if op[0] == _STAR:
-                value = value * rhs
+                value = _product(value, rhs, self.arity)
             else:
-                if rhs.variables():
-                    raise ParseError(
-                        "division by an expression containing an indeterminate",
-                        op[2])
-                c = rhs.constant_coefficient()
-                if c.is_zero():
+                if isinstance(rhs, DiffPoly):
+                    if rhs.variables():
+                        raise ParseError(
+                            "division by an expression containing an indeterminate",
+                            op[2])
+                    rhs = rhs.constant_coefficient()
+                if rhs.is_zero():
                     raise ZeroDivisionError("division by zero")
-                value = value * DiffPoly.const(1 / c)
+                if isinstance(value, DiffPoly):
+                    value = _product(value, 1 / rhs, self.arity)
+                else:
+                    value = value / rhs
         return value
 
-    def factor(self) -> DiffPoly:
+    def factor(self):
         value = self.atom()
         while self.peek()[0] == _CARET:
             self.advance()
@@ -175,13 +192,13 @@ class _Parser:
             value = value ** tok[1]
         return value
 
-    def atom(self) -> DiffPoly:
+    def atom(self):
         tok = self.advance()
         kind, value, col = tok
         if kind == _INT:
-            return DiffPoly.const(Fraction(value))
+            return _ratfunc(Poly.const(value), _ONE_POLY)
         if kind == _T:
-            return DiffPoly.const(_T_RF)
+            return _T_RF
         if kind == _INDET:
             if not self.allow_indeterminates:
                 raise ParseError("indeterminates are not allowed here", col)
@@ -197,6 +214,7 @@ class _Parser:
                         "cannot mix bare x with indexed indeterminates", col)
                 self.indexed_seen = True
                 index = value
+            self.arity = max(self.arity, index + 1)
             return self.indet_tail(index)
         if kind == _LPAREN:
             inner = self.expr()
@@ -223,13 +241,37 @@ class _Parser:
             if order > _DERIVATIVE_ORDER_MAX:
                 raise NotApplicable("derivative order %d is over the limit "
                                     "of %d" % (order, _DERIVATIVE_ORDER_MAX))
-        return DiffPoly.from_var(var(index, order))
+        return DiffPoly.from_var(var(index, order), self.arity)
 
 
-def _t_degree(p: DiffPoly) -> int:
-    """Largest degree in t of a numerator or denominator of p."""
-    return max((max(c.num.degree(), c.den.degree()) for c in p.terms.values()),
-               default=0)
+def _add_to(acc: dict, value, negative: bool) -> None:
+    """acc += value (or -= it): a scalar goes to the monomial ()."""
+    terms = value.terms.items() if isinstance(value, DiffPoly) else (((), value),)
+    for mono, c in terms:
+        old = acc.get(mono)
+        if old is None:
+            acc[mono] = -c if negative else c
+        else:
+            acc[mono] = old - c if negative else old + c
+
+
+def _product(a, b, arity: int):
+    """a*b for scalars and polynomials: a scalar scales the other's terms."""
+    if isinstance(a, DiffPoly):
+        if isinstance(b, DiffPoly):
+            return a * b
+        a, b = b, a
+    elif not isinstance(b, DiffPoly):
+        return a * b
+    if a.is_zero():
+        return _diffpoly({}, arity)
+    return _diffpoly({m: a * c for m, c in b.terms.items()}, arity)
+
+
+def _t_degree(value) -> int:
+    """Largest degree in t of a numerator or denominator of value."""
+    coeffs = value.terms.values() if isinstance(value, DiffPoly) else (value,)
+    return max((max(c.num.degree(), c.den.degree()) for c in coeffs), default=0)
 
 
 def _describe(tok) -> str:
@@ -245,23 +287,27 @@ def _describe(tok) -> str:
     return "'%s'" % kind if kind != _PRIME else "\"'\""
 
 
-def _parse(text: str, allow_indeterminates: bool) -> DiffPoly:
+def _parse(text: str, allow_indeterminates: bool):
+    """The RatFunc or DiffPoly that text denotes, and the parser's arity."""
     parser = _Parser(_tokenize(text), allow_indeterminates)
     value = parser.expr()
     tok = parser.peek()
     if tok[0] != _END:
         raise ParseError("unexpected %s" % _describe(tok), tok[2])
-    return value
+    return value, parser.arity
 
 
 def parse_diffpoly(text: str) -> DiffPoly:
     """Parse a differential polynomial in x (or x1..x9) over Q(t)."""
-    return _parse(text, allow_indeterminates=True)
+    value, arity = _parse(text, allow_indeterminates=True)
+    if isinstance(value, DiffPoly):
+        return _diffpoly(value.terms, arity)
+    return _diffpoly({(): value} if value else {}, arity)
 
 
 def parse_ratfunc(text: str) -> RatFunc:
     """Parse a rational function of t with exact rational coefficients."""
-    return _parse(text, allow_indeterminates=False).constant_coefficient()
+    return _parse(text, allow_indeterminates=False)[0]
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -279,6 +325,8 @@ def parse_matrix(text: str) -> ConstMatrix:
 
     Example: "1,0;0,1" is the 2x2 identity.
     """
+    from .matgroup import ConstMatrix
+
     rows = []
     for row_text in text.split(";"):
         entries = [parse_fraction(e) for e in row_text.split(",")]

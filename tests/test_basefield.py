@@ -373,9 +373,10 @@ def test_ratfunc_arithmetic_against_sympy(f, g, e):
 
 
 def test_constant_denominator_runs_no_gcd(monkeypatch):
+    # every polynomial gcd, poly_gcd's and RatFunc's, runs _gcd_parts
     calls = []
-    gcd = basefield.poly_gcd
-    monkeypatch.setattr(basefield, "poly_gcd",
+    gcd = basefield._gcd_parts
+    monkeypatch.setattr(basefield, "_gcd_parts",
                         lambda a, b: calls.append((a, b)) or gcd(a, b))
     p, q = Poly((1, 2, 3)), Poly((Fraction(1, 2), 0, 5))
     f = RatFunc(p, Poly((4,)))

@@ -221,8 +221,8 @@ def test_wronsky_rows_run_one_gcd_per_output(monkeypatch):
     elems = [parse_ratfunc(f) for f in
              ("1/(t+1)^2", "t/(t^2+1)", "(t-2)/(t^3+t+1)", "3/(2*t-1)")]
     calls = []
-    gcd = basefield.poly_gcd
-    monkeypatch.setattr(basefield, "poly_gcd",
+    gcd = basefield._gcd_parts
+    monkeypatch.setattr(basefield, "_gcd_parts",
                         lambda a, b: calls.append((a, b)) or gcd(a, b))
     wronskian(elems)
     assert len(calls) == 1
