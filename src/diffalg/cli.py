@@ -8,25 +8,15 @@ operation does not apply), 2 syntax or usage error.
 """
 
 import json
-import random
 import re
-import shlex
 import sys
 from fractions import Fraction
 
 from .basefield import Poly, RatFunc
 from .diffpoly import DerivVar, DiffPoly, ritt_reduce, in_general_ideal
 from .errors import DiffAlgError, NotApplicable, ParseError
-from .galois import (classify_antiderivative_extension,
-                     classify_exponential_extension, descriptor_dimension,
-                     GroupKind)
-from .matgroup import (catalog_group, ConstMatrix, gl_invariance_witness,
-                       group_contains, GroupLabel)
-from .odeseries import fundamental_system_series
 from .parsing import (parse_diffpoly, parse_fraction, parse_matrix,
                       parse_ratfunc)
-from .wronskian import (dependence_certificate, FundamentalSystem,
-                        LinearODE, ode_from_fundamental_system, wronskian)
 
 _USAGE = """\
 usage: diffalg VERB [ARGS] [--format text|json] [--seed N]
@@ -182,12 +172,16 @@ def _cmd_member(pos, opts):
 
 
 def _cmd_wronskian(pos, opts):
+    from .wronskian import wronskian
+
     _need_some(pos, "wronskian F1 [F2 ...]")
     w = wronskian([parse_ratfunc(f) for f in pos])
     return str(w), {"kind": "ratfunc", "result": str(w)}
 
 
 def _cmd_depend(pos, opts):
+    from .wronskian import dependence_certificate
+
     _need_some(pos, "depend F1 [F2 ...]")
     cert = dependence_certificate([parse_ratfunc(f) for f in pos])
     if cert is None:
@@ -198,6 +192,8 @@ def _cmd_depend(pos, opts):
 
 
 def _cmd_ode_from(pos, opts):
+    from .wronskian import FundamentalSystem, ode_from_fundamental_system
+
     _need_some(pos, "ode-from F1 [F2 ...]")
     fs = FundamentalSystem([parse_ratfunc(f) for f in pos])
     ode = ode_from_fundamental_system(fs)
@@ -210,6 +206,9 @@ _SERIES_PRECISION_MAX = 512
 
 
 def _cmd_solve_series(pos, opts):
+    from .odeseries import fundamental_system_series
+    from .wronskian import LinearODE
+
     _need_some(pos, "solve-series A1 [A2 ...] [--precision N] "
                "[--base-point Q]")
     if opts.precision > _SERIES_PRECISION_MAX:
@@ -222,6 +221,8 @@ def _cmd_solve_series(pos, opts):
 
 
 def _descriptor_output(d):
+    from .galois import descriptor_dimension, GroupKind
+
     payload = {"group": d.kind.value}
     if d.kind is GroupKind.CYCLIC:
         payload["n"] = d.n
@@ -236,12 +237,16 @@ def _descriptor_output(d):
 
 
 def _cmd_classify_int(pos, opts):
+    from .galois import classify_antiderivative_extension
+
     _need(pos, 1, "classify-int A")
     return _descriptor_output(
         classify_antiderivative_extension(parse_ratfunc(pos[0])))
 
 
 def _cmd_classify_exp(pos, opts):
+    from .galois import classify_exponential_extension
+
     _need(pos, 1, "classify-exp A")
     return _descriptor_output(
         classify_exponential_extension(parse_ratfunc(pos[0])))
@@ -251,6 +256,8 @@ _GROUP_PATTERN = re.compile(r"^(gl|sl|mu)([0-9]+)$")
 
 
 def _named_group(label: str):
+    from .matgroup import catalog_group, GroupLabel
+
     if label == "unipotent":
         return catalog_group(GroupLabel.UNIPOTENT_ADDITIVE, 2)
     if label == "gm":
@@ -273,13 +280,17 @@ def _named_group(label: str):
 
 
 def _cmd_group_check(pos, opts):
+    from .matgroup import group_contains
+
     _need(pos, 2, "group-check GROUP MATRIX")
     group = _named_group(pos[0])
     ok = group_contains(group, parse_matrix(pos[1]))
     return ("true" if ok else "false"), {"kind": "bool", "result": ok}
 
 
-def _random_invertible(rng: random.Random, n: int) -> ConstMatrix:
+def _random_invertible(rng, n: int):
+    from .matgroup import ConstMatrix
+
     while True:
         m = ConstMatrix.from_rows(
             [[Fraction(rng.randint(-5, 5)) for _ in range(n)]
@@ -288,7 +299,7 @@ def _random_invertible(rng: random.Random, n: int) -> ConstMatrix:
             return m
 
 
-def _generic_point(rng: random.Random, n: int) -> dict:
+def _generic_point(rng, n: int) -> dict:
     # degree-i polynomial for slot i: distinct degrees keep the point
     # off the Wronskian hypersurface
     point = {}
@@ -307,6 +318,10 @@ _GL_WITNESS_MAX = 8
 
 
 def _cmd_gl_witness(pos, opts):
+    import random
+
+    from .matgroup import gl_invariance_witness
+
     _need(pos, 1, "gl-witness N [--seed S] [--matrix M]")
     try:
         n = int(pos[0])
@@ -392,6 +407,8 @@ def run(argv, stdout=sys.stdout, stderr=sys.stderr) -> int:
 
 
 def _batch(stdin, stdout, stderr) -> int:
+    import shlex
+
     for number, line in enumerate(stdin, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
