@@ -389,6 +389,18 @@ def test_constant_denominator_runs_no_gcd(monkeypatch):
     assert len(calls) == 1
 
 
+def test_normalisation_divides_once(monkeypatch):
+    # GCDHEU divides num and den by its candidate to check it; RatFunc
+    # keeps those quotients instead of dividing again
+    calls = []
+    divide = basefield._pseudo_divmod
+    monkeypatch.setattr(basefield, "_pseudo_divmod",
+                        lambda a, b: calls.append((a, b)) or divide(a, b))
+    f = RatFunc((T + 1) * (T - 2) * 3, (T + 1) * (2 * T + 3))
+    assert len(calls) == 2
+    assert f == RatFunc(3 * T - 6, 2 * T + 3)
+
+
 def test_poly_product_builds_no_fraction(monkeypatch):
     # Gauss's lemma: the product convolves the primitive ints and builds no
     # Fraction per coefficient; only contents other than 1 on both sides

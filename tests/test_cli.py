@@ -10,12 +10,13 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_diffpoly, random_ratfunc
 from diffalg import cli
 from diffalg.basefield import Poly, RatFunc
 from diffalg.diffpoly import DiffPoly, var
-from diffalg.errors import MixedArity, ParseError
+from diffalg.errors import MixedArity, NotApplicable, ParseError
 from diffalg.parsing import (parse_diffpoly, parse_fraction, parse_matrix,
                              parse_ratfunc)
 
@@ -53,6 +54,126 @@ def test_parse_diffpoly_examples():
     assert w.num_indeterminates == 2
     # prime syntax and the ^(k) marker address the same variable
     assert parse_diffpoly("x''") == parse_diffpoly("x^(2)")
+
+
+# expression trees: ("int", v), ("t",), ("x", index or None, order), a
+# binary node (op, a, b) for + - * / (the divisor of "/" drawn anywhere or
+# from trees without x), ("^", a, k) and ("neg", a); a power's base is a
+# leaf or a sum of two, so that nested powers do not blow the degree up
+_scalar_leaves = st.one_of(st.integers(0, 4).map(lambda v: ("int", v)), st.just(("t",)))
+
+
+def _leaves(indices):
+    return st.one_of(_scalar_leaves, st.builds(
+        lambda i, o: ("x", i, o), st.sampled_from(indices), st.integers(0, 3)))
+
+
+def _trees(leaves, divisors, size):
+    bases = st.one_of(leaves, st.tuples(st.sampled_from("+-"), leaves, leaves))
+    return st.recursive(leaves, lambda sub: st.one_of(
+        st.tuples(st.sampled_from("+-*/"), sub, sub),
+        st.tuples(st.just("/"), sub, divisors),
+        st.tuples(st.just("^"), bases, st.integers(0, 3)),
+        st.tuples(st.just("neg"), sub)), max_leaves=size)
+
+
+_scalar_trees = _trees(_scalar_leaves, _scalar_leaves, 4)
+_expressions = st.sampled_from([(None,), (0, 1), (None, 1)]).flatmap(
+    lambda indices: _trees(_leaves(indices), _scalar_trees, 7))
+
+
+class _Reference:
+    """Renders a tree as text and evaluates it in DiffPoly arithmetic, one
+    node at a time, recording the first error the parser must report."""
+
+    def __init__(self):
+        self.text = ""
+        self.error = None
+        self.kinds = set()
+
+    def fail(self, error):
+        self.error = self.error or error
+
+    def build(self, node) -> DiffPoly:
+        kind = node[0]
+        if kind == "int":
+            self.text += str(node[1])
+            return DiffPoly.const(node[1])
+        if kind == "t":
+            self.text += "t"
+            return DiffPoly.const(RatFunc(Poly.t()))
+        if kind == "x":
+            _, index, order = node
+            column = len(self.text) + 1
+            self.kinds.add(index is None)
+            if len(self.kinds) > 1:
+                self.fail(MixedArity("cannot mix bare x with indexed indeterminates",
+                                     column))
+            self.text += ("x" if index is None else "x%d" % (index + 1)) + (
+                "'" * order if order <= 2 else "^(%d)" % order)
+            if order > 100:
+                self.fail(NotApplicable("derivative order %d is over the limit "
+                                        "of 100" % order))
+            return DiffPoly.from_var(var(index or 0, order))
+        if kind == "neg":
+            self.text += "-("
+            value = -self.build(node[1])
+            self.text += ")"
+            return value
+        self.text += "("
+        a = self.build(node[1])
+        self.text += ")"
+        if kind == "^":
+            self.text += "^%d" % node[2]
+            degree = max((max(c.num.degree(), c.den.degree())
+                          for c in a.terms.values()), default=0) * node[2]
+            if degree > 1000:
+                self.fail(NotApplicable("a power of t-degree %d is over the limit "
+                                        "of 1000" % degree))
+            return a ** node[2]
+        column = len(self.text) + 1
+        self.text += kind + "("
+        b = self.build(node[2])
+        self.text += ")"
+        if kind == "+":
+            return a + b
+        if kind == "-":
+            return a - b
+        if kind == "*":
+            return a * b
+        if b.variables():
+            self.fail(ParseError("division by an expression containing an "
+                                 "indeterminate", column))
+        elif b.is_zero():
+            self.fail(ZeroDivisionError("division by zero"))
+        else:
+            return a * DiffPoly.const(1 / b.constant_coefficient())
+        return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(_expressions)
+@example(("-", ("x", None, 0), ("x", None, 0)))
+@example(("*", ("int", 0), ("x", 1, 0)))
+@example(("/", ("x", 1, 2), ("-", ("x", 0, 0), ("x", 0, 0))))
+@example(("^", ("+", ("t",), ("int", 1)), 1001))
+@example(("+", ("x", None, 101), ("x", 0, 0)))
+@example(("/", ("x", None, 0), ("*", ("x", 1, 0), ("int", 0))))
+def test_parser_matches_diffpoly_arithmetic(tree):
+    # the parser keeps x-free values as field elements and sums into one
+    # dict; the same tree evaluated node by node as DiffPolys gives the same
+    # polynomial and arity, or the same first error at the same column
+    ref = _Reference()
+    expected = ref.build(tree)
+    if ref.error is None:
+        got = parse_diffpoly(ref.text)
+        assert got == expected and str(got) == str(expected)
+        assert got.num_indeterminates == expected.num_indeterminates
+        return
+    with pytest.raises(type(ref.error)) as info:
+        parse_diffpoly(ref.text)
+    assert str(info.value) == str(ref.error)
+    assert getattr(info.value, "column", None) == getattr(ref.error, "column", None)
 
 
 def test_mixed_arity_rejected():
@@ -378,6 +499,38 @@ def test_cli_import_loads_no_dataclasses():
         capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": src})
     assert proc.stdout == "['diffalg.cli']\n"
+
+
+def test_ritt_command_loads_no_verb_module():
+    # the other verbs' modules stay unrun (only entered in sys.modules, for
+    # a LazyLoader to run them on first use), and random and shlex are
+    # imported by the verbs that use them; -S keeps site's imports out
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import io, sys, types, diffalg.cli\n"
+         "diffalg.cli.run(['reduce', \"x''-1\", '--mod', \"(x')^2-2*x\"],"
+         " io.StringIO(), io.StringIO())\n"
+         "names = ['diffalg.' + m for m in ('galois', 'matgroup', 'odeseries',"
+         " 'wronskian', 'diffpoly')] + ['random', 'shlex']\n"
+         "print([n for n in names if type(sys.modules.get(n)) is types.ModuleType])"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout == "['diffalg.diffpoly']\n"
+
+
+def test_lazy_exports_keep_their_objects():
+    import diffalg
+    import diffalg.wronskian as module
+    from diffalg import wronskian as function
+
+    # the function keeps the name that its module shares
+    assert function is diffalg.wronskian is sys.modules["diffalg.wronskian"].wronskian
+    assert module is function
+    assert diffalg.galois is sys.modules["diffalg.galois"]
+    assert "wronskian" in dir(diffalg)
+    with pytest.raises(AttributeError):
+        diffalg.no_such_name
 
 
 _ONE_PER_VERB = [

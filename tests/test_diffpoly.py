@@ -11,6 +11,7 @@ from diffalg.basefield import Poly, RatFunc
 from diffalg.diffpoly import (
     DerivVar,
     DiffPoly,
+    _derivatives,
     certificate_checks,
     in_general_ideal,
     ritt_reduce,
@@ -227,6 +228,74 @@ def test_ritt_reduce_reads_multiplier_off_remainder(monkeypatch):
     r = ritt_reduce(q, EXAMPLE_P)
     assert r.sep_power > 0 and r.init_power > 0
     assert calls == []
+
+
+def test_ritt_step_normalises_each_output_once(monkeypatch):
+    # the step runs on cleared int numerators: the only RatFunc built is
+    # one normalisation per term of the remainder and of each cofactor
+    p = parse_diffpoly("(1/(t + 1))*(x')^2 - t*x")
+    q = parse_diffpoly("(2/(t + 2))*x^(4) + (t/(t - 1))*x*x' + x^2")
+    calls = []
+    init = RatFunc.__init__
+    monkeypatch.setattr(RatFunc, "__init__",
+                        lambda self, *args: calls.append(args) or init(self, *args))
+    r = ritt_reduce(q, p)
+    assert q.order() - p.order() == 3 and (r.sep_power, r.init_power) == (5, 5)
+    outputs = [r.remainder] + [c for _k, c in r.certificate]
+    assert len(calls) == sum(len(c.terms) for c in outputs) > 0
+    assert all(c.den.degree() > 0 for out in outputs for c in out.terms.values())
+
+
+def _termwise_derivative(p: DiffPoly) -> DiffPoly:
+    """The derivation term by term in RatFunc arithmetic, as a reference."""
+    total = DiffPoly({}, p.num_indeterminates)
+    for mono, c in p.terms.items():
+        total = total + DiffPoly({mono: c.derive()}, p.num_indeterminates)
+        for v, e in mono:
+            lowered = dict(mono)
+            lowered[v] -= 1
+            lowered[v.derived()] = lowered.get(v.derived(), 0) + 1
+            mono2 = tuple(sorted((w, f) for w, f in lowered.items() if f))
+            total = total + DiffPoly({mono2: c * e}, p.num_indeterminates)
+    return total
+
+
+_tower_dens = st.lists(st.tuples(st.sampled_from([(1, 1), (-2, 1), (1, 0, 1), (0, 1)]),
+                                 st.integers(1, 3)), max_size=2).map(
+    lambda fs: _product(Poly(f) ** e for f, e in fs))
+_tower_coeffs = st.one_of(
+    st.just(RatFunc(0)),
+    st.builds(lambda n, c, d: RatFunc(n * c, d),
+              st.lists(st.integers(-4, 4), max_size=3).map(Poly),
+              st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 6)),
+              _tower_dens))
+_tower_polys = st.dictionaries(
+    st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 1)), st.integers(1, 2),
+                    max_size=2).map(lambda d: tuple(sorted((var(i, j), e)
+                                                           for (j, i), e in d.items()))),
+    _tower_coeffs, max_size=4).map(lambda t: DiffPoly(t, 2))
+
+
+def _product(polys) -> Poly:
+    acc = Poly((1,))
+    for f in polys:
+        acc = acc * f
+    return acc
+
+
+@settings(max_examples=80, deadline=None)
+@given(_tower_polys)
+@example(DiffPoly({}))
+@example(parse_diffpoly("(1/(t + 1)^2)*x' - (3/(2*(t + 1)))*x^2 + (1/2)*x*x''"))
+def test_cleared_tower_is_repeated_derive(p):
+    # p^(k) = P_k/E^(k+1) with P_(k+1) = D(P_k)*E - (k+1)*P_k*E', against
+    # k derivations done term by term in the field and k calls of derive
+    deriv = _derivatives(p)
+    expected, derived = p, p
+    for k in range(4):
+        assert deriv(k) == expected == derived
+        assert deriv(k).num_indeterminates == p.num_indeterminates
+        expected, derived = _termwise_derivative(expected), derived.derive()
 
 
 # sympy oracles: ritt_reduce and certificate_checks share one derivative
