@@ -166,10 +166,10 @@ class Poly:
         return _poly(-self.content, self.prim)
 
     def __add__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            other = Poly((other,))
         if not isinstance(other, Poly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Poly((other,))
         a, b = self.prim, other.prim
         if not a:
             return other
@@ -206,12 +206,12 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             if not other or not self.prim:
                 return _ZERO_POLY
             return _poly(self.content * other, self.prim)
-        if not isinstance(other, Poly):
-            return NotImplemented
         a, b = self.prim, other.prim
         if not a or not b:
             return _ZERO_POLY
@@ -593,6 +593,14 @@ class RatFunc:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
+        if len(other.num.prim) == 1 and len(other.den.prim) == 1:
+            return _ratfunc(self.num * (1 / other.num.content), self.den)
+        if len(self.num.prim) < 2 and len(self.den.prim) == 1:
+            # a constant c over n/d is c*d/n, in lowest terms already
+            if not self.num.prim:
+                return self
+            n = other.num
+            return _ratfunc(other.den * (self.num.content / n.lead()), n.monic())
         return RatFunc(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):

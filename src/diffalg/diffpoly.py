@@ -8,29 +8,22 @@ general-solution ideal of an irreducible polynomial (zero remainder).
 
 Monomials are edited only through _mono_exp and _mono_set.  Ritt
 reduction repeats one step (by the separant above P's order, by the
-initial at it), its multiplier read off the remainder's top terms.
-
-The step and the derivation run on a cleared form: a dict {monomial: int
-list} of numerators in Z[t] over one denominator in Z[t] (ascending int
-lists, the denominator with a positive lead).  With p = P_0/E cleared,
-p^(k) = P_k/E^(k+1) where P_(k+1) = D(P_k)*E - (k+1)*P_k*E', D the total
-derivation on numerators; no gcd runs there.  The remainder takes one
-cancellation per step, the gcd of its denominator with its numerators,
-and only the outputs are turned back into RatFunc terms, one
-normalisation each (Boulier, Lazard, Ollivier, Petitot, ISSAC 1995, and
-Hubert, LNCS 2630, reduce without fractions in the coefficients).
+initial at it), its multiplier read off the remainder's top terms.  The
+step and the derivation run on the cleared form of the cleared module:
+int-list numerators over one denominator in Z[t].
 """
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .basefield import (_ONE_F, _ONE_POLY, Poly, RatFunc, _conv,
-                        _derivative_name, _exact_quotient, _gcd_parts, _grouped,
-                        _new, _power, _primitive, _ratfunc, _Record,
-                        _signed_sum)
+from .basefield import (_ONE_POLY, Poly, RatFunc, _conv, _derivative_name,
+                        _grouped, _new, _power, _ratfunc, _Record, _signed_sum)
+from .cleared import (Monomial, _acc_ints, _add_cleared, _cancel, _clear,
+                      _degree_in, _derivative_ints, _mono_exp, _mono_mul,
+                      _mono_set, _mul_cleared, _next_derivative, _order,
+                      _ratfunc_terms, _top, _tower)
 from .errors import IncompleteAssignment, NotApplicable, ShapeError
 
 
@@ -55,35 +48,6 @@ def _var_name(v: DerivVar, count: int) -> str:
     for a single one, x1..x9 otherwise."""
     name = "x" if count == 1 else "x%d" % (v.indeterminate + 1)
     return _derivative_name(name, v.order)
-
-
-# a monomial is a tuple of (DerivVar, exponent) sorted by variable rank
-Monomial = tuple
-
-
-def _mono_from_dict(d: dict) -> Monomial:
-    return tuple(sorted((v, e) for v, e in d.items() if e))
-
-
-def _mono_exp(m: Monomial, v: DerivVar) -> int:
-    """Exponent of v in m."""
-    for w, e in m:
-        if w == v:
-            return e
-    return 0
-
-
-def _mono_set(m: Monomial, v: DerivVar, e: int) -> Monomial:
-    """m with the exponent of v set to e (v dropped when e is 0)."""
-    rest = [(w, f) for w, f in m if w != v]
-    return tuple(sorted(rest + [(v, e)])) if e else tuple(rest)
-
-
-def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    d = dict(m1)
-    for v, e in m2:
-        d[v] = d.get(v, 0) + e
-    return _mono_from_dict(d)
 
 
 def _mono_str_key(m: Monomial):
@@ -129,8 +93,10 @@ class DiffPoly:
 
     @classmethod
     def from_var(cls, v: DerivVar, num_indeterminates: int | None = None) -> "DiffPoly":
-        m = v.indeterminate + 1 if num_indeterminates is None else num_indeterminates
-        return cls({((v, 1),): RatFunc(1)}, m)
+        m = v.indeterminate + 1
+        if num_indeterminates is not None and num_indeterminates > m:
+            m = num_indeterminates
+        return _diffpoly({((v, 1),): _ratfunc(_ONE_POLY, _ONE_POLY)}, m)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -195,6 +161,11 @@ class DiffPoly:
     def __pow__(self, e: int) -> "DiffPoly":
         if e < 0:
             raise ValueError("negative power of a differential polynomial")
+        if len(self.terms) == 1:
+            # a term's power is the power of its coefficient and exponents
+            (mono, c), = self.terms.items()
+            mono = tuple([(v, k * e) for v, k in mono]) if e else ()
+            return _diffpoly({mono: c ** e}, self.num_indeterminates)
         return _power(DiffPoly.const(1, self.num_indeterminates), self, e)
 
     def derive(self) -> "DiffPoly":
@@ -203,8 +174,8 @@ class DiffPoly:
         p = P/E cleared gives p' = (D(P)*E - P*E')/E^2, the tower's first step.
         """
         num, den = _clear(self)
-        return _uncleared(_next_derivative(num, den, _derivative_ints(den), 0),
-                          _conv(den, den), self.num_indeterminates)
+        num = _next_derivative(num, den, _derivative_ints(den), 0)
+        return _diffpoly(_ratfunc_terms(num, _conv(den, den)), self.num_indeterminates)
 
     def order(self, indeterminate: int = 0) -> int | None:
         """Greatest derivative order of x_i in the polynomial.
@@ -231,7 +202,7 @@ class DiffPoly:
         """Coefficient of the highest power of the leader."""
         lead = self.leader(indeterminate)
         deg = self.degree_in(lead)
-        return _top_terms(self, lead, deg, deg)
+        return _diffpoly(_top(self.terms, lead, deg, deg), self.num_indeterminates)
 
     def partial(self, v: DerivVar) -> "DiffPoly":
         """Formal partial derivative with respect to one derivative variable."""
@@ -317,21 +288,6 @@ def _diffpoly(terms: dict, num_indeterminates: int) -> DiffPoly:
     return p
 
 
-def _order(terms: dict, indeterminate: int) -> int | None:
-    if not terms:
-        return None
-    best = -1
-    for mono in terms:
-        for v, _e in mono:
-            if v.indeterminate == indeterminate and v.order > best:
-                best = v.order
-    return best
-
-
-def _degree_in(terms: dict, v: DerivVar) -> int:
-    return max((_mono_exp(mono, v) for mono in terms), default=0)
-
-
 def _acc_term(d: dict, mono: Monomial, c: RatFunc) -> None:
     if c.is_zero():
         return
@@ -341,16 +297,6 @@ def _acc_term(d: dict, mono: Monomial, c: RatFunc) -> None:
         d.pop(mono, None)
     else:
         d[mono] = acc
-
-
-def _top_terms(p: DiffPoly, v: DerivVar, e: int, d: int) -> DiffPoly:
-    """The terms of p of degree e in v, with the exponent of v lowered by d."""
-    return _diffpoly(_top(p.terms, v, e, d), p.num_indeterminates)
-
-
-def _top(terms: dict, v: DerivVar, e: int, d: int) -> dict:
-    return {_mono_set(mono, v, e - d): c for mono, c in terms.items()
-            if _mono_exp(mono, v) == e}
 
 
 def _as_diffpoly(x):
@@ -383,168 +329,6 @@ class ReductionResult(_Record):
         self.init_power, self.certificate = init_power, certificate
 
 
-# -- the cleared form: {monomial: int list} over one int-list denominator
-
-def _add_ints(a: list, b: list) -> list:
-    """a + b for ascending int lists, without trailing zeros."""
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, y in enumerate(b):
-        out[i] += y
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _derivative_ints(a: list) -> list:
-    return [k * x for k, x in enumerate(a) if k]
-
-
-def _content(a: list) -> int:
-    g = 0
-    for x in a:
-        g = math.gcd(g, x)
-        if g == 1:
-            break
-    return g
-
-
-def _lcm_ints(a: list, b: list) -> tuple[list, list, list]:
-    """(l, l/a, l/b) for int lists with positive leads, l their lcm in Z[t]."""
-    ca, cb = _content(a), _content(b)
-    pa = a if ca == 1 else [x // ca for x in a]
-    pb = b if cb == 1 else [x // cb for x in b]
-    if len(a) > 1 and len(b) > 1:
-        _g, pa, pb = _gcd_parts(pa, pb)
-    g = math.gcd(ca, cb)
-    ma = [cb // g * x for x in pb]
-    return _conv(a, ma), ma, [ca // g * x for x in pa]
-
-
-def _acc_ints(d: dict, mono: Monomial, c: list) -> None:
-    acc = d.get(mono)
-    if acc is None:
-        d[mono] = c
-    else:
-        acc = _add_ints(acc, c)
-        if acc:
-            d[mono] = acc
-        else:
-            del d[mono]
-
-
-def _mul_cleared(out: dict, a: dict, b: dict) -> dict:
-    """out plus the product of the numerator dicts a and b."""
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            _acc_ints(out, _mono_mul(m1, m2), _conv(c1, c2))
-    return out
-
-
-def _clear(p: DiffPoly) -> tuple[dict, list]:
-    """(P, E) with p = P/E: E the lcm in Z[t] of p's coefficient denominators.
-
-    A coefficient (a/b)*n/d, n and d primitive, has the denominator b*d;
-    the lcm is the int lcm L of the b times the lcm D of the d.
-    """
-    parts = []
-    quotients = {}        # d -> D/d, once D is known
-    ints, polys = 1, [1]
-    for mono, c in p.terms.items():
-        content, den = c.num.content, c.den.prim
-        lead = den[-1]
-        g = math.gcd(content.denominator, lead)
-        a, b = content.numerator * (lead // g), content.denominator // g
-        if b != 1:
-            ints = ints * b // math.gcd(ints, b)
-        if len(den) > 1 and den not in quotients:
-            quotients[den] = None
-            polys = _lcm_ints(polys, den)[0]
-        parts.append((mono, a, b, c.num.prim, den))
-    num = {}
-    for mono, a, b, n, den in parts:
-        q = quotients.get(den)
-        if q is None:
-            q = quotients[den] = _exact_quotient(polys, den)
-        if len(q) > 1:
-            n = _conv(n, q)
-        a *= ints // b
-        num[mono] = [a * x for x in n]
-    return num, [ints * x for x in polys]
-
-
-def _uncleared(num: dict, den: list, num_indeterminates: int) -> DiffPoly:
-    """num/den as a DiffPoly: one normalised RatFunc per term."""
-    if len(den) == 1:
-        scale = Fraction(1, den[0])
-        terms = {mono: _ratfunc(_primitive(scale, c), _ONE_POLY)
-                 for mono, c in num.items()}
-    else:
-        d = _primitive(_ONE_F, den)
-        terms = {mono: RatFunc(_primitive(_ONE_F, c), d) for mono, c in num.items()}
-    return _diffpoly(terms, num_indeterminates)
-
-
-def _cancel(num: dict, den: list) -> tuple[dict, list]:
-    """num/den with the gcd in Z[t] of den and every numerator divided out:
-    the primitive gcd first, then the integer content."""
-    if not num:
-        return num, [1]
-    if len(den) > 1:
-        c = _content(den)
-        g = den if c == 1 else [x // c for x in den]
-        for a in num.values():
-            if len(a) == 1:
-                break
-            c = _content(a)
-            g = _gcd_parts(g, a if c == 1 else [x // c for x in a])[0]
-            if len(g) == 1:
-                break
-        else:
-            den = _exact_quotient(den, g)
-            num = {mono: _exact_quotient(a, g) for mono, a in num.items()}
-    c = _content(den)
-    for a in num.values():
-        if c == 1:
-            return num, den
-        for x in a:
-            c = math.gcd(c, x)
-    if c == 1:
-        return num, den
-    return {mono: [x // c for x in a] for mono, a in num.items()}, [x // c for x in den]
-
-
-def _next_derivative(num: dict, den: list, den1: list, k: int) -> dict:
-    """P_(k+1) = D(P_k)*E - (k+1)*P_k*E' for num = P_k, den = E, den1 = E'."""
-    out = {}
-    for mono, c in num.items():
-        ce = _conv(c, den)
-        part = _derivative_ints(c)
-        part = _conv(part, den) if part else []
-        if den1:
-            part = _add_ints(part, [-(k + 1) * x for x in _conv(c, den1)])
-        if part:
-            _acc_ints(out, mono, part)
-        for v, e in mono:
-            lowered, w = _mono_set(mono, v, e - 1), v.derived()
-            _acc_ints(out, _mono_set(lowered, w, _mono_exp(lowered, w) + 1),
-                      ce if e == 1 else [e * x for x in ce])
-    return out
-
-
-def _tower(num: dict, den: list):
-    """k -> P_k, p^(k) = P_k/E^(k+1) for p = num/den, each built once."""
-    den1 = _derivative_ints(den)
-    tower = [num]
-
-    def deriv(k: int) -> dict:
-        while len(tower) <= k:
-            tower.append(_next_derivative(tower[-1], den, den1, len(tower) - 1))
-        return tower[k]
-    return deriv
-
-
 def _derivatives(p: DiffPoly):
     """k -> p^(k) as a DiffPoly, from the cleared tower."""
     num, den = _clear(p)
@@ -554,7 +338,7 @@ def _derivatives(p: DiffPoly):
         d = den
         for _ in range(k):
             d = _conv(d, den)
-        return _uncleared(tower(k), d, p.num_indeterminates)
+        return _diffpoly(_ratfunc_terms(tower(k), d), p.num_indeterminates)
     return deriv
 
 
@@ -615,27 +399,10 @@ def ritt_reduce(q: DiffPoly, p: DiffPoly, indeterminate: int = 0) -> ReductionRe
         rem, rem_den = _cancel(step, _conv(rem_den, powers[k + 1]))
 
     m = q.num_indeterminates
-    certificate = [(k, _uncleared(c, c_den, m))
+    certificate = [(k, _diffpoly(_ratfunc_terms(c, c_den), m))
                    for k, (c, c_den) in sorted(cofactors.items()) if c]
-    return ReductionResult(_uncleared(rem, rem_den, m), s_power, i_power, certificate)
-
-
-def _add_cleared(a, num: dict, den: list) -> tuple[dict, list]:
-    """a + num/den for a cleared pair a (or None), over the lcm of the
-    denominators."""
-    if a is None:
-        return num, den
-    a_num, a_den = a
-    if a_den == den:
-        out = dict(a_num)
-        for mono, c in num.items():
-            _acc_ints(out, mono, c)
-        return out, den
-    l, ma, mb = _lcm_ints(a_den, den)
-    out = {mono: _conv(c, ma) for mono, c in a_num.items()}
-    for mono, c in num.items():
-        _acc_ints(out, mono, _conv(c, mb))
-    return out, l
+    return ReductionResult(_diffpoly(_ratfunc_terms(rem, rem_den), m),
+                           s_power, i_power, certificate)
 
 
 def in_general_ideal(q: DiffPoly, p: DiffPoly, indeterminate: int = 0) -> bool:

@@ -161,7 +161,7 @@ class _Parser:
             op = self.advance()
             rhs = self.factor()
             if op[0] == _STAR:
-                value = _product(value, rhs, self.arity)
+                value = _product(value, rhs)
             else:
                 if isinstance(rhs, DiffPoly):
                     if rhs.variables():
@@ -172,7 +172,7 @@ class _Parser:
                 if rhs.is_zero():
                     raise ZeroDivisionError("division by zero")
                 if isinstance(value, DiffPoly):
-                    value = _product(value, 1 / rhs, self.arity)
+                    value = _product(value, 1 / rhs)
                 else:
                     value = value / rhs
         return value
@@ -241,7 +241,7 @@ class _Parser:
             if order > _DERIVATIVE_ORDER_MAX:
                 raise NotApplicable("derivative order %d is over the limit "
                                     "of %d" % (order, _DERIVATIVE_ORDER_MAX))
-        return DiffPoly.from_var(var(index, order), self.arity)
+        return DiffPoly.from_var(var(index, order))
 
 
 def _add_to(acc: dict, value, negative: bool) -> None:
@@ -255,7 +255,7 @@ def _add_to(acc: dict, value, negative: bool) -> None:
             acc[mono] = old - c if negative else old + c
 
 
-def _product(a, b, arity: int):
+def _product(a, b):
     """a*b for scalars and polynomials: a scalar scales the other's terms."""
     if isinstance(a, DiffPoly):
         if isinstance(b, DiffPoly):
@@ -263,9 +263,8 @@ def _product(a, b, arity: int):
         a, b = b, a
     elif not isinstance(b, DiffPoly):
         return a * b
-    if a.is_zero():
-        return _diffpoly({}, arity)
-    return _diffpoly({m: a * c for m, c in b.terms.items()}, arity)
+    terms = {m: a * c for m, c in b.terms.items()} if a else {}
+    return _diffpoly(terms, b.num_indeterminates)
 
 
 def _t_degree(value) -> int:
