@@ -40,7 +40,7 @@ class _Record:
     _fields, so a record that holds a list is unhashable."""
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self._fields)
+        return tuple([getattr(self, f) for f in self._fields])
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:

@@ -96,11 +96,17 @@ def _content(a: list) -> int:
     return g
 
 
+def _primitive_ints(a: list) -> list:
+    c = _content(a)
+    return a if c == 1 else [x // c for x in a]
+
+
 def _lcm_ints(a: list, b: list) -> tuple[list, list, list]:
     """(l, l/a, l/b) for int lists with positive leads, l their lcm in Z[t]."""
+    if a == b:
+        return a, [1], [1]
     ca, cb = _content(a), _content(b)
-    pa = a if ca == 1 else [x // ca for x in a]
-    pb = b if cb == 1 else [x // cb for x in b]
+    pa, pb = [x // ca for x in a], [x // cb for x in b]
     if len(a) > 1 and len(b) > 1:
         _g, pa, pb = _gcd_parts(pa, pb)
     g = math.gcd(ca, cb)
@@ -175,28 +181,23 @@ def _cancel(num: dict, den: list) -> tuple[dict, list]:
     the primitive gcd first, then the integer content."""
     if not num:
         return num, [1]
-    if len(den) > 1:
-        c = _content(den)
-        g = den if c == 1 else [x // c for x in den]
-        for a in num.values():
-            if len(a) == 1:
-                break
-            c = _content(a)
-            g = _gcd_parts(g, a if c == 1 else [x // c for x in a])[0]
-            if len(g) == 1:
-                break
-        else:
-            den = _exact_quotient(den, g)
-            num = {mono: _exact_quotient(a, g) for mono, a in num.items()}
+    g = _primitive_ints(den)
+    for a in num.values():
+        if len(g) == 1:
+            break
+        g = [1] if len(a) == 1 else _gcd_parts(g, _primitive_ints(a))[0]
+    if len(g) > 1:
+        den = _exact_quotient(den, g)
+        num = {mono: _exact_quotient(a, g) for mono, a in num.items()}
     c = _content(den)
     for a in num.values():
         if c == 1:
-            return num, den
-        for x in a:
-            c = math.gcd(c, x)
-    if c == 1:
-        return num, den
-    return {mono: [x // c for x in a] for mono, a in num.items()}, [x // c for x in den]
+            break
+        c = math.gcd(c, _content(a))
+    if c > 1:
+        den = [x // c for x in den]
+        num = {mono: [x // c for x in a] for mono, a in num.items()}
+    return num, den
 
 
 def _next_derivative(num: dict, den: list, den1: list, k: int) -> dict:
@@ -235,11 +236,6 @@ def _add_cleared(a, num: dict, den: list) -> tuple[dict, list]:
     if a is None:
         return num, den
     a_num, a_den = a
-    if a_den == den:
-        out = dict(a_num)
-        for mono, c in num.items():
-            _acc_ints(out, mono, c)
-        return out, den
     l, ma, mb = _lcm_ints(a_den, den)
     out = {mono: _conv(c, ma) for mono, c in a_num.items()}
     for mono, c in num.items():

@@ -46,7 +46,7 @@ class ConstMatrix(_Record):
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise ShapeError("matrix must be square and nonempty")
-        return cls(tuple(tuple(Fraction(v) for v in r) for r in rows))
+        return cls(tuple([tuple([Fraction(v) for v in r]) for r in rows]))
 
     @classmethod
     def identity(cls, n: int) -> "ConstMatrix":

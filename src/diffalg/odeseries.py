@@ -31,7 +31,7 @@ class TruncatedSeries:
     __slots__ = ("base_point", "coeffs")
 
     def __init__(self, base_point, coeffs):
-        cs = tuple(_as_fraction(c) for c in coeffs)
+        cs = tuple([_as_fraction(c) for c in coeffs])
         if not cs:
             raise ShapeError("series needs at least the constant coefficient")
         self.base_point = _as_fraction(base_point)
