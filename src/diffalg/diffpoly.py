@@ -398,9 +398,14 @@ def ritt_reduce(q: DiffPoly, p: DiffPoly, indeterminate: int = 0) -> ReductionRe
         cofactors[k] = _add_cleared(cofactors.get(k), mult, rem_den)
         rem, rem_den = _cancel(step, _conv(rem_den, powers[k + 1]))
 
-    m = q.num_indeterminates
+    # a result multiplied by something of p counts p's indeterminates: the
+    # remainder after any step, the cofactors after a second one
+    steps = s_power + i_power
+    wide = max(q.num_indeterminates, p.num_indeterminates)
+    m = wide if steps > 1 else q.num_indeterminates
     certificate = [(k, _diffpoly(_ratfunc_terms(c, c_den), m))
                    for k, (c, c_den) in sorted(cofactors.items()) if c]
+    m = wide if steps else q.num_indeterminates
     return ReductionResult(_diffpoly(_ratfunc_terms(rem, rem_den), m),
                            s_power, i_power, certificate)
 

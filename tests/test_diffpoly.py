@@ -246,6 +246,18 @@ def test_ritt_step_normalises_each_output_once(monkeypatch):
     assert all(c.den.degree() > 0 for out in outputs for c in out.terms.values())
 
 
+def test_ritt_reduce_names_the_indeterminates_of_p():
+    # a remainder that p's x2 entered prints x1 and x2 apart, as does a
+    # cofactor once a second step multiplied it by p's separant or initial
+    r = ritt_reduce(parse_diffpoly("x1'' + x1"), parse_diffpoly("x1' - x2*x1"))
+    assert str(r.remainder) == "x1*x2' + x1*x2^2 + x1"
+    assert [(k, str(c)) for k, c in r.certificate] == [(0, "x2"), (1, "1")]
+    r = ritt_reduce(parse_diffpoly("x1'"), parse_diffpoly("x1 - x2"))
+    assert str(r.remainder) == "x2'"
+    assert r.certificate == [(1, DiffPoly.const(1))]
+    assert r.certificate[0][1].num_indeterminates == 1
+
+
 def _termwise_derivative(p: DiffPoly) -> DiffPoly:
     """The derivation term by term in RatFunc arithmetic, as a reference."""
     total = DiffPoly({}, p.num_indeterminates)
