@@ -147,7 +147,8 @@ class _Reference:
         elif b.is_zero():
             self.fail(ZeroDivisionError("division by zero"))
         else:
-            return a * DiffPoly.const(1 / b.constant_coefficient())
+            # a divisor's indeterminates count, as a factor's do in a*b
+            return a * DiffPoly.const(1 / b.constant_coefficient(), b.num_indeterminates)
         return a
 
 
@@ -158,6 +159,8 @@ class _Reference:
 @example(("/", ("x", 1, 2), ("-", ("x", 0, 0), ("x", 0, 0))))
 @example(("^", ("+", ("t",), ("int", 1)), 1001))
 @example(("+", ("x", None, 101), ("x", 0, 0)))
+@example(("/", ("x", 0, 0), ("^", ("x", 1, 0), 0)))
+@example(("/", ("t",), ("^", ("x", 1, 0), 0)))
 @example(("/", ("x", None, 0), ("*", ("x", 1, 0), ("int", 0))))
 def test_parser_matches_diffpoly_arithmetic(tree):
     # the parser keeps x-free values as field elements and sums into one
