@@ -114,6 +114,23 @@ EDGE = [
     ["reduce", "(x'')^3 + x", "--mod", "x'^2 + x/t"],
     ["member", "x''-1", "--mod", "(x')^2-2*x"],
     ["reduce", "x2' + x1", "--mod", "x1' - x2"],
+    # printer branches: rational contents, negative rational leads, +-1
+    # coefficients, a bare power of t as denominator, a numerator content
+    # over a denominator other than 1
+    ["derive", "(3/2)*x/t^2 - x'"],
+    ["separant", "(-3/4)*(x')^2/(t+1) + x"],
+    ["derive", "-x*t + x''/(3*t^2) - (5/6)*x - t"],
+    ["derive", "x1*x2 - (t^2/2)*x2' + 1"],
+    ["wronskian", "(2/3)*t^2", "t"],
+    ["wronskian", "t/3", "1/(2*t+2)"],
+    ["ode-from", "(2*t+1)*t"],
+    ["ode-from", "t", "1/(2*t+3)"],
+    ["solve-series", "(3/2)*t", "-1", "--precision", "4", "--base-point",
+     "-1"],
+    # x-free sums, powers and quotients in the parser
+    ["wronskian", "-(2*t-2)^2/(t+1)", "(t-t)^0 + 0^0*t", "(6*t+6)^3/(4*t)"],
+    ["wronskian", "1/(t-t)"],
+    ["derive", "((1+2*t)^3 - 1)/(2*t)*x - (t/3 - 1/3)^2*x'"],
 ]
 
 
