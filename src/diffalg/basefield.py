@@ -66,9 +66,9 @@ def _signed_sum(terms) -> str:
     return " ".join(parts)
 
 
-def _power_term(c: Fraction, k: int, sym: str) -> tuple:
-    """c*sym^k as a (negative, body) pair for _signed_sum."""
-    num, den = c.numerator, c.denominator
+def _power_term(num: int, den: int, k: int, sym: str) -> tuple:
+    """(num/den)*sym^k, num/den in lowest terms with den > 0, as a
+    (negative, body) pair for _signed_sum."""
     mag = str(abs(num)) if den == 1 else "%d/%d" % (abs(num), den)
     if k == 0:
         return num < 0, mag
@@ -76,9 +76,50 @@ def _power_term(c: Fraction, k: int, sym: str) -> tuple:
     return num < 0, pw if mag == "1" else "%s*%s" % (mag, pw)
 
 
-def _grouped(s: str) -> str:
-    """s as a factor of a product: in parentheses when it is a sum."""
-    return "(%s)" % s if " + " in s or " - " in s else s
+def _int_terms(n: int, d: int, prim) -> list:
+    """The (negative, body) terms of (n/d)*prim in t, prim an ascending int
+    sequence, highest power first; one gcd brings each coefficient n*x/d
+    to lowest terms, so no Fraction is built."""
+    terms = []
+    for k in range(len(prim) - 1, -1, -1):
+        x = prim[k]
+        if x:
+            x *= n
+            g = math.gcd(x, d)
+            terms.append(_power_term(x // g, d // g, k, "t"))
+    return terms
+
+
+def _quotient_str(n: int, d: int, num, den, factor: bool = False) -> str:
+    """(n/d)*num/den as RatFunc prints it, for int sequences num and den,
+    den primitive with a positive lead and printed made monic.  A quotient
+    is printed over the lcm d of the numerator's coefficient denominators
+    (num has gcd 1), its denominator in parentheses unless it is a power of
+    t.  With factor, a sum is put in parentheses as a factor of a product."""
+    if len(den) == 1:
+        terms = _int_terms(n, d, num)
+        s = _signed_sum(terms) or "0"
+        return "(%s)" % s if factor and len(terms) > 1 else s
+    top, bottom = _int_terms(n, 1, num), _int_terms(d, den[-1], den)
+    num_s, den_s = _signed_sum(top), _signed_sum(bottom)
+    if len(top) > 1:
+        num_s = "(%s)" % num_s
+    if len(bottom) > 1 or d != 1:
+        den_s = "(%s)" % den_s
+    s = "%s/%s" % (num_s, den_s)
+    return "(%s)" % s if factor and (len(top) > 1 or len(bottom) > 1) else s
+
+
+def _signed_factor(c: RatFunc, rest: str) -> tuple:
+    """c*rest as a (negative, body) pair for _signed_sum: |c| is a factor
+    of the product, left out when it is 1 and rest is not empty."""
+    cn = c.num.content
+    n, d = cn.numerator, cn.denominator
+    num, den = c.num.prim, c.den.prim
+    if rest and d == 1 and (n == 1 or n == -1) and len(num) == 1 and len(den) == 1:
+        return n < 0, rest
+    mag = _quotient_str(abs(n), d, num, den, True)
+    return n < 0, "%s*%s" % (mag, rest) if rest else mag
 
 
 def _derivative_name(name: str, order: int) -> str:
@@ -114,7 +155,7 @@ class Poly:
     derivatives take one integer gcd to restore the invariant.
 
     coeffs, the ascending tuple of Fraction coefficients, is computed on
-    each read; the arithmetic never goes through it.
+    each read; neither the arithmetic nor the printers go through it.
     """
 
     __slots__ = ("content", "prim")
@@ -296,10 +337,8 @@ class Poly:
         return self.content * Fraction(acc, pw // v)
 
     def __str__(self) -> str:
-        coeffs = self.coeffs
-        terms = [_power_term(coeffs[k], k, "t")
-                 for k in range(self.degree(), -1, -1) if coeffs[k]]
-        return _signed_sum(terms) or "0"
+        c = self.content
+        return _quotient_str(c.numerator, c.denominator, self.prim, (1,))
 
     def __repr__(self) -> str:
         return "Poly(%s)" % (str(self),)
@@ -632,18 +671,8 @@ class RatFunc:
         return self.num(x) / dv
 
     def __str__(self) -> str:
-        if len(self.den.prim) == 1:
-            return str(self.num)
-        # the lcm of num's coefficient denominators: prim has gcd 1
-        scale = self.num.content.denominator
-        num = self.num * scale
-        den = self.den * scale
-        num_s = _grouped(str(num))
-        den_s = str(den)
-        monomial = sum(1 for c in den.coeffs if c) == 1 and den.lead() == 1
-        if not monomial:
-            den_s = "(%s)" % den_s
-        return "%s/%s" % (num_s, den_s)
+        c = self.num.content
+        return _quotient_str(c.numerator, c.denominator, self.num.prim, self.den.prim)
 
     def __repr__(self) -> str:
         return "RatFunc(%s)" % (str(self),)

@@ -124,8 +124,8 @@ def _modulus(opts) -> DiffPoly:
 
 def _cmd_derive(pos, opts):
     _need(pos, 1, "derive EXPR")
-    d = parse_diffpoly(pos[0]).derive()
-    return str(d), {"kind": "diffpoly", "result": str(d)}
+    d = str(parse_diffpoly(pos[0]).derive())
+    return d, {"kind": "diffpoly", "result": d}
 
 
 def _cmd_order(pos, opts):
@@ -140,8 +140,8 @@ def _cmd_order(pos, opts):
 
 def _cmd_separant(pos, opts):
     _need(pos, 1, "separant EXPR")
-    s = _single_indeterminate(parse_diffpoly(pos[0]), "separant").separant()
-    return str(s), {"kind": "diffpoly", "result": str(s)}
+    s = str(_single_indeterminate(parse_diffpoly(pos[0]), "separant").separant())
+    return s, {"kind": "diffpoly", "result": s}
 
 
 def _cmd_reduce(pos, opts):
@@ -175,8 +175,8 @@ def _cmd_wronskian(pos, opts):
     from .wronskian import wronskian
 
     _need_some(pos, "wronskian F1 [F2 ...]")
-    w = wronskian([parse_ratfunc(f) for f in pos])
-    return str(w), {"kind": "ratfunc", "result": str(w)}
+    w = str(wronskian([parse_ratfunc(f) for f in pos]))
+    return w, {"kind": "ratfunc", "result": w}
 
 
 def _cmd_depend(pos, opts):
@@ -197,8 +197,9 @@ def _cmd_ode_from(pos, opts):
     _need_some(pos, "ode-from F1 [F2 ...]")
     fs = FundamentalSystem([parse_ratfunc(f) for f in pos])
     ode = ode_from_fundamental_system(fs)
-    return str(ode), {"kind": "ode", "result": str(ode),
-                      "coefficients": [str(a) for a in ode.coeffs]}
+    text = str(ode)
+    return text, {"kind": "ode", "result": text,
+                  "coefficients": [str(a) for a in ode.coeffs]}
 
 
 # order 4 at precision 512 takes 0.15-0.25 s on a 2-core x86-64 host

@@ -19,7 +19,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .basefield import (_ONE_POLY, Poly, RatFunc, _conv, _derivative_name,
-                        _grouped, _new, _power, _ratfunc, _Record, _signed_sum)
+                        _new, _power, _ratfunc, _Record, _signed_factor,
+                        _signed_sum)
 from .cleared import (Monomial, _acc_ints, _add_cleared, _cancel, _clear,
                       _degree_in, _derivative_ints, _mono_exp, _mono_mul,
                       _mono_set, _mul_cleared, _next_derivative, _order,
@@ -257,14 +258,8 @@ class DiffPoly:
     def __str__(self) -> str:
         items = sorted(self.terms.items(), key=lambda kv: _mono_str_key(kv[0]),
                        reverse=True)
-        terms = []
-        for mono, c in items:
-            negative = c.num.lead() < 0
-            mag = -c if negative else c
-            factors = [] if mono and mag == RatFunc(1) else [_grouped(str(mag))]
-            for v, e in mono:
-                factors.append(self._var_str(v, e))
-            terms.append((negative, "*".join(factors)))
+        terms = [_signed_factor(c, "*".join([self._var_str(v, e) for v, e in mono]))
+                 for mono, c in items]
         return _signed_sum(terms) or "0"
 
     def _var_str(self, v: DerivVar, e: int) -> str:
@@ -342,7 +337,8 @@ def _derivatives(p: DiffPoly):
     return deriv
 
 
-def ritt_reduce(q: DiffPoly, p: DiffPoly, indeterminate: int = 0) -> ReductionResult:
+def ritt_reduce(q: DiffPoly, p: DiffPoly, indeterminate: int = 0,
+                certificate: bool = True) -> ReductionResult:
     """Pseudo-reduce q modulo p and its derivatives in one indeterminate.
 
     Each step removes the top power v^e of the remainder's highest
@@ -354,6 +350,10 @@ def ritt_reduce(q: DiffPoly, p: DiffPoly, indeterminate: int = 0) -> ReductionRe
     On the cleared form, with the multiplier h = H/E (the separant or the
     initial of p = P_0/E), the remainder R/A and mult = M/A its top terms
     lowered: h*rem - mult*p^(k) = (H*E^k*R - M*P_k)/(A*E^(k+1)).
+
+    With certificate false only the remainder is wanted: no cofactor is
+    kept, the certificate is left empty and the remainder cleared, as the
+    dict of numerators R of R/A, empty exactly when the remainder is 0.
     """
     n = p.order(indeterminate)
     if n is None or n < 0:
@@ -393,11 +393,14 @@ def ritt_reduce(q: DiffPoly, p: DiffPoly, indeterminate: int = 0) -> ReductionRe
         hk = {mono: _conv(c, powers[k]) for mono, c in h.items()} if k else h
         step = _mul_cleared({}, hk, rem)
         _mul_cleared(step, {mono: [-x for x in c] for mono, c in mult.items()}, tower(k))
-        for j, (c, c_den) in cofactors.items():
-            cofactors[j] = _mul_cleared({}, h, c), _conv(c_den, den)
-        cofactors[k] = _add_cleared(cofactors.get(k), mult, rem_den)
+        if certificate:
+            for j, (c, c_den) in cofactors.items():
+                cofactors[j] = _mul_cleared({}, h, c), _conv(c_den, den)
+            cofactors[k] = _add_cleared(cofactors.get(k), mult, rem_den)
         rem, rem_den = _cancel(step, _conv(rem_den, powers[k + 1]))
 
+    if not certificate:
+        return ReductionResult(rem, s_power, i_power, [])
     # a result multiplied by something of p counts p's indeterminates: the
     # remainder after any step, the cofactors after a second one
     steps = s_power + i_power
@@ -416,7 +419,7 @@ def in_general_ideal(q: DiffPoly, p: DiffPoly, indeterminate: int = 0) -> bool:
     Equivalent to a zero Ritt remainder; irreducibility of p is the
     caller's responsibility.
     """
-    return ritt_reduce(q, p, indeterminate).remainder.is_zero()
+    return not ritt_reduce(q, p, indeterminate, certificate=False).remainder
 
 
 def certificate_checks(q: DiffPoly, p: DiffPoly, result: ReductionResult,

@@ -117,7 +117,8 @@ class TruncatedSeries:
             sym = "(t - %s)" % self.base_point
         else:
             sym = "(t + %s)" % (-self.base_point)
-        terms = [_power_term(c, k, sym) for k, c in enumerate(self.coeffs) if c]
+        terms = [_power_term(c.numerator, c.denominator, k, sym)
+                 for k, c in enumerate(self.coeffs) if c]
         tail = "O(%s^%d)" % (sym, self.precision + 1)
         body = _signed_sum(terms)
         return body + " + " + tail if body else tail

@@ -29,11 +29,10 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
-from .basefield import _ONE_POLY, Poly, RatFunc, _ratfunc
-from .diffpoly import _ZERO_RF, DiffPoly, _diffpoly, var
+from .basefield import _ONE_F, _ONE_POLY, RatFunc, _conv, _primitive, _ratfunc
+from .cleared import _add_ints, _content
+from .diffpoly import DiffPoly, _diffpoly, var
 from .errors import MixedArity, NotApplicable, ParseError
-
-_T_RF = RatFunc(Poly.t())
 
 # (1+t)^1000 takes 0.2 s and (1+2*t)^1000 0.35 s on a 2-core x86-64 host
 _POWER_DEGREE_MAX = 1000
@@ -108,10 +107,11 @@ def _tokenize(text: str) -> list:
 
 
 class _Parser:
-    """Recursive descent over the tokens.  A value is a RatFunc while it has
-    no indeterminate in it and a DiffPoly after: scalars multiply and
-    divide in the field, scale a polynomial's terms, and each sum is
-    gathered into one dict."""
+    """Recursive descent over the tokens.  A value free of indeterminates
+    is an ascending int list, an element of Z[t], until a division makes
+    it a RatFunc; a value with an indeterminate is a DiffPoly.  Scalars
+    multiply and divide in the field, scale a polynomial's terms, and each
+    sum is gathered into one dict."""
 
     def __init__(self, tokens, allow_indeterminates: bool):
         self.tokens = tokens
@@ -142,7 +142,7 @@ class _Parser:
             negate = True
         value = self.term()
         if self.peek()[0] not in (_PLUS, _MINUS):
-            return -value if negate else value
+            return _neg(value) if negate else value
         acc = {}
         _add_to(acc, value, negate)
         polynomial = isinstance(value, DiffPoly)
@@ -152,8 +152,8 @@ class _Parser:
             _add_to(acc, value, op[0] == _MINUS)
             polynomial = polynomial or isinstance(value, DiffPoly)
         if not polynomial:
-            return acc.get((), _ZERO_RF)
-        return _diffpoly({m: c for m, c in acc.items() if c}, self.arity)
+            return acc.get((), [])
+        return _diffpoly({m: _field(c) for m, c in acc.items() if c}, self.arity)
 
     def term(self):
         value = self.factor()
@@ -169,12 +169,12 @@ class _Parser:
                             "division by an expression containing an indeterminate",
                             op[2])
                     rhs = rhs.constant_coefficient()
-                if rhs.is_zero():
+                if not rhs:
                     raise ZeroDivisionError("division by zero")
                 if isinstance(value, DiffPoly):
-                    value = _product(value, 1 / rhs)
+                    value = _product(value, 1 / _field(rhs))
                 else:
-                    value = value / rhs
+                    value = _quotient(value, rhs)
         return value
 
     def factor(self):
@@ -189,16 +189,19 @@ class _Parser:
             if degree > _POWER_DEGREE_MAX:
                 raise NotApplicable("a power of t-degree %d is over the limit "
                                     "of %d" % (degree, _POWER_DEGREE_MAX))
-            value = value ** tok[1]
+            if isinstance(value, list):
+                value = _int_power(value, tok[1])
+            else:
+                value = value ** tok[1]
         return value
 
     def atom(self):
         tok = self.advance()
         kind, value, col = tok
         if kind == _INT:
-            return _ratfunc(Poly.const(value), _ONE_POLY)
+            return [value] if value else []
         if kind == _T:
-            return _T_RF
+            return [0, 1]
         if kind == _INDET:
             if not self.allow_indeterminates:
                 raise ParseError("indeterminates are not allowed here", col)
@@ -244,15 +247,30 @@ class _Parser:
         return DiffPoly.from_var(var(index, order))
 
 
+def _field(value) -> RatFunc:
+    """A scalar as a RatFunc: an int list is an element of Z[t]."""
+    if isinstance(value, list):
+        return _ratfunc(_primitive(_ONE_F, value), _ONE_POLY)
+    return value
+
+
+def _neg(value):
+    return [-x for x in value] if isinstance(value, list) else -value
+
+
 def _add_to(acc: dict, value, negative: bool) -> None:
     """acc += value (or -= it): a scalar goes to the monomial ()."""
     terms = value.terms.items() if isinstance(value, DiffPoly) else (((), value),)
     for mono, c in terms:
+        if negative:
+            c = _neg(c)
         old = acc.get(mono)
         if old is None:
-            acc[mono] = -c if negative else c
+            acc[mono] = c
+        elif isinstance(old, list) and isinstance(c, list):
+            acc[mono] = _add_ints(old, c)
         else:
-            acc[mono] = old - c if negative else old + c
+            acc[mono] = _field(old) + _field(c)
 
 
 def _product(a, b):
@@ -262,13 +280,54 @@ def _product(a, b):
             return a * b
         a, b = b, a
     elif not isinstance(b, DiffPoly):
-        return a * b
+        if isinstance(a, list) and isinstance(b, list):
+            return _conv(a, b) if a and b else []
+        return _field(a) * _field(b)
+    a = _field(a)
     terms = {m: a * c for m, c in b.terms.items()} if a else {}
     return _diffpoly(terms, b.num_indeterminates)
 
 
+def _quotient(a, b) -> RatFunc:
+    """a/b for scalars, b nonzero."""
+    if isinstance(a, list) and isinstance(b, list):
+        return RatFunc(_primitive(_ONE_F, a), _primitive(_ONE_F, b))
+    return _field(a) / _field(b)
+
+
+def _int_power(a: list, e: int):
+    """a^e for an int list a, by repeated squaring of its primitive part.
+    With a content c other than 1 the result is the RatFunc c^e times that
+    power, as Poly.__pow__ keeps it: putting c^e back into every
+    coefficient would cost a multiplication, and making it a RatFunc
+    later an integer gcd, per coefficient."""
+    if not e:
+        return [1]
+    if not a:
+        return []
+    if not any(a[:-1]):
+        # a monomial c*t^k, the usual base: (c*t^k)^e = c^e*t^(k*e)
+        return [0] * ((len(a) - 1) * e) + [a[-1] ** e]
+    c = _content(a)
+    if c != 1:
+        a = [x // c for x in a]
+    acc = None
+    n = e
+    while n:
+        if n & 1:
+            acc = a if acc is None else _conv(acc, a)
+        n >>= 1
+        if n:
+            a = _conv(a, a)
+    if c == 1:
+        return acc
+    return _ratfunc(_primitive(Fraction(c ** e), acc), _ONE_POLY)
+
+
 def _t_degree(value) -> int:
     """Largest degree in t of a numerator or denominator of value."""
+    if isinstance(value, list):
+        return max(len(value) - 1, 0)
     coeffs = value.terms.values() if isinstance(value, DiffPoly) else (value,)
     return max((max(c.num.degree(), c.den.degree()) for c in coeffs), default=0)
 
@@ -301,12 +360,12 @@ def parse_diffpoly(text: str) -> DiffPoly:
     value, arity = _parse(text, allow_indeterminates=True)
     if isinstance(value, DiffPoly):
         return _diffpoly(value.terms, arity)
-    return _diffpoly({(): value} if value else {}, arity)
+    return _diffpoly({(): _field(value)} if value else {}, arity)
 
 
 def parse_ratfunc(text: str) -> RatFunc:
     """Parse a rational function of t with exact rational coefficients."""
-    return _parse(text, allow_indeterminates=False)[0]
+    return _field(_parse(text, allow_indeterminates=False)[0])
 
 
 def parse_fraction(text: str) -> Fraction:

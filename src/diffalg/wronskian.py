@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .basefield import (_ONE_POLY, Poly, RatFunc, _derivative_name, _grouped,
-                        _Record, _signed_sum, poly_lcm)
+from .basefield import (_ONE_POLY, Poly, RatFunc, _derivative_name, _Record,
+                        _signed_factor, _signed_sum, poly_lcm)
 from .errors import NotFundamental, ShapeError
 
 
@@ -264,18 +264,11 @@ class LinearODE(_Record):
         return acc
 
     def __str__(self) -> str:
-        terms = [(False, _y_term(RatFunc(1), self.order))]
+        terms = [(False, _derivative_name("y", self.order))]
         for i, a in enumerate(self.coeffs, start=1):
-            if a.is_zero():
-                continue
-            negative = a.num.lead() < 0
-            terms.append((negative, _y_term(-a if negative else a, self.order - i)))
+            if a:
+                terms.append(_signed_factor(a, _derivative_name("y", self.order - i)))
         return _signed_sum(terms) + " = 0"
-
-
-def _y_term(mag: RatFunc, order: int) -> str:
-    name = _derivative_name("y", order)
-    return name if mag == RatFunc(1) else "%s*%s" % (_grouped(str(mag)), name)
 
 
 class FundamentalSystem(_Record):

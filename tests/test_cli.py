@@ -162,10 +162,18 @@ class _Reference:
 @example(("/", ("x", 0, 0), ("^", ("x", 1, 0), 0)))
 @example(("/", ("t",), ("^", ("x", 1, 0), 0)))
 @example(("/", ("x", None, 0), ("*", ("x", 1, 0), ("int", 0))))
+# x-free powers, zero bases and quotients of the parser's int lists
+@example(("^", ("int", 0), 0))
+@example(("^", ("-", ("t",), ("t",)), 0))
+@example(("/", ("int", 1), ("-", ("t",), ("t",))))
+@example(("^", ("+", ("*", ("int", 6), ("t",)), ("int", 6)), 3))
+@example(("/", ("neg", ("^", ("-", ("*", ("int", 2), ("t",)), ("int", 2)), 2)),
+          ("+", ("t",), ("int", 1))))
 def test_parser_matches_diffpoly_arithmetic(tree):
-    # the parser keeps x-free values as field elements and sums into one
-    # dict; the same tree evaluated node by node as DiffPolys gives the same
-    # polynomial and arity, or the same first error at the same column
+    # the parser keeps x-free values as int lists in Z[t] until a division
+    # makes them field elements, and sums into one dict; the same tree
+    # evaluated node by node as DiffPolys gives the same polynomial and
+    # arity, or the same first error at the same column
     ref = _Reference()
     expected = ref.build(tree)
     if ref.error is None:

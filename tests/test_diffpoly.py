@@ -313,36 +313,64 @@ def test_cleared_tower_is_repeated_derive(p):
 # sympy oracles: ritt_reduce and certificate_checks share one derivative
 # tower, so these tests take the derivation, separant, initial and the
 # certificate identity from sympy.  A value is a fraction num/den with num
-# in QQ[t, x0..x7] (x^(j) as the generator x<j>) and den in QQ[t], under
-# the total derivation d/dt + sum_j x<j+1> d/dx<j>.  Fractions are never
-# cancelled and are compared by cross-multiplication, so no gcd runs: the
-# heuristic gcd of sympy's field QQ(t) fails on some of these identities.
+# in QQ[t, x0..x7] (x^(j) as the generator x<j>) and den a product of
+# powers of the strategy's denominators t + 1, t and t - 2, kept as their
+# exponents, under the total derivation d/dt + sum_j x<j+1> d/dx<j>.  Every
+# denominator in these identities is such a product, so a sum takes the
+# larger exponents and no gcd runs: the heuristic gcd of sympy's field
+# QQ(t) fails on some of these identities, and cross-multiplying without
+# cancelling grows the certificate sum with every term.
 
 _R, _T, *_X = ring(["t"] + ["x%d" % j for j in range(8)], QQ)
+_FACTORS = (_T + 1, _T, _T - 2)
 
 
 class _Frac:
-    def __init__(self, num, den=_R.one):
+    def __init__(self, num, den=(0, 0, 0)):
         self.num, self.den = num, den
 
+    def _over(self, den):
+        """num over the exponents den, each at least self's."""
+        num = self.num
+        for b, e, f in zip(_FACTORS, den, self.den):
+            if e > f:
+                num *= b ** (e - f)
+        return num
+
     def __add__(self, other):
-        if self.den == other.den:
-            return _Frac(self.num + other.num, self.den)
-        return _Frac(self.num * other.den + other.num * self.den, self.den * other.den)
+        den = tuple(map(max, self.den, other.den))
+        return _Frac(self._over(den) + other._over(den), den)
 
     def __mul__(self, other):
-        return _Frac(self.num * other.num, self.den * other.den)
+        return _Frac(self.num * other.num,
+                     tuple([e + f for e, f in zip(self.den, other.den)]))
 
     def __pow__(self, e):
-        return _Frac(self.num ** e, self.den ** e)
+        return _Frac(self.num ** e, tuple([f * e for f in self.den]))
 
     def __eq__(self, other):
-        return self.num * other.den == other.num * self.den
+        den = tuple(map(max, self.den, other.den))
+        return self._over(den) == other._over(den)
 
 
 def _sym_poly(p: Poly):
     return sum((QQ(c.numerator, c.denominator) * _T**k
                 for k, c in enumerate(p.coeffs)), _R.zero)
+
+
+def _sym_den(p: Poly) -> tuple:
+    """The exponents of _FACTORS in p, found by exact division."""
+    d, den = _sym_poly(p), []
+    for b in _FACTORS:
+        e = 0
+        while True:
+            q, r = d.div(b)
+            if r:
+                break
+            d, e = q, e + 1
+        den.append(e)
+    assert d == _R.one
+    return tuple(den)
 
 
 def _sym(p: DiffPoly) -> _Frac:
@@ -351,7 +379,7 @@ def _sym(p: DiffPoly) -> _Frac:
         term = _sym_poly(c.num)
         for v, e in mono:
             term *= _X[v.order] ** e
-        out += _Frac(term, _sym_poly(c.den))
+        out += _Frac(term, _sym_den(c.den))
     return out
 
 
@@ -364,7 +392,14 @@ def _sym_derive(f: _Frac) -> _Frac:
     num = f.num.diff(_T)
     for j in _orders(f):
         num += _X[j + 1] * f.num.diff(_X[j])
-    return _Frac(num * f.den - f.num * f.den.diff(_T), f.den * f.den)
+    # den'/den = sum e_i/b_i: over den*B, B the product of the b_i with
+    # e_i > 0, the numerator is num'*B - num*sum e_i*B/b_i
+    whole = _R.one
+    for b, e in zip(_FACTORS, f.den):
+        if e:
+            whole *= b
+    shift = sum((e * whole.exquo(b) for b, e in zip(_FACTORS, f.den) if e), _R.zero)
+    return _Frac(num * whole - f.num * shift, tuple([e + 1 if e else 0 for e in f.den]))
 
 
 def _sym_leader_data(f: _Frac):
@@ -422,3 +457,14 @@ def test_ritt_reduce_against_sympy(q, p):
     rem = _sym(r.remainder)
     m, n = max(_orders(rem), default=-1), max(_orders(f))
     assert m < n or (m == n and rem.num.degree(lead) < deg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(diffpolys, reducers)
+@example(X2 - 1, EXAMPLE_P)
+@example(X, EXAMPLE_P)
+def test_member_agrees_with_reduce_remainder(q, p):
+    # member keeps no certificate; its answer is reduce's zero test.  q is
+    # rarely a member, q*p + q'*p' nearly always
+    for r in (q, q * p + q.derive() * p.derive()):
+        assert in_general_ideal(r, p) == ritt_reduce(r, p).remainder.is_zero()
