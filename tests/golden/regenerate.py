@@ -131,6 +131,16 @@ EDGE = [
     ["wronskian", "-(2*t-2)^2/(t+1)", "(t-t)^0 + 0^0*t", "(6*t+6)^3/(4*t)"],
     ["wronskian", "1/(t-t)"],
     ["derive", "((1+2*t)^3 - 1)/(2*t)*x - (t/3 - 1/3)^2*x'"],
+    # clearing denominators: zero elements, shared and repeated
+    # denominators, rational contents over them (wronskian 0 t is above)
+    ["wronskian", "3", "1/(t+1)"],
+    ["depend", "1/(t+1)", "2/(t+1)", "t/(t+1)"],
+    ["depend", "0", "t"],
+    ["ode-from", "1/(t+1)^2", "t/(t+1)^3"],
+    ["ode-from", "(2/3)/(t-1)", "t^2"],
+    ["solve-series", "0", "(1/2)/(t^2+1)", "--precision", "6"],
+    ["solve-series", "(3/4)/(t+1)", "(1/2)/(t+1)^2", "--base-point", "1/2",
+     "--precision", "5"],
 ]
 
 
