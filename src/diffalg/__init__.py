@@ -12,7 +12,7 @@ import sys
 # exported name -> the submodule that defines it
 _EXPORTS = {name: module for module, names in (
     ("basefield", ("Poly RatFunc antiderivative_in_field hermite_reduce "
-                   "log_derivative_decompose poly_gcd poly_lcm poly_xgcd "
+                   "log_derivative_decompose poly_gcd poly_xgcd "
                    "smallest_exponential_index")),
     ("diffpoly", ("DerivVar DiffPoly ReductionResult certificate_checks "
                   "in_general_ideal ritt_reduce var")),

@@ -535,12 +535,6 @@ def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     return r0 * inv, s0 * inv, t0 * inv
 
 
-def poly_lcm(a: Poly, b: Poly) -> Poly:
-    if a.is_zero() or b.is_zero():
-        return Poly()
-    return a.exact_div(poly_gcd(a, b)) * b
-
-
 class RatFunc:
     """Rational function num/den over Q, den monic, gcd(num, den) = 1."""
 

@@ -6,8 +6,9 @@ polynomial p over Q(t) is a pair (P, E): a dict {monomial: int list} of
 numerators in Z[t] and one denominator E in Z[t], ascending int lists,
 E with a positive lead, such that p = P/E.  With p = P_0/E, the
 derivatives are p^(k) = P_k/E^(k+1) where P_(k+1) = D(P_k)*E -
-(k+1)*P_k*E', D the total derivation on numerators (the closed form of
-the Wronsky rows), so no gcd runs in the tower.  Ritt reduction runs its
+(k+1)*P_k*E', D the total derivation on numerators, so no gcd runs in
+the tower; the Wronsky rows are its x-free case, one element u = P_0/E
+as the single term of monomial ().  Ritt reduction runs its
 step on this form, cancels once per step (_cancel), and turns only its
 outputs back into RatFunc terms, one normalisation each (Boulier,
 Lazard, Ollivier, Petitot, ISSAC 1995, and Hubert, LNCS 2630, reduce
@@ -134,16 +135,18 @@ def _mul_cleared(out: dict, a: dict, b: dict) -> dict:
     return out
 
 
-def _clear(p) -> tuple[dict, list]:
-    """(P, E) with p = P/E: E the lcm in Z[t] of p's coefficient denominators.
+def _clear(terms: dict) -> tuple[dict, list]:
+    """(P, E) with p = P/E for p = {key: RatFunc}: E the lcm in Z[t] of the
+    coefficient denominators.
 
     A coefficient (a/b)*n/d, n and d primitive, has the denominator b*d;
-    the lcm is the int lcm L of the b times the lcm D of the d.
+    the lcm is the int lcm L of the b times the lcm D of the d, each
+    distinct d joining D once.
     """
     parts = []
     quotients = {}        # d -> D/d, once D is known
     ints, polys = 1, [1]
-    for mono, c in p.terms.items():
+    for mono, c in terms.items():
         content, den = c.num.content, c.den.prim
         lead = den[-1]
         g = math.gcd(content.denominator, lead)
@@ -204,7 +207,7 @@ def _next_derivative(num: dict, den: list, den1: list, k: int) -> dict:
     """P_(k+1) = D(P_k)*E - (k+1)*P_k*E' for num = P_k, den = E, den1 = E'."""
     out = {}
     for mono, c in num.items():
-        ce = _conv(c, den)
+        ce = _conv(c, den) if mono else None
         part = _derivative_ints(c)
         part = _conv(part, den) if part else []
         if den1:
@@ -219,13 +222,16 @@ def _next_derivative(num: dict, den: list, den1: list, k: int) -> dict:
 
 
 def _tower(num: dict, den: list):
-    """k -> P_k, p^(k) = P_k/E^(k+1) for p = num/den, each built once."""
+    """k -> (P_k, E^(k+1)), p^(k) = P_k/E^(k+1) for p = num/den = P_0/E,
+    each pair built once."""
     den1 = _derivative_ints(den)
-    tower = [num]
+    tower = [(num, den)]
 
-    def deriv(k: int) -> dict:
+    def deriv(k: int) -> tuple[dict, list]:
         while len(tower) <= k:
-            tower.append(_next_derivative(tower[-1], den, den1, len(tower) - 1))
+            pk, power = tower[-1]
+            tower.append((_next_derivative(pk, den, den1, len(tower) - 1),
+                          _conv(power, den)))
         return tower[k]
     return deriv
 

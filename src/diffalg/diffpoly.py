@@ -22,9 +22,8 @@ from .basefield import (_ONE_POLY, Poly, RatFunc, _conv, _derivative_name,
                         _new, _power, _ratfunc, _Record, _signed_factor,
                         _signed_sum)
 from .cleared import (Monomial, _acc_ints, _add_cleared, _cancel, _clear,
-                      _degree_in, _derivative_ints, _mono_exp, _mono_mul,
-                      _mono_set, _mul_cleared, _next_derivative, _order,
-                      _ratfunc_terms, _top, _tower)
+                      _degree_in, _mono_exp, _mono_mul, _mono_set,
+                      _mul_cleared, _order, _ratfunc_terms, _top, _tower)
 from .errors import IncompleteAssignment, NotApplicable, ShapeError
 
 
@@ -174,9 +173,7 @@ class DiffPoly:
 
         p = P/E cleared gives p' = (D(P)*E - P*E')/E^2, the tower's first step.
         """
-        num, den = _clear(self)
-        num = _next_derivative(num, den, _derivative_ints(den), 0)
-        return _diffpoly(_ratfunc_terms(num, _conv(den, den)), self.num_indeterminates)
+        return _derivatives(self)(1)
 
     def order(self, indeterminate: int = 0) -> int | None:
         """Greatest derivative order of x_i in the polynomial.
@@ -326,14 +323,10 @@ class ReductionResult(_Record):
 
 def _derivatives(p: DiffPoly):
     """k -> p^(k) as a DiffPoly, from the cleared tower."""
-    num, den = _clear(p)
-    tower = _tower(num, den)
+    tower = _tower(*_clear(p.terms))
 
     def deriv(k: int) -> DiffPoly:
-        d = den
-        for _ in range(k):
-            d = _conv(d, den)
-        return _diffpoly(_ratfunc_terms(tower(k), d), p.num_indeterminates)
+        return _diffpoly(_ratfunc_terms(*tower(k)), p.num_indeterminates)
     return deriv
 
 
@@ -358,7 +351,7 @@ def ritt_reduce(q: DiffPoly, p: DiffPoly, indeterminate: int = 0,
     n = p.order(indeterminate)
     if n is None or n < 0:
         raise NotApplicable("reduction needs a polynomial of order >= 0")
-    num, den = _clear(p)
+    num, den = _clear(p.terms)
     lead = DerivVar(n, indeterminate)
     lead_deg = _degree_in(num, lead)
     sep = {}
@@ -368,9 +361,8 @@ def ritt_reduce(q: DiffPoly, p: DiffPoly, indeterminate: int = 0,
             _acc_ints(sep, _mono_set(mono, lead, e - 1), [e * x for x in c])
     init = _top(num, lead, lead_deg, lead_deg)
     tower = _tower(num, den)
-    powers = [[1], den]       # E^j
 
-    rem, rem_den = _clear(q)
+    rem, rem_den = _clear(q.terms)
     s_power = i_power = 0
     cofactors: dict[int, tuple] = {}
     while True:
@@ -387,17 +379,16 @@ def ritt_reduce(q: DiffPoly, p: DiffPoly, indeterminate: int = 0,
             i_power += 1
         else:
             break
-        while len(powers) <= k + 1:
-            powers.append(_conv(powers[-1], den))
+        pk, power = tower(k)      # p^(k) = P_k/E^(k+1)
         mult = _top(rem, v, e, d)
-        hk = {mono: _conv(c, powers[k]) for mono, c in h.items()} if k else h
+        hk = {mono: _conv(c, tower(k - 1)[1]) for mono, c in h.items()} if k else h
         step = _mul_cleared({}, hk, rem)
-        _mul_cleared(step, {mono: [-x for x in c] for mono, c in mult.items()}, tower(k))
+        _mul_cleared(step, {mono: [-x for x in c] for mono, c in mult.items()}, pk)
         if certificate:
             for j, (c, c_den) in cofactors.items():
                 cofactors[j] = _mul_cleared({}, h, c), _conv(c_den, den)
             cofactors[k] = _add_cleared(cofactors.get(k), mult, rem_den)
-        rem, rem_den = _cancel(step, _conv(rem_den, powers[k + 1]))
+        rem, rem_den = _cancel(step, _conv(rem_den, power))
 
     if not certificate:
         return ReductionResult(rem, s_power, i_power, [])

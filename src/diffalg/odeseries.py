@@ -16,9 +16,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .basefield import Poly, RatFunc, _as_fraction, _power_term, _signed_sum
+from .basefield import (_ONE_F, Poly, RatFunc, _as_fraction, _power_term,
+                        _primitive, _signed_sum)
+from .cleared import _clear
 from .errors import PoleAtBasePoint, ShapeError
-from .wronskian import LinearODE, _clear_rows, _cofactor_det, wronsky_matrix
+from .wronskian import LinearODE, _cofactor_det, wronsky_matrix
 
 
 class TruncatedSeries:
@@ -191,10 +193,11 @@ def fundamental_system_series(ode: LinearODE, base_point, precision: int = 16) -
     t0 = _as_fraction(base_point)
     if precision < n:
         raise ShapeError("precision must be at least the order")
-    (cleared,), den = _clear_rows([ode.coeffs])
+    num, den = _clear(dict(enumerate(ode.coeffs)))
     inits = [[Fraction(int(i == j), math.factorial(j)) for j in range(n)]
              for i in range(n)]
-    return _taylor([den] + cleared, Poly(), t0, inits, precision)
+    q = [_primitive(_ONE_F, c) for c in [den, *num.values()]]
+    return _taylor(q, Poly(), t0, inits, precision)
 
 
 def series_wronskian(series: list) -> TruncatedSeries:

@@ -22,7 +22,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .basefield import _ONE_POLY, Poly, poly_gcd, poly_xgcd
+from .basefield import _ONE_POLY, Poly, _conv, poly_gcd, poly_xgcd
+from .cleared import _derivative_ints
 
 
 def _primes_from(n: int):
@@ -54,11 +55,7 @@ def _mod_p(f: Poly, p: int) -> list | None:
 def _mulmod(f: list, g: list, d: list, p: int) -> list:
     """f*g mod the monic d over F_p, f and g of degree < deg d."""
     n = len(d) - 1
-    out = [0] * (len(f) + len(g) - 1)
-    for i, x in enumerate(f):
-        if x:
-            for j, y in enumerate(g, i):
-                out[j] += x * y
+    out = _conv(f, g)
     for k in range(len(out) - 1, n - 1, -1):
         c = out[k] % p
         if c:
@@ -131,7 +128,7 @@ def _rational_roots(f: Poly) -> list[Fraction]:
     s = f.exact_div(poly_gcd(f, f.derivative())).prim
     if len(s) < 2:
         return []
-    ds = [k * x for k, x in enumerate(s) if k]
+    ds = _derivative_ints(s)
     height = max(abs(x) for x in s)
     for p in _primes_from(2):
         if s[-1] % p and _inverse_mod([x % p for x in ds],
@@ -179,7 +176,7 @@ def residue_groups(num: Poly, den: Poly) -> list[tuple[Poly, Fraction]] | None:
         a, d = _mod_p(num, p), _mod_p(den, p)
         if a is None or d is None:
             continue
-        u = _inverse_mod([k * x % p for k, x in enumerate(d) if k], d, p)
+        u = _inverse_mod([x % p for x in _derivative_ints(d)], d, p)
         if u is not None:
             break
     # R mod p splits over F_p iff w^p = w on F_p[t]/(den), w = num/den'

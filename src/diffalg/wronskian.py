@@ -10,17 +10,19 @@ _bareiss (one solve gives a fundamental system's W and monic ODE);
 expanded determinants come from one cofactor expansion, _cofactor_det.
 
 The Wronskian and the fundamental system eliminate over Z[t], on rows
-that _wronsky_rows builds in closed form from u = n/d: u^(k) = N_k/d^(k+1)
-with N_0 = n and N_(k+1) = N_k'*d - (k+1)*N_k*d', so no derivative and no
-common denominator runs a polynomial gcd; each output is normalised once.
+that are the x-free case of the cleared module's derivative tower: u =
+P_0/E cleared, u^(k) = P_k/E^(k+1) with P_(k+1) = P_k'*E - (k+1)*P_k*E',
+so no derivative and no common denominator runs a polynomial gcd; each
+output is normalised once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .basefield import (_ONE_POLY, Poly, RatFunc, _derivative_name, _Record,
-                        _signed_factor, _signed_sum, poly_lcm)
+from .basefield import (_ONE_F, Poly, RatFunc, _conv, _derivative_name,
+                        _primitive, _Record, _signed_factor, _signed_sum)
+from .cleared import _clear, _tower
 from .errors import NotFundamental, ShapeError
 
 
@@ -123,42 +125,25 @@ def _solve(aug: list) -> tuple | None:
     return rows[n - 1][n - 1], [list(ys) for ys in zip(*cols)]
 
 
-def _clear_rows(rows: list) -> tuple[list, Poly]:
-    """Each RatFunc row times the lcm of its denominators, and their product."""
-    cleared = []
-    scale = Poly((1,))
-    for row in rows:
-        den = Poly((1,))
-        for f in row:
-            den = poly_lcm(den, f.den)
-        cleared.append([f.num * den.exact_div(f.den) for f in row])
-        scale = scale * den
-    return cleared, scale
-
-
 def _wronsky_rows(elems, m: int) -> tuple[list, Poly]:
-    """(rows, scale): row i holds u^(k)*d^(m+1) for k = 0..m, u = n/d the
-    i-th element, and scale is the product of the d^(m+1).
+    """(rows, scale): row i holds u^(k)*E^(m+1) for k = 0..m, u = P_0/E the
+    i-th element cleared, and scale is the product of the E^(m+1).
 
-    u^(k) = N_k/d^(k+1) with N_0 = n and N_(k+1) = N_k'*d - (k+1)*N_k*d',
-    so entry k is N_k*d^(m-k): built over Z[t] with no gcd.
+    The x-free case of the cleared tower, u^(k) = P_k/E^(k+1): entry k is
+    P_k*E^(m-k), built over Z[t] with no gcd.
     """
     if not elems:
         raise ShapeError("need at least one element")
     rows = []
-    scale = _ONE_POLY
+    scale = [1]
     for u in elems:
-        d = u.den
-        d1 = d.derivative()
-        nk = [u.num]
-        for k in range(1, m + 1):
-            nk.append(nk[-1].derivative() * d - nk[-1] * d1 * k)
-        pw = [_ONE_POLY]
-        for _ in range(m + 1):
-            pw.append(pw[-1] * d)
-        rows.append([n * pw[m - k] for k, n in enumerate(nk)])
-        scale = scale * pw[m + 1]
-    return rows, scale
+        tower = _tower(*_clear({(): u}))
+        powers = [[1]] + [tower(k)[1] for k in range(m + 1)]     # E^j
+        rows.append([_primitive(_ONE_F, _conv(tower(k)[0].get((), []),
+                                              powers[m - k]))
+                     for k in range(m + 1)])
+        scale = _conv(scale, powers[m + 1])
+    return rows, _primitive(_ONE_F, scale)
 
 
 def _monic_solve(cleared: list) -> tuple | None:
@@ -175,9 +160,11 @@ def _monic_solve(cleared: list) -> tuple | None:
 
 
 def _monic_coefficients(rows: list) -> list | None:
-    """The c_j of _monic_solve for RatFunc rows u_i, ..., u_i^(n); None
-    when W = 0."""
-    solved = _monic_solve(_clear_rows(rows)[0])
+    """The c_j of _monic_solve for RatFunc rows u_i, ..., u_i^(n), each
+    row cleared of its denominators; None when W = 0."""
+    cleared = [[_primitive(_ONE_F, c)
+                for c in _clear(dict(enumerate(row)))[0].values()] for row in rows]
+    solved = _monic_solve(cleared)
     return None if solved is None else solved[1]
 
 
@@ -197,15 +184,11 @@ def dependence_certificate(elems) -> list | None:
     """
     if not elems:
         raise ShapeError("need at least one element")
-    polys = _clear_rows([elems])[0][0]
-    width = len(elems)
-    height = max((p.degree() for p in polys), default=-1) + 1
+    polys = _clear(dict(enumerate(elems)))[0].values()
     # rows: coefficient of t^k in sum c_i polys_i = 0
-    a = [[Fraction(0)] * width for _ in range(height)]
-    for i, p in enumerate(polys):
-        for k, c in enumerate(p.coeffs):
-            a[k][i] = c
-    kernel = _kernel_vector(a, width)
+    a = [[Fraction(p[k] if k < len(p) else 0) for p in polys]
+         for k in range(max(map(len, polys)))]
+    kernel = _kernel_vector(a, len(elems))
     if kernel is None:
         return None
     lead = next(c for c in kernel if c)

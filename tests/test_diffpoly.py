@@ -8,6 +8,7 @@ from sympy.polys.rings import ring
 
 from conftest import random_diffpoly, random_poly
 from diffalg.basefield import Poly, RatFunc
+from diffalg.cleared import _clear, _tower
 from diffalg.diffpoly import (
     DerivVar,
     DiffPoly,
@@ -301,12 +302,16 @@ def _product(polys) -> Poly:
 @example(parse_diffpoly("(1/(t + 1)^2)*x' - (3/(2*(t + 1)))*x^2 + (1/2)*x*x''"))
 def test_cleared_tower_is_repeated_derive(p):
     # p^(k) = P_k/E^(k+1) with P_(k+1) = D(P_k)*E - (k+1)*P_k*E', against
-    # k derivations done term by term in the field and k calls of derive
+    # k derivations done term by term in the field and k calls of derive;
+    # the tower's second component is E^(k+1)
     deriv = _derivatives(p)
+    num, den = _clear(p.terms)
+    tower = _tower(num, den)
     expected, derived = p, p
     for k in range(4):
         assert deriv(k) == expected == derived
         assert deriv(k).num_indeterminates == p.num_indeterminates
+        assert Poly(tower(k)[1]) == Poly(den) ** (k + 1)
         expected, derived = _termwise_derivative(expected), derived.derive()
 
 

@@ -9,9 +9,10 @@ from sympy.polys.fields import field
 from sympy.polys.matrices import DomainMatrix
 
 from conftest import random_ratfunc
-from diffalg import basefield
+from diffalg import basefield, cleared
 from diffalg.basefield import Poly, RatFunc
 from diffalg.errors import NotFundamental, ShapeError
+from diffalg.odeseries import fundamental_system_series
 from diffalg.parsing import parse_ratfunc
 from diffalg.wronskian import (
     FundamentalSystem,
@@ -231,6 +232,23 @@ def test_wronsky_rows_run_one_gcd_per_output(monkeypatch):
     assert len(calls) == len(elems) + 1
 
 
+def test_shared_denominators_clear_without_gcd(monkeypatch):
+    # each distinct denominator joins the common one once, so coefficients
+    # over a single denominator run no polynomial gcd at all
+    ode = LinearODE(4, [parse_ratfunc(f) for f in
+                        ("1/(t^2+1)", "t/(t^2+1)", "(t-3)/(t^2+1)", "5/(t^2+1)")])
+    elems = [parse_ratfunc(f) for f in ("1/(t+1)", "2/(t+1)", "t/(t+1)")]
+    calls = []
+    gcd = basefield._gcd_parts
+    for module in (basefield, cleared):
+        monkeypatch.setattr(module, "_gcd_parts",
+                            lambda a, b: calls.append((a, b)) or gcd(a, b))
+    fundamental_system_series(ode, 0, 6)
+    assert len(calls) == 0
+    assert dependence_certificate(elems) == [1, Fraction(-1, 2), 0]
+    assert len(calls) == 0
+
+
 _monic_factors = st.lists(st.integers(-5, 5), min_size=1, max_size=2).map(
     lambda cs: Poly(cs + [1]))
 _dens = st.lists(st.tuples(_monic_factors, st.integers(1, 4)), max_size=2).map(
@@ -254,14 +272,20 @@ def _product(polys) -> Poly:
 @given(st.lists(_elements, min_size=1, max_size=4), st.booleans())
 def test_wronsky_rows_clear_the_wronsky_matrix(elems, bordered):
     # row i is column i of the Wronsky matrix (one order more when
-    # bordered) times d_i^(m+1), m the highest order
+    # bordered) times its scale E_i^(m+1), m the highest order and E_i in
+    # Z[t] a nonzero constant multiple of d_i (1 for a zero element);
+    # scale is the product of the row scales
     m = len(elems) - 1 + bordered
     rows, scale = _wronsky_rows(elems, m)
     cols = [list(col) for col in zip(*wronsky_matrix(elems))]
+    product = ONE
     for u, row, col in zip(elems, rows, cols):
         if bordered:
             col.append(col[-1].derive())
         assert all(isinstance(p, Poly) for p in row)
-        d = RatFunc(u.den ** (m + 1))
+        d = RatFunc(row[0]) / u if u else ONE
+        ratio = d / u.den ** (m + 1)
+        assert ratio and ratio.num.degree() == 0 and ratio.den == 1
         assert [RatFunc(p) for p in row] == [f * d for f in col]
-    assert scale == _product(u.den ** (m + 1) for u in elems)
+        product = product * d
+    assert RatFunc(scale) == product
