@@ -141,6 +141,18 @@ EDGE = [
     ["solve-series", "0", "(1/2)/(t^2+1)", "--precision", "6"],
     ["solve-series", "(3/4)/(t+1)", "(1/2)/(t+1)^2", "--base-point", "1/2",
      "--precision", "5"],
+    # eliminating over Z: sparse rows that stay in Z[t], 9-digit
+    # coefficients over quadratic denominators, rational contents, and
+    # the rank-deficient exits of the determinant, the solve and the kernel
+    ["wronskian", "t", "t^41", "t^81", "t^121"],
+    ["wronskian", "123456789/(t^2+987654321)",
+     "(987654321*t)/(t^2+123456789*t+1)",
+     "(555555555*t^2+1)/(3*t^2-777777777)",
+     "(t^3-222222222)/(444444444*t^2+t+9)"],
+    ["wronskian", "(2/3)*t^2+(1/5)*t", "(7/4)*t^3-1/2", "(5/9)/(t+1)"],
+    ["wronskian", "t", "2*t"],
+    ["ode-from", "t", "2*t"],
+    ["depend", "0", "1/(t^2+1)"],
 ]
 
 
