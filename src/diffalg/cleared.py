@@ -162,7 +162,7 @@ def _clear(terms: dict) -> tuple[dict, list]:
         q = quotients.get(den)
         if q is None:
             q = quotients[den] = _exact_quotient(polys, den)
-        if len(q) > 1:
+        if len(q) > 1 and n:
             n = _conv(n, q)
         a *= ints // b
         num[mono] = [a * x for x in n]

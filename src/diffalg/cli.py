@@ -87,7 +87,8 @@ def _format_of(argv) -> str:
 
 class _Options:
     def __init__(self, flags: dict):
-        if flags.get("--format", "text") not in ("text", "json"):
+        self.format = flags.get("--format", "text")
+        if self.format not in ("text", "json"):
             raise UsageError("--format must be text or json")
         try:
             self.seed = int(flags.get("--seed", "0"))
@@ -198,8 +199,10 @@ def _cmd_ode_from(pos, opts):
     fs = FundamentalSystem([parse_ratfunc(f) for f in pos])
     ode = ode_from_fundamental_system(fs)
     text = str(ode)
-    return text, {"kind": "ode", "result": text,
-                  "coefficients": [str(a) for a in ode.coeffs]}
+    payload = {"kind": "ode", "result": text}
+    if opts.format == "json":
+        payload["coefficients"] = [str(a) for a in ode.coeffs]
+    return text, payload
 
 
 # order 4 at precision 512 takes 0.15-0.25 s on a 2-core x86-64 host

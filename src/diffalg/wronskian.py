@@ -14,6 +14,22 @@ that are the x-free case of the cleared module's derivative tower: u =
 P_0/E cleared, u^(k) = P_k/E^(k+1) with P_(k+1) = P_k'*E - (k+1)*P_k*E',
 so no derivative and no common denominator runs a polynomial gcd; each
 output is normalised once.
+
+They eliminate over Z, not Z[t], when that is cheaper: every entry p
+becomes one int p(2^s) (Kronecker substitution, done once per matrix,
+_z_image), _bareiss runs on the ints, and only the outputs (the
+determinant, the Cramer numerators) are read back, slot by slot.  Every
+pivot, entry, determinant and numerator the elimination forms is a minor
+of the input, of degree at most D, the sum of the row degrees, with
+coefficients at most the product B of the rows' coefficient 1-norms; with
+2^(s-2) > B a minor is zero iff its image is, and its slots read back
+exactly.  Evaluation is a ring map, so each division exact in Z[t] is
+exact in Z.  Packing is chosen by size: only when s is at most
+_SLOT_BITS_MAX and the packed result, s*(D+1) bits, is at most
+_PACKED_BITS_MAX and at most _PACKED_BITS_PER_INPUT_BIT times the bits of
+the input's coefficients; sparse rows of high degree, wide slots and
+rational contents stay in Z[t].  The dependence certificate eliminates its
+cleared integer coefficients over Z directly.
 """
 
 from __future__ import annotations
@@ -38,7 +54,9 @@ def wronsky_matrix(elems) -> list:
 
 
 def _exact_div(a, b):
-    # Poly is a ring with exact division; Fraction and RatFunc are fields
+    # Z and Poly are rings with exact division; Fraction and RatFunc are fields
+    if type(a) is int:
+        return a // b
     return a.exact_div(b) if isinstance(a, Poly) else a / b
 
 
@@ -50,6 +68,14 @@ def _bareiss(m: list, width: int) -> tuple[list, int]:
     entries right of it are minors of the input with rows swapped, each
     swap negating its incoming row so that no minor changes sign; every
     division is exact, and entries below a pivot are stale.
+
+    The ring is Z (ints), Z[t] (Poly), Q (Fraction) or Q(t) (RatFunc).  A
+    Poly matrix runs over Z as its image at t = 2^s (_z_image), exact when
+    2^(s-2) exceeds the product of the rows' coefficient 1-norms, which
+    bounds every minor; it is packed only when s <= _SLOT_BITS_MAX and the
+    packed result s*(D+1), D the sum of the row degrees, is at most
+    _PACKED_BITS_MAX and _PACKED_BITS_PER_INPUT_BIT times the input's
+    coefficient bits.
     """
     rows = [row[:] for row in m]
     prev = None
@@ -109,9 +135,92 @@ def _det(m: list):
     return rows[k][k]
 
 
+# Packing pays while the packed result, s*(D+1) bits, stays small both in
+# bits and against the bits of the input's coefficients, and while the
+# slots are narrow: a packed t^281 costs 281*s bits, CPython divides big
+# ints in quadratic time, and the early minors fill only part of a slot,
+# which costs more than the per-coefficient overhead of Poly saves once
+# coefficients run to hundreds of bits (sweep in CHANGES.md).
+_PACKED_BITS_MAX = 1 << 17
+_PACKED_BITS_PER_INPUT_BIT = 32
+_SLOT_BITS_MAX = 384
+
+
+def _same(v):
+    return v
+
+
+def _z_image(m: list) -> tuple:
+    """(rows, read) for a matrix m of Poly entries: rows its image in Z
+    under t -> 2^s and read taking an output entry back to Z[t], when m has
+    integer contents and packing pays; else m itself and the identity."""
+    sizes = _sizes(m)
+    if sizes is None:
+        return m, _same
+    s, slots, bits = sizes
+    if s > _SLOT_BITS_MAX or s * slots > _PACKED_BITS_MAX \
+            or s * slots > _PACKED_BITS_PER_INPUT_BIT * bits:
+        return m, _same
+    return _kronecker(m, s, slots)
+
+
+def _sizes(m: list) -> tuple | None:
+    """(s, slots, bits) for a Poly matrix with integer contents (else
+    None): s a multiple of 8 with 2^(s-2) above the coefficients of every
+    minor (of an augmented matrix too) in absolute value, slots above the
+    degree of every minor, and bits those of the entries as stored, each
+    content and primitive coefficient.
+
+    A minor's degree is at most D, the sum of the row degrees, and its
+    coefficients are at most the product of the rows' coefficient 1-norms.
+    """
+    bound, degree, bits = 1, 0, 0
+    for row in m:
+        norm, top = 0, 1
+        for e in row:
+            c = e.content
+            if c.denominator != 1:
+                return None
+            norm += abs(c.numerator) * sum(map(abs, e.prim))
+            bits += c.numerator.bit_length() + sum(map(int.bit_length, e.prim))
+            top = max(top, len(e.prim))
+        bound *= max(1, norm)
+        degree += top - 1
+    return (bound.bit_length() + 9) // 8 * 8, degree + 1, bits
+
+
+def _kronecker(m: list, s: int, slots: int) -> tuple:
+    """(rows, read) as in _z_image for a Poly matrix with integer contents
+    whose minors have degree below slots and coefficients below 2^(s-2) in
+    absolute value, s a multiple of 8 (Kronecker 1882).
+
+    An entry p becomes p(2^s); read takes v = p(2^s) back to p, slot by
+    slot, each slot shifted by 2^(s-1) so that none borrows.
+    """
+    width, half = s // 8, 1 << (s - 1)
+    offset = int.from_bytes(half.to_bytes(width, "little") * slots, "little")
+
+    def pack(e):
+        v = 0
+        for x in reversed(e.prim):
+            v = (v << s) + x
+        return e.content.numerator * v
+
+    def read(v):
+        data = (v + offset).to_bytes(width * slots, "little")
+        return _primitive(_ONE_F, [int.from_bytes(data[i:i + width], "little")
+                                   - half for i in range(0, len(data), width)])
+    return [[pack(e) for e in row] for row in m], read
+
+
 def _poly_det_bareiss(m: list) -> Poly:
-    """Fraction-free determinant of a square Poly matrix."""
-    return _det(m)
+    """Fraction-free determinant of a square Poly matrix, eliminated over Z
+    when packing pays (_z_image).  Up to order 2 it is at most two
+    products and no division, cheaper than packing them."""
+    if len(m) < 3:
+        return _det(m)
+    rows, read = _z_image(m)
+    return read(_det(rows))
 
 
 def _solve(aug: list) -> tuple | None:
@@ -152,11 +261,12 @@ def _monic_solve(cleared: list) -> tuple | None:
     polynomial, scale being the product of those.  By Cramer's rule c_j =
     (-1)^(n-j) minor_j / W, minor_j being the bordered Wronskian without
     order j; None when W = 0."""
-    solved = _solve(cleared)
+    rows, read = _z_image(cleared)
+    solved = _solve(rows)
     if solved is None:
         return None
-    d, y = solved
-    return d, [RatFunc(-yj[0], d) for yj in y]
+    d = read(solved[0])
+    return d, [RatFunc(-read(yj[0]), d) for yj in solved[1]]
 
 
 def _monic_coefficients(rows: list) -> list | None:
@@ -186,7 +296,7 @@ def dependence_certificate(elems) -> list | None:
         raise ShapeError("need at least one element")
     polys = _clear(dict(enumerate(elems)))[0].values()
     # rows: coefficient of t^k in sum c_i polys_i = 0
-    a = [[Fraction(p[k] if k < len(p) else 0) for p in polys]
+    a = [[p[k] if k < len(p) else 0 for p in polys]
          for k in range(max(map(len, polys)))]
     kernel = _kernel_vector(a, len(elems))
     if kernel is None:
@@ -196,7 +306,8 @@ def dependence_certificate(elems) -> list | None:
 
 
 def _kernel_vector(a: list, width: int) -> list | None:
-    """One nonzero kernel vector of a (rows x width) rational matrix, or None.
+    """One nonzero kernel vector of a (rows x width) integer or rational
+    matrix, or None.
 
     The first non-pivot column gets 1 and later columns 0, which fixes
     the vector.
@@ -208,7 +319,7 @@ def _kernel_vector(a: list, width: int) -> list | None:
     vec[rank] = Fraction(1)
     if rank:
         d, y = _back_substitute(rows, rank, rank)
-        vec[:rank] = [-v / d for v in y]
+        vec[:rank] = [Fraction(-v, d) for v in y]
     return vec
 
 

@@ -372,6 +372,11 @@ def test_large_sizes_stay_fast():
     assert result == (0, "true\n", "") and elapsed < 1.0
     result, elapsed = _timed(["gl-witness", "6", "--seed", "3"])
     assert result == (0, "true\n", "") and elapsed < 10.0
+    # sparse rows of high degree stay in Z[t]: packed into Z at t = 2^s,
+    # each entry would cost about 1000*s bits, and this took over 300 s
+    result, elapsed = _timed(["wronskian"] + ["t^%d" % (1000 - 97 * j)
+                                              for j in range(8)])
+    assert result[0] == 0 and result[2] == "" and elapsed < 1.0
     # mu<k> reads z^k = 1 as z = 1, or z = -1 with k even; forming
     # (3/2)^k took about 9 s at k = 10^6
     result, elapsed = _timed(["group-check", "mu10000000", "3/2"])

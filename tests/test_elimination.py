@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import sympy
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from diffalg.basefield import Poly, RatFunc, poly_gcd
 from diffalg.diffpoly import DerivVar
@@ -22,13 +22,21 @@ from diffalg.matgroup import (
     group_contains,
     wronskian_minor_polynomials,
 )
+from diffalg.parsing import parse_ratfunc
 from diffalg.wronskian import (
     FundamentalSystem,
+    _bareiss,
     _cofactor_det,
     _det,
     _kernel_vector,
+    _kronecker,
     _monic_coefficients,
+    _poly_det_bareiss,
+    _same,
+    _sizes,
     _solve,
+    _wronsky_rows,
+    _z_image,
     dependence_certificate,
     ode_from_fundamental_system,
     wronskian,
@@ -82,6 +90,69 @@ def test_poly_det_against_sympy(rows):
     expected = sympy.Matrix([[_sympy_poly(p) for p in r] for r in rows]).det()
     got = _det(rows)
     assert sympy.expand(_sympy_poly(got) - expected) == 0
+
+
+# integer polynomials for the elimination over Z: zero entries, negative
+# leads, coefficients up to 2^200, and entries B*(1 + t + ... + t^d) whose
+# coefficients all share a sign, so that minors come near their bound
+_big = st.integers(-2**200, 2**200)
+_int_polys = st.one_of(
+    st.just(Poly()),
+    st.lists(st.one_of(st.integers(-9, 9), _big), min_size=1, max_size=5).map(Poly),
+    st.builds(lambda b, d: Poly([b] * (d + 1)), _big.filter(bool), st.integers(0, 4)))
+
+
+@st.composite
+def _deficient(draw, entries):
+    """An n x (n+1) matrix, n <= 6; some have a zero row or a row that is
+    a multiple of another, so that their left n x n part is singular."""
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(entries, min_size=n + 1, max_size=n + 1),
+                         min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["full", "zero", "multiple"]))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if kind == "zero":
+        rows[i] = [Poly()] * (n + 1)
+    elif kind == "multiple" and i != j:
+        c = draw(entries)
+        rows[i] = [c * v for v in rows[j]]
+    return rows
+
+
+_HADAMARD = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_deficient(_int_polys))
+# det = 16 * 2^800 * (1 + t + ... + t^4)^4: its largest coefficient,
+# 1360 * 2^800, is within 7 bits of the bound 20^4 * 2^800
+@example([[Poly([h << 200] * 5) for h in row] + [Poly([1 << 200] * 5)]
+          for row in _HADAMARD])
+def test_packed_elimination_against_poly_elimination(aug):
+    # elimination over Z at t = 2^s reads back what _bareiss gives over
+    # Z[t], the reference: the determinant, and the solve's determinant
+    # and Cramer numerators (None when singular)
+    n = len(aug)
+    square = [row[:n] for row in aug]
+    eliminated, rank = _bareiss(square, n)
+    det = eliminated[min(rank, n - 1)][min(rank, n - 1)]
+    rows, read = _kronecker(square, *_sizes(square)[:2])
+    assert read(_det(rows)) == det == _poly_det_bareiss(square)
+    rows, read = _kronecker(aug, *_sizes(aug)[:2])
+    solved, expected = _solve(rows), _solve(aug)
+    if expected is None:
+        assert solved is None and not det
+    else:
+        d, y = solved
+        assert (read(d), [[read(v) for v in ys] for ys in y]) == expected
+
+
+def test_sparse_high_degree_rows_stay_in_poly():
+    # packed, t^281 would cost 281*s bits per entry
+    elems = [RatFunc(Poly.t())] + [RatFunc(Poly([0] * (41 + 40 * j) + [1]))
+                                    for j in range(7)]
+    rows, _scale = _wronsky_rows(elems, 7)
+    assert _z_image(rows)[1] is _same
 
 
 _SL = {n: catalog_group(GroupLabel.SPECIAL_LINEAR, n) for n in range(1, 5)}
@@ -176,6 +247,40 @@ def test_ode_from_eliminates_once(monkeypatch):
     ode = ode_from_fundamental_system(FundamentalSystem(elems))
     assert calls == [len(elems)]
     assert all(ode.apply(f).is_zero() for f in elems)
+
+
+def test_wronsky_elimination_runs_over_z(monkeypatch):
+    # the elimination of a corpus-size Wronskian and fundamental system
+    # multiplies and divides ints, not Poly entries
+    module = importlib.import_module("diffalg.wronskian")
+    original = module._bareiss
+    inside, calls = [], []
+
+    def eliminate(m, width):
+        inside.append(True)
+        try:
+            return original(m, width)
+        finally:
+            inside.pop()
+
+    def counted(name):
+        method = getattr(Poly, name)
+
+        def call(*args):
+            if inside:
+                calls.append(name)
+            return method(*args)
+        return call
+
+    monkeypatch.setattr(module, "_bareiss", eliminate)
+    for name in ("__mul__", "exact_div"):
+        monkeypatch.setattr(Poly, name, counted(name))
+    elems = [parse_ratfunc(f) for f in
+             ("((-2*t^2+3*t+3)/(t+3))", "(-t/(t-3))", "((2*t+3)/(t+3))",
+              "(-3/t)", "((t-3)/(t-2))")]
+    assert not wronskian(elems).is_zero()
+    FundamentalSystem(elems)
+    assert calls == []
 
 
 def _rref_kernel_vector(a, width):

@@ -247,6 +247,8 @@ def test_shared_denominators_clear_without_gcd(monkeypatch):
     assert len(calls) == 0
     assert dependence_certificate(elems) == [1, Fraction(-1, 2), 0]
     assert len(calls) == 0
+    # a zero coefficient clears to no coefficients, not to zeros
+    assert cleared._clear({0: RatFunc(0), 1: elems[0]}) == ({0: [], 1: [1]}, [1, 1])
 
 
 _monic_factors = st.lists(st.integers(-5, 5), min_size=1, max_size=2).map(
