@@ -27,7 +27,7 @@ exactly.  Evaluation is a ring map, so each division exact in Z[t] is
 exact in Z.  Packing is chosen by size: only when s is at most
 _SLOT_BITS_MAX and the packed result, s*(D+1) bits, is at most
 _PACKED_BITS_MAX and at most _PACKED_BITS_PER_INPUT_BIT times the bits of
-the input's coefficients; sparse rows of high degree, wide slots and
+the entries as stored; sparse rows of high degree, wide slots and
 rational contents stay in Z[t].  The dependence certificate eliminates its
 cleared integer coefficients over Z directly.
 """
@@ -74,8 +74,8 @@ def _bareiss(m: list, width: int) -> tuple[list, int]:
     2^(s-2) exceeds the product of the rows' coefficient 1-norms, which
     bounds every minor; it is packed only when s <= _SLOT_BITS_MAX and the
     packed result s*(D+1), D the sum of the row degrees, is at most
-    _PACKED_BITS_MAX and _PACKED_BITS_PER_INPUT_BIT times the input's
-    coefficient bits.
+    _PACKED_BITS_MAX and _PACKED_BITS_PER_INPUT_BIT times the entries'
+    stored bits.
     """
     rows = [row[:] for row in m]
     prev = None
@@ -136,7 +136,7 @@ def _det(m: list):
 
 
 # Packing pays while the packed result, s*(D+1) bits, stays small both in
-# bits and against the bits of the input's coefficients, and while the
+# bits and against the bits of the entries as stored, and while the
 # slots are narrow: a packed t^281 costs 281*s bits, CPython divides big
 # ints in quadratic time, and the early minors fill only part of a slot,
 # which costs more than the per-coefficient overhead of Poly saves once
