@@ -17,6 +17,11 @@ The commands are every STRIDE-th command of seeds 1 and 2 of the three
 benchmark corpora (bench/corpus.py), then EDGE: errors, poles, bad flags,
 series at nonzero base points, classification in both formats and
 reductions of several steps.
+
+The file ends with STDIN, scripts fed to the batch mode: one entry
+{"stdin", "exit", "stdout", "stderr"} each, replayed through
+diffalg.cli._batch.  They pin how a line is split into words (quotes,
+escapes, whitespace) and where a batch stops.
 """
 
 import hashlib
@@ -153,6 +158,52 @@ EDGE = [
     ["wronskian", "t", "2*t"],
     ["ode-from", "t", "2*t"],
     ["depend", "0", "1/(t^2+1)"],
+    # series: a non-monic cleared lead with rational contents at 7/3, a
+    # cleared lead negative at t0, precision equal to the order, a zero
+    # middle coefficient, and order 4 at precision 128 a distance 1 from
+    # a pole
+    ["solve-series", "(2/3)/(3*t^2+2)", "t/(5*t-1)", "--base-point", "7/3",
+     "--precision", "10"],
+    ["solve-series", "(5/6)*t/(4*t^2-9)", "(7/2)/(3*t^2+2)",
+     "(1/3)/(3*t-5)", "--base-point", "7/3", "--precision", "9"],
+    ["solve-series", "1/(t^2-4)", "t", "--precision", "8"],
+    ["solve-series", "t/(2-3*t)", "1/(t^2-5)", "--base-point", "-5/7",
+     "--precision", "8"],
+    ["solve-series", "t", "1/(t+2)", "3", "--precision", "3", "--base-point",
+     "1/2"],
+    ["solve-series", "1/(t+1)", "0", "t^2", "--precision", "10",
+     "--base-point", "-1/2"],
+    ["solve-series", "1/(t-1)", "t", "2/(t-1)^2", "-1", "--precision", "128"],
+]
+
+STDIN = [
+    # single quotes; double quotes holding \", \\ and \x, the last line
+    # an unknown verb, whose message shows the first word
+    "# quoted arguments\n\n"
+    "order 'x'\"''\"\n"
+    "solve-series '1/(t+1)' \"-1\" --precision \"4\" --base-point '1/2'\n"
+    "derive \"x''\"'+t*x'\n"
+    "\"fr\\\"ob\\\\ \\x\" 'a  \\b' \"\" c\"d\"'e'\n",
+    # backslash-escaped spaces and tabs; an escaped space joins two words
+    "derive x\\ +\\ t*x\\'\n"
+    "order x\\\t+\\\tx\\'\\'\n"
+    "wronskian t\\ ^2 1/\\(t+1\\)\n"
+    "order\\ x\n",
+    # blank and comment lines, CR as a separator, a '#' inside a line
+    "\n   \n# comment\n\t# indented comment\norder x\n"
+    "separant\r\"x'^2\"\n"
+    "depend t 2*t\n"
+    "order x #c\n",
+    # a vertical tab separates nothing
+    "order x\x0bx\n",
+    # an empty quoted word is a word
+    "depend '' t\n",
+    "order x\ndepend 1 t\n",
+    # each of shlex's errors, outside and inside double quotes
+    "order x\nderive 'x + t\n",
+    "order x\nderive \"x''\n",
+    "order x\nderive x\\\n",
+    "order x\nderive \"x\\\n",
 ]
 
 
@@ -195,8 +246,18 @@ def record(argv):
             "stderr": err.getvalue()}
 
 
+def record_stdin(script: str) -> dict:
+    from diffalg import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    code = cli._batch(io.StringIO(script), out, err)
+    return {"stdin": script, "exit": code, **stdout_record(out.getvalue()),
+            "stderr": err.getvalue()}
+
+
 def main():
     lines = [json.dumps(record(a)) for argv in commands() for a in formats(argv)]
+    lines += [json.dumps(record_stdin(script)) for script in STDIN]
     (HERE / "cli.txt").write_text("\n".join(lines) + "\n")
     print("wrote %d entries to %s" % (len(lines), HERE / "cli.txt"))
 

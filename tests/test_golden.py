@@ -1,7 +1,8 @@
 """Byte identity of the command-line front end against tests/golden/cli.txt.
 
-Each entry of the file is replayed through cli.run; exit code, stdout and
-stderr must match exactly.  A long stdout is recorded as its SHA-256 and
+Each entry of the file is replayed through cli.run, or with "stdin" as a
+script through the batch mode, cli._batch; exit code, stdout and stderr
+must match exactly.  A long stdout is recorded as its SHA-256 and
 UTF-8 length, which the replay compares.  tests/golden/regenerate.py
 writes the file, and is run only when a change of output is intended.
 """
@@ -30,8 +31,11 @@ def test_cli_output_matches_golden_file():
     changed = []
     for entry in entries:
         out, err = io.StringIO(), io.StringIO()
-        code = cli.run(entry["argv"], out, err)
+        if "stdin" in entry:
+            code = cli._batch(io.StringIO(entry["stdin"]), out, err)
+        else:
+            code = cli.run(entry["argv"], out, err)
         if code != entry["exit"] or err.getvalue() != entry["stderr"] or \
                 not _stdout_matches(entry, out.getvalue()):
-            changed.append(entry["argv"])
+            changed.append(entry.get("argv", entry.get("stdin")))
     assert changed == []
