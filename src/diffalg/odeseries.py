@@ -1,14 +1,17 @@
 """Power-series fundamental systems at an ordinary point.
 
-Exact truncated Taylor series with Fraction coefficients stand in for the
-abstract solutions of a monic linear ODE.  The system produced here has
-identity initial data, so its Wronskian is a unit (constant term 1), which
-is the fundamental-system criterion.
+Exact truncated Taylor series stand in for the abstract solutions of a
+monic linear ODE.  A series keeps each coefficient as a pair of ints, its
+numerator and positive denominator in lowest terms, and its arithmetic
+runs on them; the Fractions are built only when coeffs is read.  The
+system produced here has identity initial data, so its Wronskian is a
+unit (constant term 1), which is the fundamental-system criterion.
 
 One recurrence, _taylor, gives every series, in ints over one common
-denominator: a fundamental system solves the ODE cleared of denominators,
-and series_expand is the order-0 case den * y = num.  ode_residual
-expands through series_expand, so the tests check both against sympy.
+denominator per series: a fundamental system solves the ODE cleared of
+denominators, and series_expand is the order-0 case den * y = num.
+ode_residual expands through series_expand, so the tests check both
+against sympy.
 """
 
 from __future__ import annotations
@@ -16,11 +19,19 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .basefield import (_ONE_F, Poly, RatFunc, _as_fraction, _power_term,
-                        _primitive, _signed_sum)
+from .basefield import (_ONE_F, Poly, RatFunc, _as_fraction, _new,
+                        _power_term, _primitive, _signed_sum)
 from .cleared import _clear
 from .errors import PoleAtBasePoint, ShapeError
 from .wronskian import LinearODE, _cofactor_det, wronsky_matrix
+
+
+def _pair(c) -> tuple:
+    """An int or Fraction as (numerator, denominator), in lowest terms."""
+    if isinstance(c, int):
+        return int(c), 1
+    c = _as_fraction(c)
+    return c.numerator, c.denominator
 
 
 class TruncatedSeries:
@@ -28,43 +39,55 @@ class TruncatedSeries:
 
     precision is N, the index of the last retained coefficient; binary
     arithmetic truncates to the smaller precision of the operands.
+
+    c_k is stored as num[k]/den[k], in lowest terms with den[k] > 0, so
+    equality and hashing read the ints.  The arithmetic runs on them, one
+    gcd per coefficient; coeffs, the tuple of Fraction coefficients, is
+    built on each read, and no method reads it.
     """
 
-    __slots__ = ("base_point", "coeffs")
+    __slots__ = ("base_point", "num", "den")
 
     def __init__(self, base_point, coeffs):
-        cs = tuple([_as_fraction(c) for c in coeffs])
-        if not cs:
+        pairs = [_pair(c) for c in coeffs]
+        if not pairs:
             raise ShapeError("series needs at least the constant coefficient")
         self.base_point = _as_fraction(base_point)
-        self.coeffs = cs
+        self.num = tuple([n for n, _ in pairs])
+        self.den = tuple([d for _, d in pairs])
+
+    @property
+    def coeffs(self) -> tuple:
+        return tuple([Fraction(n, d) for n, d in zip(self.num, self.den)])
 
     @property
     def precision(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.base_point == other.base_point and self.coeffs == other.coeffs
+        return (self.base_point == other.base_point and self.num == other.num
+                and self.den == other.den)
 
     def __hash__(self):
-        return hash((self.base_point, self.coeffs))
+        return hash((self.base_point, self.num, self.den))
 
     def truncate(self, n: int) -> "TruncatedSeries":
         if n < 0:
             raise ShapeError("negative precision")
         if n >= self.precision:
             return self
-        return TruncatedSeries(self.base_point, self.coeffs[: n + 1])
+        return _series(self.base_point, self.num[:n + 1], self.den[:n + 1])
 
     def _align(self, other):
         if not isinstance(other, TruncatedSeries):
-            other = TruncatedSeries(self.base_point,
-                                    [_as_fraction(other)] + [0] * self.precision)
+            c, d = _pair(other)
+            zeros = (0,) * self.precision
+            other = _series(self.base_point, (c,) + zeros, (d,) + (1,) * len(zeros))
         if other.base_point != self.base_point:
             raise ShapeError("series have different base points")
         n = min(self.precision, other.precision)
@@ -72,45 +95,50 @@ class TruncatedSeries:
 
     def __add__(self, other) -> "TruncatedSeries":
         a, b = self._align(other)
-        return TruncatedSeries(a.base_point,
-                               [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        return _plus(a, b.num, b.den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.base_point, [-c for c in self.coeffs])
+        return _series(self.base_point, tuple([-x for x in self.num]), self.den)
 
     def __sub__(self, other):
         a, b = self._align(other)
-        return TruncatedSeries(a.base_point,
-                               [x - y for x, y in zip(a.coeffs, b.coeffs)])
+        return _plus(a, [-x for x in b.num], b.den)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other) -> "TruncatedSeries":
         if isinstance(other, (int, Fraction)):
-            return TruncatedSeries(self.base_point,
-                                   [c * other for c in self.coeffs])
+            c, d = _pair(other)
+            return _reduced(self.base_point, [x * c for x in self.num],
+                            [y * d for y in self.den])
         a, b = self._align(other)
-        n = a.precision
-        out = [Fraction(0)] * (n + 1)
-        for i, x in enumerate(a.coeffs):
-            if x == 0:
-                continue
-            for j in range(n + 1 - i):
-                y = b.coeffs[j]
-                if y:
-                    out[i + j] += x * y
-        return TruncatedSeries(a.base_point, out)
+        # both over common denominators la and lb: one convolution of ints
+        la, lb = math.lcm(*a.den), math.lcm(*b.den)
+        xs = [x * (la // y) for x, y in zip(a.num, a.den)]
+        ys = [x * (lb // y) for x, y in zip(b.num, b.den)]
+        n = len(xs)
+        out = [0] * n
+        for i, x in enumerate(xs):
+            if x:
+                for j, y in enumerate(ys[:n - i], i):
+                    out[j] += x * y
+        return _reduced(a.base_point, out, [la * lb] * n)
 
     __rmul__ = __mul__
 
     def derive(self) -> "TruncatedSeries":
         if self.precision == 0:
             raise ShapeError("no precision left to differentiate")
-        return TruncatedSeries(self.base_point,
-                               [k * c for k, c in enumerate(self.coeffs)][1:])
+        num, den = [], []
+        for k in range(1, len(self.num)):
+            # num/den is in lowest terms, so gcd(k*num, den) = gcd(k, den)
+            g = math.gcd(k, self.den[k])
+            num.append(k // g * self.num[k])
+            den.append(self.den[k] // g)
+        return _series(self.base_point, tuple(num), tuple(den))
 
     def __str__(self) -> str:
         if self.base_point == 0:
@@ -119,14 +147,66 @@ class TruncatedSeries:
             sym = "(t - %s)" % self.base_point
         else:
             sym = "(t + %s)" % (-self.base_point)
-        terms = [_power_term(c.numerator, c.denominator, k, sym)
-                 for k, c in enumerate(self.coeffs) if c]
+        terms = [_power_term(n, d, k, sym)
+                 for k, (n, d) in enumerate(zip(self.num, self.den)) if n]
         tail = "O(%s^%d)" % (sym, self.precision + 1)
         body = _signed_sum(terms)
         return body + " + " + tail if body else tail
 
     def __repr__(self) -> str:
         return "TruncatedSeries(%s)" % (str(self),)
+
+
+def _series(base_point: Fraction, num: tuple, den: tuple) -> TruncatedSeries:
+    """The series with coefficients num[k]/den[k], already in lowest terms
+    with positive denominators."""
+    s = _new(TruncatedSeries)
+    s.base_point, s.num, s.den = base_point, num, den
+    return s
+
+
+def _reduced(base_point: Fraction, num: list, den: list) -> TruncatedSeries:
+    """The series num[k]/den[k], den[k] > 0, each brought to lowest terms."""
+    out_num, out_den = [], []
+    for x, y in zip(num, den):
+        g = math.gcd(x, y)
+        out_num.append(x // g)
+        out_den.append(y // g)
+    return _series(base_point, tuple(out_num), tuple(out_den))
+
+
+def _plus(a: TruncatedSeries, num, den) -> TruncatedSeries:
+    """a + the coefficients num[k]/den[k], of a's precision."""
+    sums, dens = [], []
+    for x, y, bx, by in zip(a.num, a.den, num, den):
+        if y == by:
+            sums.append(x + bx)
+            dens.append(y)
+        else:
+            sums.append(x * by + bx * y)
+            dens.append(y * by)
+    return _reduced(a.base_point, sums, dens)
+
+
+def _shift_ints(p, u: int, v: int, e: int) -> list:
+    """v^e p(t + u/v) for an ascending int list p of degree at most e, by
+    Horner's rule on v*t + u: the coefficient p_k is brought in times
+    v^(e-k), and v^(e-k) (v*t + u)^k = v^e (t + u/v)^k."""
+    if not p or not u:
+        # at u = 0 the lowest terms give v = 1
+        return list(p)
+    vk = v ** (e - len(p) + 1)
+    acc = [p[-1] * vk]
+    for x in reversed(p[:-1]):
+        vk *= v
+        # acc * (v*t + u) + x * v^(e-k)
+        nxt = [y * u for y in acc]
+        nxt.append(0)
+        for j, y in enumerate(acc, 1):
+            nxt[j] += y * v
+        nxt[0] += x * vk
+        acc = nxt
+    return acc
 
 
 def _taylor(q: list, rhs: Poly, t0: Fraction, inits: list,
@@ -137,43 +217,71 @@ def _taylor(q: list, rhs: Poly, t0: Fraction, inits: list,
     q_0(t0) (k+n)!/k! c_{k+n} = rhs_k - sum of q_i[l] (k-l+n-i)!/(k-l)!
     c_{k-l+n-i} over (i, l) != (0, 0) with l <= k.
 
-    The equation is scaled to Z once; the last n + max deg q_i coefficients
-    are ints over one denominator, and one int gcd per step rescales them."""
-    q = [p.shift(t0) for p in q] + [rhs.shift(t0)]
-    lead = q[0].content * q[0].prim[0]
+    The equation is shifted and scaled to Z once, on the primitive ints:
+    with t0 = u/v and D the largest degree, each p = c * prim becomes
+    v^D prim(t0 + s) times the integer c * L, L the lcm of the contents'
+    denominators, and the signs are set so that q_0(t0) > 0.  The blocks
+    run in lockstep over k, sharing each step's weights.  A block keeps its
+    last n + max deg q_i coefficients as ints over one denominator; one
+    int gcd per step rescales them, and one more brings the new
+    coefficient to lowest terms."""
+    u, v = t0.numerator, t0.denominator
+    polys = [*q, rhs]
+    top = max(len(p.prim) for p in polys) - 1
+    scale = math.lcm(*[p.content.denominator for p in polys])
+    eq = []
+    for p in polys:
+        c = p.content
+        m = c.numerator * (scale // c.denominator)
+        eq.append([x * m for x in _shift_ints(p.prim, u, v, top)])
+    lead = eq[0][0] if eq[0] else 0
     if not lead:
         raise PoleAtBasePoint("denominator vanishes at %s" % t0)
     # the equation over Z, with q_0(t0) > 0
-    scale = math.lcm(*[p.content.denominator for p in q]) * (1 if lead > 0 else -1)
-    *q, r = [[x * (p.content * scale).numerator for x in p.prim] for p in q]
+    if lead < 0:
+        eq = [[-x for x in p] for p in eq]
+    *q, r = eq
     lead, n = q[0][0], len(q) - 1
     # at step k the window holds c_{k+n-width}, ..., c_{k+n-1}: term
     # (l, i) reads c_{k-l+n-i} at width - l - i
     width = n + max(map(len, q)) - 1
     terms = sorted((l, n - i, a, width - l - i) for i, qi in enumerate(q)
                    for l, a in enumerate(qi) if a and (i or l))
-    out = []
+    # per block: [common denominator, window, numerators, denominators]
+    blocks = []
     for init in inits:
         den = math.lcm(*[c.denominator for c in init])
-        window = [0] * (width - n) + [c.numerator * den // c.denominator for c in init]
-        c = list(init)
-        for k in range(precision - n + 1):
-            total = r[k] * den if k < len(r) else 0
-            for l, d, a, at in terms:
-                if l > k:
-                    break
-                total -= a * window[at] * math.perm(k - l + d, d)
-            # c_{k+n} = total / (den * step); step / gcd joins den
-            step = lead * math.perm(k + n, n)
+        blocks.append([den, [0] * (width - n)
+                       + [c.numerator * (den // c.denominator) for c in init],
+                       [c.numerator for c in init],
+                       [c.denominator for c in init]])
+    for k in range(precision - n + 1):
+        rk = r[k] if k < len(r) else 0
+        weights = []
+        for l, d, a, at in terms:
+            if l > k:
+                break
+            weights.append((a * math.perm(k - l + d, d), at))
+        # c_{k+n} = total / (den * step); step / gcd joins den
+        step = lead * math.perm(k + n, n)
+        for block in blocks:
+            den, window = block[0], block[1]
+            total = rk * den
+            for w, at in weights:
+                total -= w * window[at]
             g = math.gcd(total, step)
             del window[:1]
             if g != step:
-                den *= step // g
-                window = [x * (step // g) for x in window]
-            window.append(total // g)
-            c.append(Fraction(window[-1], den))
-        out.append(TruncatedSeries(t0, c))
-    return out
+                m = step // g
+                den *= m
+                window = [x * m for x in window]
+                block[0], block[1] = den, window
+            x = total // g
+            window.append(x)
+            h = math.gcd(x, den)
+            block[2].append(x // h)
+            block[3].append(den // h)
+    return [_series(t0, tuple(num), tuple(den)) for _, _, num, den in blocks]
 
 
 def series_expand(f: RatFunc, base_point, precision: int) -> TruncatedSeries:

@@ -18,14 +18,16 @@ are accepted; higher derivatives must use the `^(k)` form.  Division is
 only defined by constants of the differential ring, i.e. expressions with
 no indeterminate in them.
 
-Two size budgets are checked before any work: a power may have t-degree
-at most _POWER_DEGREE_MAX (the t-degree of the base times the exponent),
-and a derivative order at most _DERIVATIVE_ORDER_MAX.  Past either the
-parser raises NotApplicable, a domain error.
+Three size budgets are checked before any work: a power may have t-degree
+at most _POWER_DEGREE_MAX (the t-degree of the base times the exponent)
+and an estimated size at most _POWER_SIZE_MAX (_power_size), and a
+derivative order may be at most _DERIVATIVE_ORDER_MAX.  Past any of them
+the parser raises NotApplicable, a domain error.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from fractions import Fraction
 
@@ -36,6 +38,9 @@ from .errors import MixedArity, NotApplicable, ParseError
 
 # (1+t)^1000 takes 0.2 s and (1+2*t)^1000 0.35 s on a 2-core x86-64 host
 _POWER_DEGREE_MAX = 1000
+# (1+2*t)^1000 has size 2002000; at the limit the slowest power found,
+# (100*t+99)^511, takes 0.67 s on the same host
+_POWER_SIZE_MAX = 2**21
 # reduce "x^(100)" --mod "x'-x" takes 0.06 s on the same host
 _DERIVATIVE_ORDER_MAX = 100
 
@@ -185,10 +190,14 @@ class _Parser:
             if tok[0] != _INT:
                 raise ParseError("expected integer exponent", tok[2])
             self.advance()
-            degree = _t_degree(value) * tok[1]
+            degree, size = _power_size(value, tok[1])
             if degree > _POWER_DEGREE_MAX:
                 raise NotApplicable("a power of t-degree %d is over the limit "
                                     "of %d" % (degree, _POWER_DEGREE_MAX))
+            if size > _POWER_SIZE_MAX:
+                raise NotApplicable("a power's estimated size (terms x "
+                                    "(t-degree + 1) x coefficient bits) is "
+                                    "over the limit of %d" % _POWER_SIZE_MAX)
             if isinstance(value, list):
                 value = _int_power(value, tok[1])
             else:
@@ -324,12 +333,44 @@ def _int_power(a: list, e: int):
     return _ratfunc(_primitive(Fraction(c ** e), acc), _ONE_POLY)
 
 
-def _t_degree(value) -> int:
-    """Largest degree in t of a numerator or denominator of value."""
+def _power_size(value, e: int) -> tuple:
+    """(t-degree, size) of value^e, estimated in one pass over the base:
+    the t-degree is the largest degree of a numerator or denominator in
+    the base times e, and the size terms x (t-degree + 1) x coefficient
+    bits.
+
+    Each coefficient of p^e is at most |p|^e in absolute value, |p| the sum
+    of the absolute values of p's coefficients, so it has at most
+    e*ceil(log2 |p|) bits; a base over Q(t) adds as many for its largest
+    denominator.  A base of m terms in the indeterminates has at most
+    C(m+e-1, e) terms in its power, and they count squared: a product of
+    two such polynomials multiplies every pair of their terms, each pair a
+    product in Q(t), so (x+1)^700 took 4.5 s at a size of 4.9e5 counted
+    once."""
     if isinstance(value, list):
-        return max(len(value) - 1, 0)
-    coeffs = value.terms.values() if isinstance(value, DiffPoly) else (value,)
-    return max((max(c.num.degree(), c.den.degree()) for c in coeffs), default=0)
+        m, top, num, den = 1, len(value), sum(map(abs, value)), 1
+    else:
+        coeffs = value.terms.values() if isinstance(value, DiffPoly) else (value,)
+        m, top, num, den = len(coeffs), 0, 0, 1
+        for c in coeffs:
+            content, a, b = c.num.content, c.num.prim, c.den.prim
+            # a primitive int list of one entry is (1,)
+            if len(a) > 1:
+                num += abs(content.numerator) * sum(map(abs, a))
+                top = max(top, len(a))
+            else:
+                num += abs(content.numerator)
+            if len(b) > 1:
+                den = max(den, content.denominator * sum(map(abs, b)))
+                top = max(top, len(b))
+            elif content.denominator > den:
+                den = content.denominator
+    degree = max(top - 1, 0) * e
+    size = (degree + 1) * e * (max(num - 1, 0).bit_length() + (den - 1).bit_length())
+    # with m > 1 the bits are at least 1, so past this test e is small
+    if m > 1 and size <= _POWER_SIZE_MAX:
+        size *= math.comb(m + e - 1, e) ** 2
+    return degree, size
 
 
 def _describe(tok) -> str:

@@ -408,6 +408,10 @@ def test_series_precision_limit():
     assert code == 0 and err == "" and out.count("O(t^513)") == 2
 
 
+_SIZE_MESSAGE = ("a power's estimated size (terms x (t-degree + 1) x "
+                 "coefficient bits) is over the limit of 2097152")
+
+
 def test_size_budgets():
     # each ran for 17-90 s and exited 0 before the budgets
     for argv, message in [
@@ -416,17 +420,41 @@ def test_size_budgets():
             (["order", "t^2000000"],
              "a power of t-degree 2000000 is over the limit of 1000"),
             (["reduce", "x^(800)", "--mod", "x'-x"],
-             "derivative order 800 is over the limit of 100")]:
+             "derivative order 800 is over the limit of 100"),
+            (["order", "(123456789*t+987654321)^1000"], _SIZE_MESSAGE),
+            (["order", "(x+t)^1000"], _SIZE_MESSAGE)]:
         result, elapsed = _timed(argv)
         assert result == (1, "", "error: %s\n" % message)
         assert elapsed < 1
     # the limits themselves are accepted, and the budget reads the base's
     # t-degree: a power of a constant is not refused
     assert invoke(["order", "(1+t)^1000"]) == (0, "-1\n", "")
+    assert invoke(["order", "(1+2*t)^1000"]) == (0, "-1\n", "")
     assert invoke(["order", "(t^2+1)^501"])[0] == 1
     assert invoke(["order", "x^(100) + 2^2000"]) == (0, "100\n", "")
     code, out, _ = invoke(["order", "x^(101)", "--format", "json"])
     assert code == 1 and json.loads(out)["error"] == "domain"
+
+
+def test_series_command_builds_fractions_per_initial_value(monkeypatch):
+    # the series run on int pairs from the parsed input to the printed
+    # coefficient: the Fractions left are the parser's and the n^2 initial
+    # values y_i^(j)(t0)/j!, none per coefficient
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+    argv = ["solve-series", "(t+1)/(2-3*t)", "t/3", "-2", "--precision", "40",
+            "--base-point", "-1/2"]
+    invoke(argv)
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    code, out, _ = invoke(argv)
+    monkeypatch.undo()
+    assert code == 0 and len(out.splitlines()) == 3
+    n = 3
+    assert len(made) <= 4 * n * n
 
 
 def test_long_integers_are_errors():
@@ -490,6 +518,33 @@ def test_batch_mode():
     assert out.getvalue() == "-1\n"
     assert err.getvalue() == ("error: No closing quotation\n"
                               "error: batch stopped at line 3\n")
+
+
+_SHLEX_ALPHABET = ["a", "b", "'", '"', "\\", " ", "\t", "\n", "\r", "\x0b",
+                   "#"]
+
+
+def _words(split, line):
+    try:
+        return split(line)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_SHLEX_ALPHABET), max_size=16).map("".join))
+@example("'a b'\\ \"\\\"\\\\\\x\"")
+@example("a\\")
+@example('"a\\')
+@example('"a\\\\')
+@example("''")
+@example("a\x0bb\rb")
+def test_batch_splitter_against_shlex(line):
+    import shlex
+
+    # the words, or the error message: "No closing quotation" or "No
+    # escaped character"
+    assert _words(cli._split, line) == _words(shlex.split, line)
 
 
 def test_module_entry_point():

@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import random_poly, random_ratfunc
 from diffalg.basefield import Poly, RatFunc
@@ -247,21 +247,34 @@ _fractions = st.fractions(min_value=-9, max_value=9, max_denominator=5)
 _rational_polys = st.lists(_fractions, max_size=4).map(Poly)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_taylor_against_fraction_recurrence(data):
-    n = data.draw(st.integers(0, 4), label="order")
-    t0 = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=7),
-                   label="t0")
+@st.composite
+def _taylor_problems(draw):
+    n = draw(st.integers(0, 4))
+    t0 = draw(st.fractions(min_value=-3, max_value=3, max_denominator=7))
     # any sign and scale of q_0, including negative and non-monic ones
-    q = data.draw(st.lists(_rational_polys, min_size=n + 1, max_size=n + 1),
-                  label="q")
+    q = draw(st.lists(_rational_polys, min_size=n + 1, max_size=n + 1))
     assume(q[0] and q[0](t0) != 0)
-    rhs = data.draw(_rational_polys.filter(bool) if n == 0
-                    else _rational_polys, label="rhs")
-    inits = data.draw(st.lists(st.lists(_fractions, min_size=n, max_size=n),
-                               min_size=1, max_size=3), label="inits")
-    precision = data.draw(st.integers(n, 96), label="precision")
+    rhs = draw(_rational_polys.filter(bool) if n == 0 else _rational_polys)
+    inits = draw(st.lists(st.lists(_fractions, min_size=n, max_size=n),
+                          min_size=1, max_size=3))
+    precision = draw(st.integers(n, 96))
+    return q, rhs, t0, inits, precision
+
+
+@settings(max_examples=60, deadline=None)
+@given(_taylor_problems())
+# t0 = 0, where the shift is the identity
+@example(([Poly((Fraction(3, 2), 1)), Poly((0, Fraction(-2, 5))), Poly((1,))],
+          Poly((1, 2)), Fraction(0),
+          [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1, 3)]], 30))
+# q_0(t0) = -19/7 < 0 at t0 = -5/7
+@example(([Poly((-2, 1)), Poly((Fraction(1, 3), 0, 5)), Poly((0, 7))], Poly(),
+          Fraction(-5, 7), [[Fraction(1), Fraction(2, 9)], [0, 1]], 40))
+# rhs of degree 4 over q_i of degree at most 1
+@example(([Poly((3,)), Poly((1, -1))], Poly((1, 0, 0, Fraction(2, 5), -4)),
+          Fraction(2, 3), [[Fraction(1, 2)]], 20))
+def test_taylor_against_fraction_recurrence(problem):
+    q, rhs, t0, inits, precision = problem
     assert odeseries._taylor(q, rhs, t0, inits, precision) \
         == _fraction_taylor(q, rhs, t0, inits, precision)
 
@@ -297,3 +310,42 @@ def test_fundamental_system_expands_no_coefficient(monkeypatch):
     system = fundamental_system_series(ode, 1, 10)
     assert calls == []
     assert all(ode_residual(ode, u).is_zero() for u in system)
+
+
+def test_series_keeps_int_pairs_in_lowest_terms():
+    s = TruncatedSeries(Fraction(1, 2),
+                        [Fraction(2, 4), -3, Fraction(0, 5), Fraction(-6, 8)])
+    assert (s.num, s.den) == ((1, -3, 0, -3), (2, 1, 1, 4))
+    assert s.coeffs == (Fraction(1, 2), -3, 0, Fraction(-3, 4))
+    again = TruncatedSeries(Fraction(2, 4), s.coeffs)
+    assert again == s and hash(again) == hash(s)
+    d = s.derive()
+    assert (d.num, d.den) == ((-3, 0, -9), (1, 1, 4))
+    assert (s * Fraction(2, 3)).coeffs == (Fraction(1, 3), -2, 0, Fraction(-1, 2))
+    assert (s - s).is_zero() and (s - s).den == (1, 1, 1, 1)
+    assert (s + 1).coeffs == (Fraction(3, 2), -3, 0, Fraction(-3, 4))
+    assert str(s) == "1/2 - 3*(t - 1/2) - 3/4*(t - 1/2)^3 + O((t - 1/2)^4)"
+
+
+def test_series_product_builds_each_operands_fractions_once(monkeypatch):
+    # the product runs on the int pairs: at most each operand's 51
+    # coefficients are ever made Fractions
+    rng = Random(44)
+    a, b = [TruncatedSeries(Fraction(-2, 3), [
+        Fraction(rng.randint(-99, 99), rng.randint(1, 30)) for _ in range(51)])
+        for _ in range(2)]
+    xs, ys = a.coeffs, b.coeffs
+    expected = tuple([sum((xs[i] * ys[k - i] for i in range(k + 1)), Fraction(0))
+                      for k in range(51)])
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    product = a * b
+    monkeypatch.undo()
+    assert product.precision == 50
+    assert len(made) <= 2 * 51
+    assert product.coeffs == expected
