@@ -372,12 +372,19 @@ def _primitive(content: Fraction, cs: list) -> Poly:
         g = -g
     if g != 1:
         cs = [x // g for x in cs]
-        content = content * g
+        # a product of Fractions runs two gcds
+        content = Fraction(g) if content is _ONE_F else content * g
     return _poly(content, tuple(cs))
 
 
 def _conv(a, b) -> list:
-    """The product of two nonempty int coefficient sequences."""
+    """The product of two nonempty int coefficient sequences; the shorter
+    one runs the outer loop."""
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        x = a[0]
+        return [x * y for y in b]
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -456,13 +463,45 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 def _gcd_parts(a, b) -> tuple:
     """(g, a/g, b/g) for primitive int sequences a, b of degree >= 1, g
-    their primitive gcd: GCDHEU's check already divides, so its quotients
-    are kept; after the remainder sequence they cost two more divisions."""
+    their primitive gcd, with a positive lead.  A b of degree 1 is
+    irreducible, so g is +-b when b divides a and 1 otherwise; so for an a
+    of degree 1.  Otherwise GCDHEU's check already divides, so its
+    quotients are kept; after the remainder sequence they cost two more
+    divisions."""
+    if len(a) == 2 or len(b) == 2:
+        # the linear one is l, the other o
+        l, o = (b, a) if len(b) == 2 else (a, b)
+        unit = 1 if l[-1] > 0 else -1
+        g = l if unit == 1 else [-x for x in l]
+        q = _linear_quotient(o, g)
+        if q is None:
+            return (1,), a, b
+        return (g, q, [unit]) if l is b else (g, [unit], q)
     found = _heuristic_gcd(a, b)
     if found:
         return found
     g = _prs_gcd(a, b)
     return g, _exact_quotient(a, g), _exact_quotient(b, g)
+
+
+def _linear_quotient(a, b) -> list | None:
+    """a/b for an int sequence a and a primitive b = b1*t + b0, or None
+    when b does not divide a.  It divides from the top by Horner's scheme:
+    each quotient digit is the running remainder over b1, exact when b
+    divides a (Gauss's lemma), and the last remainder is 0."""
+    if len(a) < 2:
+        return None if a else []
+    b0, b1 = b
+    q = [0] * (len(a) - 1)
+    r = a[-1]
+    for i in range(len(a) - 2, -1, -1):
+        if b1 != 1:
+            r, rest = divmod(r, b1)
+            if rest:
+                return None
+        q[i] = r
+        r = a[i] - r * b0
+    return None if r else q
 
 
 def _exact_quotient(a, b) -> list | None:

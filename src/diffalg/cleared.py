@@ -9,10 +9,18 @@ derivatives are p^(k) = P_k/E^(k+1) where P_(k+1) = D(P_k)*E -
 (k+1)*P_k*E', D the total derivation on numerators, so no gcd runs in
 the tower; the Wronsky rows are its x-free case, one element u = P_0/E
 as the single term of monomial ().  Ritt reduction runs its
-step on this form, cancels once per step (_cancel), and turns only its
-outputs back into RatFunc terms, one normalisation each (Boulier,
-Lazard, Ollivier, Petitot, ISSAC 1995, and Hubert, LNCS 2630, reduce
-without fractions in the coefficients).
+step on this form and turns only its outputs back into RatFunc terms,
+one normalisation each (Boulier, Lazard, Ollivier, Petitot, ISSAC 1995,
+and Hubert, LNCS 2630, reduce without fractions in the coefficients).
+
+Its denominators are carried over a coprime base (_Base): pairwise
+coprime squarefree b_1..b_r in Z[t], refined from the coefficient
+denominators of its inputs, and a denominator is an integer times the
+product of the b_i^(e_i).  A product of denominators adds exponents and
+an lcm takes their maximum, and the step cancels by trial division by
+each b_i while it divides every numerator, then by the integer content:
+no gcd runs per step.  Nothing is factored, so a b_i may be reducible and
+a factor of it may stay until the output's normalisation removes it.
 """
 
 from __future__ import annotations
@@ -20,14 +28,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .basefield import (_ONE_F, _ONE_POLY, RatFunc, _conv, _exact_quotient,
-                        _gcd_parts, _primitive, _ratfunc)
+from .basefield import (_ONE_F, RatFunc, _conv, _exact_quotient, _gcd_parts,
+                        _linear_quotient, _primitive, _ratfunc)
 
 Monomial = tuple
-
-
-def _mono_from_dict(d: dict) -> Monomial:
-    return tuple(sorted((v, e) for v, e in d.items() if e))
 
 
 def _mono_exp(m: Monomial, v) -> int:
@@ -45,10 +49,23 @@ def _mono_set(m: Monomial, v, e: int) -> Monomial:
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    d = dict(m1)
-    for v, e in m2:
-        d[v] = d.get(v, 0) + e
-    return _mono_from_dict(d)
+    """m1*m2, the two sorted monomials merged."""
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    out = []
+    i, n = 0, len(m2)
+    for v, e in m1:
+        while i < n and m2[i][0] < v:
+            out.append(m2[i])
+            i += 1
+        if i < n and m2[i][0] == v:
+            e += m2[i][1]
+            i += 1
+        out.append((v, e))
+    out += m2[i:]
+    return tuple(out)
 
 
 def _order(terms: dict, indeterminate: int) -> int | None:
@@ -97,22 +114,26 @@ def _content(a: list) -> int:
     return g
 
 
-def _primitive_ints(a: list) -> list:
-    c = _content(a)
-    return a if c == 1 else [x // c for x in a]
+def _lcm_prim(a: list, b: list) -> list:
+    """The lcm in Z[t] of primitive int lists with positive leads.  When
+    one divides the other, as powers of one factor do, one division finds
+    it and no gcd runs."""
+    if a == b or len(b) == 1:
+        return a
+    if len(a) == 1:
+        return b
+    if len(a) > 2 and len(b) > 2:
+        if _exact_quotient(a, b) is not None:
+            return a
+        if _exact_quotient(b, a) is not None:
+            return b
+    return _conv(a, _gcd_parts(a, b)[2])
 
 
-def _lcm_ints(a: list, b: list) -> tuple[list, list, list]:
-    """(l, l/a, l/b) for int lists with positive leads, l their lcm in Z[t]."""
-    if a == b:
-        return a, [1], [1]
-    ca, cb = _content(a), _content(b)
-    pa, pb = [x // ca for x in a], [x // cb for x in b]
-    if len(a) > 1 and len(b) > 1:
-        _g, pa, pb = _gcd_parts(pa, pb)
-    g = math.gcd(ca, cb)
-    ma = [cb // g * x for x in pb]
-    return _conv(a, ma), ma, [ca // g * x for x in pa]
+def _divide(a: list, b) -> list | None:
+    """a/b for an int list a and a primitive b, or None when b does not
+    divide a."""
+    return _linear_quotient(a, b) if len(b) == 2 else _exact_quotient(a, b)
 
 
 def _acc_ints(d: dict, mono: Monomial, c: list) -> None:
@@ -155,7 +176,7 @@ def _clear(terms: dict) -> tuple[dict, list]:
             ints = ints * b // math.gcd(ints, b)
         if len(den) > 1 and den not in quotients:
             quotients[den] = None
-            polys = _lcm_ints(polys, den)[0]
+            polys = _lcm_prim(polys, den)
         parts.append((mono, a, b, c.num.prim, den))
     num = {}
     for mono, a, b, n, den in parts:
@@ -167,40 +188,6 @@ def _clear(terms: dict) -> tuple[dict, list]:
         a *= ints // b
         num[mono] = [a * x for x in n]
     return num, [ints * x for x in polys]
-
-
-def _ratfunc_terms(num: dict, den: list) -> dict:
-    """num/den as {monomial: RatFunc}: one normalised RatFunc per term."""
-    if len(den) == 1:
-        scale = Fraction(1, den[0])
-        return {mono: _ratfunc(_primitive(scale, c), _ONE_POLY)
-                for mono, c in num.items()}
-    d = _primitive(_ONE_F, den)
-    return {mono: RatFunc(_primitive(_ONE_F, c), d) for mono, c in num.items()}
-
-
-def _cancel(num: dict, den: list) -> tuple[dict, list]:
-    """num/den with the gcd in Z[t] of den and every numerator divided out:
-    the primitive gcd first, then the integer content."""
-    if not num:
-        return num, [1]
-    g = _primitive_ints(den)
-    for a in num.values():
-        if len(g) == 1:
-            break
-        g = [1] if len(a) == 1 else _gcd_parts(g, _primitive_ints(a))[0]
-    if len(g) > 1:
-        den = _exact_quotient(den, g)
-        num = {mono: _exact_quotient(a, g) for mono, a in num.items()}
-    c = _content(den)
-    for a in num.values():
-        if c == 1:
-            break
-        c = math.gcd(c, _content(a))
-    if c > 1:
-        den = [x // c for x in den]
-        num = {mono: [x // c for x in a] for mono, a in num.items()}
-    return num, den
 
 
 def _next_derivative(num: dict, den: list, den1: list, k: int) -> dict:
@@ -236,14 +223,174 @@ def _tower(num: dict, den: list):
     return deriv
 
 
-def _add_cleared(a, num: dict, den: list) -> tuple[dict, list]:
-    """a + num/den for a cleared pair a (or None), over the lcm of the
-    denominators."""
-    if a is None:
-        return num, den
-    a_num, a_den = a
-    l, ma, mb = _lcm_ints(a_den, den)
-    out = {mono: _conv(c, ma) for mono, c in a_num.items()}
-    for mono, c in num.items():
-        _acc_ints(out, mono, _conv(c, mb))
-    return out, l
+def _den_times(a: tuple, b: tuple, k: int = 1) -> tuple:
+    """a*b^k for denominators (c, exps) over one base: exponents add."""
+    return a[0] * b[0] ** k, tuple([x + k * y for x, y in zip(a[1], b[1])])
+
+
+class _Base:
+    """A coprime base b_1..b_r in Z[t], and denominators over it.
+
+    The b_i are pairwise coprime squarefree primitive int sequences of
+    degree >= 1 with positive leads.  A denominator over the base is a
+    pair (c, exps): the positive int c times the product of the
+    b_i^exps[i].  A product of such denominators adds exponents, and an
+    lcm takes their maximum, so neither runs a gcd.  The base is refined
+    from the denominators it is built from: each joins by trial division
+    by the elements it shares, a gcd splits an element of degree >= 2 that
+    shares only part of itself, and a gcd with its derivative splits off a
+    repeated factor (Bach, Driscoll, Shallit, "Factor refinement",
+    J. Algorithms 15 (1993)).  Nothing is factored into irreducibles: an
+    element of degree >= 2 may be reducible.
+    """
+
+    __slots__ = ("elems", "powers")
+
+    def __init__(self, *terms: dict):
+        """The base of the distinct denominators of degree >= 1 of the
+        RatFunc coefficients in the dicts terms."""
+        self.elems = []
+        for d in dict.fromkeys(c.den.prim for t in terms for c in t.values()):
+            if len(d) > 1:
+                self._refine(list(d))
+        # powers[i][e] = b_i^e, each built once, on demand
+        self.powers = [[[1], b] for b in self.elems]
+
+    def _refine(self, a: list) -> None:
+        """Join the primitive a to the base, splitting it and every element
+        it shares a factor with until all are pairwise coprime, and an a of
+        degree >= 2 that shares a factor with its derivative, so that every
+        element is squarefree: (t+1)^2 joins as t+1.  A split lowers the
+        total degree of what is still to join, so this ends."""
+        elems = self.elems
+        todo = [a]
+        while todo:
+            a = todo.pop()
+            i = 0
+            while len(a) > 1 and i < len(elems):
+                b = elems[i]
+                q = _divide(a, b)
+                if q is not None:
+                    a = q
+                    continue
+                if len(b) > 2:
+                    g, a_g, b_g = _gcd_parts(a, b)
+                    if len(g) > 1:
+                        del elems[i]
+                        todo += [g, b_g]
+                        a = a_g
+                        continue
+                # b of degree 1 divides a or is prime to it
+                i += 1
+            if len(a) > 2:
+                d = _derivative_ints(a)
+                c = _content(d)
+                g, a_g, _ = _gcd_parts(a, [x // c for x in d])
+                if len(g) > 1:
+                    todo += [g, a_g]
+                    continue
+            if len(a) > 1:
+                elems.append(a)
+
+    def factor(self, d: list) -> tuple:
+        """(c, exps) for an int list d with a positive lead that is c times
+        a product of the elements, by trial division."""
+        exps = []
+        for b in self.elems:
+            e = 0
+            while len(d) > 1:
+                q = _divide(d, b)
+                if q is None:
+                    break
+                d = q
+                e += 1
+            exps.append(e)
+        return d[0], tuple(exps)
+
+    def expand(self, c: int, exps) -> list:
+        """c times the product of the b_i^exps[i], as an int list."""
+        out = [c]
+        for pw, e in zip(self.powers, exps):
+            if e:
+                while len(pw) <= e:
+                    pw.append(_conv(pw[-1], pw[1]))
+                out = _conv(out, pw[e])
+        return out
+
+    def cancel(self, num: dict, den: tuple) -> tuple[dict, tuple]:
+        """num/den with each element divided out while the denominator
+        holds it and it divides every numerator, then the integer content.
+        With irreducible elements this is division by the gcd of the
+        denominator and the numerators."""
+        c, exps = den
+        if not num:
+            return num, (1, (0,) * len(exps))
+        exps = list(exps)
+        for i, b in enumerate(self.elems):
+            while exps[i]:
+                out = {}
+                for mono, a in num.items():
+                    q = _divide(a, b)
+                    if q is None:
+                        break
+                    out[mono] = q
+                else:
+                    num = out
+                    exps[i] -= 1
+                    continue
+                break
+        g = c
+        for a in num.values():
+            if g == 1:
+                break
+            g = math.gcd(g, _content(a))
+        if g > 1:
+            c //= g
+            num = {mono: [x // g for x in a] for mono, a in num.items()}
+        return num, (c, tuple(exps))
+
+    def add(self, a, num: dict, den: tuple) -> tuple[dict, tuple]:
+        """a + num/den for a pair a (or None) over the base, over the lcm
+        of the denominators."""
+        if a is None:
+            return num, den
+        a_num, (ca, ea) = a
+        cb, eb = den
+        c = math.lcm(ca, cb)
+        exps = tuple(map(max, ea, eb))
+        ma = self.expand(c // ca, [x - y for x, y in zip(exps, ea)])
+        mb = self.expand(c // cb, [x - y for x, y in zip(exps, eb)])
+        out = {mono: _conv(n, ma) for mono, n in a_num.items()}
+        for mono, n in num.items():
+            _acc_ints(out, mono, _conv(n, mb))
+        return out, (c, exps)
+
+    def ratfunc_terms(self, num: dict, den: tuple) -> dict:
+        """num/den as {monomial: RatFunc}, one normalisation per term whose
+        denominator has degree >= 1.  Each numerator is first divided by
+        the elements its denominator holds, while they divide it, so that
+        the normalisation's gcd finds no common factor of theirs to divide
+        out; a term over a constant is in lowest terms once its integer
+        gcd is out."""
+        c, exps = den
+        scale = Fraction(1, c)
+        dens = {}         # exponents -> denominator, expanded once
+        out = {}
+        for mono, a in num.items():
+            e = list(exps)
+            for i, b in enumerate(self.elems):
+                while e[i]:
+                    q = _divide(a, b)
+                    if q is None:
+                        break
+                    a = q
+                    e[i] -= 1
+            e = tuple(e)
+            d = dens.get(e)
+            if d is None:
+                d = dens[e] = _primitive(_ONE_F, self.expand(1, e))
+            if len(d.prim) == 1:
+                out[mono] = _ratfunc(_primitive(scale, a), d)
+            else:
+                out[mono] = RatFunc(_primitive(scale, a), d)
+        return out

@@ -10,7 +10,8 @@ Monomials are edited only through _mono_exp and _mono_set.  Ritt
 reduction repeats one step (by the separant above P's order, by the
 initial at it), its multiplier read off the remainder's top terms.  The
 step and the derivation run on the cleared form of the cleared module:
-int-list numerators over one denominator in Z[t].
+int-list numerators over one denominator in Z[t], which the step carries
+over a coprime base.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from fractions import Fraction
 from .basefield import (_ONE_POLY, Poly, RatFunc, _conv, _derivative_name,
                         _new, _power, _ratfunc, _Record, _signed_factor,
                         _signed_sum)
-from .cleared import (Monomial, _acc_ints, _add_cleared, _cancel, _clear,
-                      _degree_in, _mono_exp, _mono_mul, _mono_set,
-                      _mul_cleared, _order, _ratfunc_terms, _top, _tower)
+from .cleared import (Monomial, _acc_ints, _Base, _clear, _degree_in,
+                      _den_times, _mono_exp, _mono_mul, _mono_set,
+                      _mul_cleared, _order, _top, _tower)
 from .errors import IncompleteAssignment, NotApplicable, ShapeError
 
 
@@ -58,6 +59,9 @@ def _mono_str_key(m: Monomial):
 
 
 _ZERO_RF = RatFunc(Poly())
+# the coefficient of every term from_var makes; a product takes the other
+# factor's coefficient in its place
+_ONE_RF = _ratfunc(_ONE_POLY, _ONE_POLY)
 
 
 def _coeff(x) -> RatFunc:
@@ -96,7 +100,7 @@ class DiffPoly:
         m = v.indeterminate + 1
         if num_indeterminates is not None and num_indeterminates > m:
             m = num_indeterminates
-        return _diffpoly({((v, 1),): _ratfunc(_ONE_POLY, _ONE_POLY)}, m)
+        return _diffpoly({((v, 1),): _ONE_RF}, m)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -150,11 +154,19 @@ class DiffPoly:
         other = _as_diffpoly(other)
         if other is None:
             return NotImplemented
+        m = max(self.num_indeterminates, other.num_indeterminates)
+        if len(self.terms) == 1 and len(other.terms) == 1:
+            # a product of terms: the monomials merge, and a unit
+            # coefficient takes the other
+            (m1, c1), = self.terms.items()
+            (m2, c2), = other.terms.items()
+            c = c2 if c1 is _ONE_RF else c1 if c2 is _ONE_RF else c1 * c2
+            return _diffpoly({_mono_mul(m1, m2): c}, m)
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 _acc_term(out, _mono_mul(m1, m2), c1 * c2)
-        return _diffpoly(out, max(self.num_indeterminates, other.num_indeterminates))
+        return _diffpoly(out, m)
 
     __rmul__ = __mul__
 
@@ -322,11 +334,17 @@ class ReductionResult(_Record):
 
 
 def _derivatives(p: DiffPoly):
-    """k -> p^(k) as a DiffPoly, from the cleared tower."""
-    tower = _tower(*_clear(p.terms))
+    """k -> p^(k) as a DiffPoly, from the cleared tower: P_k over E^(k+1),
+    E factored over the coprime base of p's denominators."""
+    num, den = _clear(p.terms)
+    base = _Base(p.terms)
+    c, exps = base.factor(den)
+    tower = _tower(num, den)
 
     def deriv(k: int) -> DiffPoly:
-        return _diffpoly(_ratfunc_terms(*tower(k)), p.num_indeterminates)
+        power = c ** (k + 1), tuple([(k + 1) * e for e in exps])
+        return _diffpoly(base.ratfunc_terms(tower(k)[0], power),
+                         p.num_indeterminates)
     return deriv
 
 
@@ -342,7 +360,10 @@ def ritt_reduce(q: DiffPoly, p: DiffPoly, indeterminate: int = 0,
 
     On the cleared form, with the multiplier h = H/E (the separant or the
     initial of p = P_0/E), the remainder R/A and mult = M/A its top terms
-    lowered: h*rem - mult*p^(k) = (H*E^k*R - M*P_k)/(A*E^(k+1)).
+    lowered: h*rem - mult*p^(k) = (H*E^k*R - M*P_k)/(A*E^(k+1)).  A, E
+    and each cofactor's denominator are carried over the coprime base of
+    p's and q's denominators, so a product adds exponents, and the step
+    cancels by trial division by the base's elements.
 
     With certificate false only the remainder is wanted: no cofactor is
     kept, the certificate is left empty and the remainder cleared, as the
@@ -352,6 +373,8 @@ def ritt_reduce(q: DiffPoly, p: DiffPoly, indeterminate: int = 0,
     if n is None or n < 0:
         raise NotApplicable("reduction needs a polynomial of order >= 0")
     num, den = _clear(p.terms)
+    base = _Base(p.terms, q.terms)
+    den_f = base.factor(den)
     lead = DerivVar(n, indeterminate)
     lead_deg = _degree_in(num, lead)
     sep = {}
@@ -363,6 +386,7 @@ def ritt_reduce(q: DiffPoly, p: DiffPoly, indeterminate: int = 0,
     tower = _tower(num, den)
 
     rem, rem_den = _clear(q.terms)
+    rem_den = base.factor(rem_den)
     s_power = i_power = 0
     cofactors: dict[int, tuple] = {}
     while True:
@@ -379,16 +403,16 @@ def ritt_reduce(q: DiffPoly, p: DiffPoly, indeterminate: int = 0,
             i_power += 1
         else:
             break
-        pk, power = tower(k)      # p^(k) = P_k/E^(k+1)
+        pk = tower(k)[0]      # p^(k) = P_k/E^(k+1)
         mult = _top(rem, v, e, d)
         hk = {mono: _conv(c, tower(k - 1)[1]) for mono, c in h.items()} if k else h
         step = _mul_cleared({}, hk, rem)
         _mul_cleared(step, {mono: [-x for x in c] for mono, c in mult.items()}, pk)
         if certificate:
             for j, (c, c_den) in cofactors.items():
-                cofactors[j] = _mul_cleared({}, h, c), _conv(c_den, den)
-            cofactors[k] = _add_cleared(cofactors.get(k), mult, rem_den)
-        rem, rem_den = _cancel(step, _conv(rem_den, power))
+                cofactors[j] = _mul_cleared({}, h, c), _den_times(c_den, den_f)
+            cofactors[k] = base.add(cofactors.get(k), mult, rem_den)
+        rem, rem_den = base.cancel(step, _den_times(rem_den, den_f, k + 1))
 
     if not certificate:
         return ReductionResult(rem, s_power, i_power, [])
@@ -397,10 +421,10 @@ def ritt_reduce(q: DiffPoly, p: DiffPoly, indeterminate: int = 0,
     steps = s_power + i_power
     wide = max(q.num_indeterminates, p.num_indeterminates)
     m = wide if steps > 1 else q.num_indeterminates
-    certificate = [(k, _diffpoly(_ratfunc_terms(c, c_den), m))
+    certificate = [(k, _diffpoly(base.ratfunc_terms(c, c_den), m))
                    for k, (c, c_den) in sorted(cofactors.items()) if c]
     m = wide if steps else q.num_indeterminates
-    return ReductionResult(_diffpoly(_ratfunc_terms(rem, rem_den), m),
+    return ReductionResult(_diffpoly(base.ratfunc_terms(rem, rem_den), m),
                            s_power, i_power, certificate)
 
 

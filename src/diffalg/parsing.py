@@ -10,6 +10,7 @@ round trips are lossless:
     factor := atom ("^" INT)*
     atom   := INT | "t" | indet | "(" expr ")"
     indet  := ("x" | "x1" .. "x9") ("'"{0,2} | "^(" INT ")")
+    INT    := one or more of the ASCII digits 0-9
 
 `^` with a bare integer is exponentiation and binds tightest.  `^(k)`
 immediately after an indeterminate name is a derivative order marker, so
@@ -17,6 +18,23 @@ immediately after an indeterminate name is a derivative order marker, so
 are accepted; higher derivatives must use the `^(k)` form.  Division is
 only defined by constants of the differential ring, i.e. expressions with
 no indeterminate in them.
+
+The text is read in one pass over words.  One search first finds the
+leftmost character outside the alphabet (spaces and tabs aside) or integer
+literal past Python's int-conversion limit, and reports it at its column;
+other digits, such as superscripts, are characters outside the alphabet.
+Then one compiled pattern splits the text into words: a digit run, x or
+x1..x9, or one character, without the spaces and tabs.  The descent reads
+a word's kind off its first character.  No column is stored per word: an
+error maps the index of its word back to a column (_column).
+
+An x-free value is an ascending int list, an element of Z[t], until a
+division makes it a RatFunc; a value with an indeterminate is a DiffPoly.
+An indeterminate's term has the shared unit _UNIT as its coefficient, so
+a scalar times it takes the scalar as its coefficient, a product of terms
+(DiffPoly.__mul__) merges the monomials and multiplies coefficients only
+where neither is the unit, and a power of it scales the exponents.  A
+power of a sum of terms runs on the cleared form of the cleared module.
 
 Three size budgets are checked before any work: a power may have t-degree
 at most _POWER_DEGREE_MAX (the t-degree of the base times the exponent)
@@ -28,12 +46,14 @@ the parser raises NotApplicable, a domain error.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from fractions import Fraction
 
 from .basefield import _ONE_F, _ONE_POLY, RatFunc, _conv, _primitive, _ratfunc
-from .cleared import _add_ints, _content
-from .diffpoly import DiffPoly, _diffpoly, var
+from .cleared import _add_ints, _Base, _clear, _content, _mul_cleared
+from .diffpoly import _ONE_RF as _UNIT
+from .diffpoly import DerivVar, DiffPoly, _acc_term, _diffpoly
 from .errors import MixedArity, NotApplicable, ParseError
 
 # (1+t)^1000 takes 0.2 s and (1+2*t)^1000 0.35 s on a 2-core x86-64 host
@@ -44,264 +64,306 @@ _POWER_SIZE_MAX = 2**21
 # reduce "x^(100)" --mod "x'-x" takes 0.06 s on the same host
 _DERIVATIVE_ORDER_MAX = 100
 
-# token kinds
-_INT = "int"
-_T = "t"
-_INDET = "indet"
-_PRIME = "prime"
-_CARET = "^"
-_LPAREN = "("
-_RPAREN = ")"
-_PLUS = "+"
-_MINUS = "-"
-_STAR = "*"
-_SLASH = "/"
-_END = "end"
-
-_SINGLE = {
-    "'": _PRIME,
-    "^": _CARET,
-    "(": _LPAREN,
-    ")": _RPAREN,
-    "+": _PLUS,
-    "-": _MINUS,
-    "*": _STAR,
-    "/": _SLASH,
-}
+# a digit run, x or x1..x9, or one other character; spaces and tabs part words
+_WORD = re.compile(r"[^ \t0-9x]|[0-9]+|x[1-9]?")
+_DIGITS = "0123456789"
+# the word after the last, a character outside the alphabet
+_END = "$"
+# int-conversion limit (0 for none) -> the pattern _refused makes for it
+_REFUSED = {}
 
 
-def _tokenize(text: str) -> list:
-    """Return (kind, value, 1-based column) triples, ending with an
-    end-of-input marker."""
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        col = i + 1
-        if c in " \t":
-            i += 1
-        elif c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            try:
-                value = int(text[i:j])
-            except ValueError:
-                raise ParseError("integer literal longer than %d digits"
-                                 % sys.get_int_max_str_digits(), col) from None
-            tokens.append((_INT, value, col))
-            i = j
-        elif c == "t":
-            tokens.append((_T, None, col))
-            i += 1
-        elif c == "x":
-            if i + 1 < n and text[i + 1] in "123456789":
-                tokens.append((_INDET, int(text[i + 1]) - 1, col))
-                i += 2
-            else:
-                tokens.append((_INDET, None, col))
-                i += 1
-        elif c in _SINGLE:
-            tokens.append((_SINGLE[c], None, col))
-            i += 1
-        else:
-            raise ParseError("unexpected character %r" % c, col)
-    tokens.append((_END, None, n + 1))
-    return tokens
+def _refused(limit: int):
+    """A pattern for a character outside the alphabet or, with a limit, an
+    integer literal longer than limit, matched at its first digit: a digit
+    run that starts after a character other than a digit or x, after x
+    with a 0, or after x and the index digit 1-9 that x takes."""
+    pattern = _REFUSED.get(limit)
+    if pattern is None:
+        source = r"[^0-9tx'^()+*/ \t-]"
+        if limit:
+            source += r"|(?:(?<![0-9x])|(?<=x)(?=0)|(?<=x[1-9]))[0-9]{%d}" % (
+                limit + 1)
+        pattern = _REFUSED[limit] = re.compile(source)
+    return pattern
+
+
+def _column(text: str, index: int) -> int:
+    """The 1-based column of word number index of text; past the last
+    word, the end of input."""
+    for i, word in enumerate(_WORD.finditer(text)):
+        if i == index:
+            return word.start() + 1
+    return len(text) + 1
 
 
 class _Parser:
-    """Recursive descent over the tokens.  A value free of indeterminates
-    is an ascending int list, an element of Z[t], until a division makes
-    it a RatFunc; a value with an indeterminate is a DiffPoly.  Scalars
-    multiply and divide in the field, scale a polynomial's terms, and each
-    sum is gathered into one dict."""
+    """One descent over the words of text.  Its state is plain data, so a
+    parse leaves no reference cycle for the garbage collector."""
 
-    def __init__(self, tokens, allow_indeterminates: bool):
-        self.tokens = tokens
+    __slots__ = ("text", "words", "pos", "allow_indeterminates", "arity",
+                 "bare", "indexed")
+
+    def __init__(self, text: str, allow_indeterminates: bool):
+        limit = sys.get_int_max_str_digits()
+        # a literal past the limit needs a text longer than the limit
+        bad = _refused(limit if len(text) > limit else 0).search(text)
+        if bad:
+            if bad.group()[0] in _DIGITS:
+                raise ParseError("integer literal longer than %d digits"
+                                 % limit, bad.start() + 1)
+            raise ParseError("unexpected character %r" % bad.group(),
+                             bad.start() + 1)
+        self.text = text
+        self.words = _WORD.findall(text)
+        self.words.append(_END)
         self.pos = 0
         self.allow_indeterminates = allow_indeterminates
-        self.bare_seen = False
-        self.indexed_seen = False
         self.arity = 1
+        self.bare = self.indexed = False
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str):
-        tok = self.advance()
-        if tok[0] != kind:
-            raise ParseError("expected %s" % what, tok[2])
-        return tok
+    def fail(self, message: str, at: int, error=ParseError):
+        raise error(message, _column(self.text, at))
 
     def expr(self):
-        negate = False
-        if self.peek()[0] == _MINUS:
-            self.advance()
-            negate = True
+        words = self.words
+        negate = words[self.pos] == "-"
+        if negate:
+            self.pos += 1
         value = self.term()
-        if self.peek()[0] not in (_PLUS, _MINUS):
-            return _neg(value) if negate else value
-        acc = {}
-        _add_to(acc, value, negate)
-        polynomial = isinstance(value, DiffPoly)
-        while self.peek()[0] in (_PLUS, _MINUS):
-            op = self.advance()
-            value = self.term()
-            _add_to(acc, value, op[0] == _MINUS)
-            polynomial = polynomial or isinstance(value, DiffPoly)
-        if not polynomial:
-            return acc.get((), [])
-        return _diffpoly({m: _field(c) for m, c in acc.items() if c}, self.arity)
+        if negate:
+            value = _neg(value)
+        op = words[self.pos]
+        acc = None        # the sum's own terms, once a polynomial occurs
+        while op == "+" or op == "-":
+            self.pos += 1
+            rhs = self.term()
+            if op == "-":
+                rhs = _neg(rhs)
+            if acc is not None:
+                _add_to(acc, rhs)
+            elif type(value) is DiffPoly or type(rhs) is DiffPoly:
+                acc = {}
+                _add_to(acc, value)
+                _add_to(acc, rhs)
+            else:
+                value = _plus(value, rhs)
+            op = words[self.pos]
+        return value if acc is None else _diffpoly(acc, 1)
 
     def term(self):
+        words = self.words
         value = self.factor()
-        while self.peek()[0] in (_STAR, _SLASH):
-            op = self.advance()
+        op = words[self.pos]
+        while op == "*" or op == "/":
+            at = self.pos
+            self.pos += 1
             rhs = self.factor()
-            if op[0] == _STAR:
+            if op == "*":
                 value = _product(value, rhs)
             else:
-                if isinstance(rhs, DiffPoly):
-                    if rhs.variables():
-                        raise ParseError(
-                            "division by an expression containing an indeterminate",
-                            op[2])
+                if type(rhs) is DiffPoly:
+                    if any(rhs.terms):
+                        self.fail("division by an expression containing an "
+                                  "indeterminate", at)
                     rhs = rhs.constant_coefficient()
                 if not rhs:
                     raise ZeroDivisionError("division by zero")
-                if isinstance(value, DiffPoly):
-                    value = _product(value, 1 / _field(rhs))
-                else:
-                    value = _quotient(value, rhs)
+                value = _quotient(value, rhs)
+            op = words[self.pos]
         return value
 
     def factor(self):
-        value = self.atom()
-        while self.peek()[0] == _CARET:
-            self.advance()
-            tok = self.peek()
-            if tok[0] != _INT:
-                raise ParseError("expected integer exponent", tok[2])
-            self.advance()
-            degree, size = _power_size(value, tok[1])
-            if degree > _POWER_DEGREE_MAX:
-                raise NotApplicable("a power of t-degree %d is over the limit "
-                                    "of %d" % (degree, _POWER_DEGREE_MAX))
-            if size > _POWER_SIZE_MAX:
-                raise NotApplicable("a power's estimated size (terms x "
-                                    "(t-degree + 1) x coefficient bits) is "
-                                    "over the limit of %d" % _POWER_SIZE_MAX)
-            if isinstance(value, list):
-                value = _int_power(value, tok[1])
-            else:
-                value = value ** tok[1]
+        words = self.words
+        pos = self.pos
+        word = words[pos]
+        pos += 1
+        kind = word[0]
+        if kind in _DIGITS:
+            value = int(word)
+            value = [value] if value else []
+        elif kind == "t":
+            value = [0, 1]
+        elif kind == "x":
+            value, pos = self.indeterminate(word, pos)
+        elif kind == "(":
+            self.pos = pos
+            value = self.expr()
+            pos = self.pos
+            if words[pos] != ")":
+                self.fail("expected ')'", pos)
+            pos += 1
+        else:
+            self.fail("unexpected %s" % _describe(word), pos - 1)
+        while words[pos] == "^":
+            word = words[pos + 1]
+            if word[0] not in _DIGITS:
+                self.fail("expected integer exponent", pos + 1)
+            pos += 2
+            value = _power(value, int(word))
+        self.pos = pos
         return value
 
-    def atom(self):
-        tok = self.advance()
-        kind, value, col = tok
-        if kind == _INT:
-            return [value] if value else []
-        if kind == _T:
-            return [0, 1]
-        if kind == _INDET:
-            if not self.allow_indeterminates:
-                raise ParseError("indeterminates are not allowed here", col)
-            if value is None:
-                if self.indexed_seen:
-                    raise MixedArity(
-                        "cannot mix bare x with indexed indeterminates", col)
-                self.bare_seen = True
-                index = 0
-            else:
-                if self.bare_seen:
-                    raise MixedArity(
-                        "cannot mix bare x with indexed indeterminates", col)
-                self.indexed_seen = True
-                index = value
-            self.arity = max(self.arity, index + 1)
-            return self.indet_tail(index)
-        if kind == _LPAREN:
-            inner = self.expr()
-            self.expect(_RPAREN, "')'")
-            return inner
-        raise ParseError("unexpected %s" % _describe(tok), col)
-
-    def indet_tail(self, index: int) -> DiffPoly:
+    def indeterminate(self, word: str, pos: int) -> tuple:
+        """The term of the indeterminate word and the position after its
+        primes or ^(k) marker."""
+        words = self.words
+        if not self.allow_indeterminates:
+            self.fail("indeterminates are not allowed here", pos - 1)
+        if len(word) == 1:
+            if self.indexed:
+                self.fail("cannot mix bare x with indexed indeterminates",
+                          pos - 1, MixedArity)
+            self.bare = True
+            index = 0
+        else:
+            if self.bare:
+                self.fail("cannot mix bare x with indexed indeterminates",
+                          pos - 1, MixedArity)
+            self.indexed = True
+            index = int(word[1]) - 1
+            if index >= self.arity:
+                self.arity = index + 1
         order = 0
-        while self.peek()[0] == _PRIME:
-            tok = self.advance()
+        while words[pos] == "'":
+            if order == 2:
+                self.fail("at most two primes; use ^(k) for higher derivatives",
+                          pos)
             order += 1
-            if order > 2:
-                raise ParseError(
-                    "at most two primes; use ^(k) for higher derivatives",
-                    tok[2])
-        if order == 0 and self.peek()[0] == _CARET \
-                and self.tokens[self.pos + 1][0] == _LPAREN:
-            self.advance()
-            self.advance()
-            tok = self.expect(_INT, "derivative order")
-            self.expect(_RPAREN, "')'")
-            order = tok[1]
+            pos += 1
+        if not order and words[pos] == "^" and words[pos + 1] == "(":
+            word = words[pos + 2]
+            if word[0] not in _DIGITS:
+                self.fail("expected derivative order", pos + 2)
+            if words[pos + 3] != ")":
+                self.fail("expected ')'", pos + 3)
+            pos += 4
+            order = int(word)
             if order > _DERIVATIVE_ORDER_MAX:
-                raise NotApplicable("derivative order %d is over the limit "
-                                    "of %d" % (order, _DERIVATIVE_ORDER_MAX))
-        return DiffPoly.from_var(var(index, order))
+                raise NotApplicable(
+                    "derivative order %d is over the limit of %d"
+                    % (order, _DERIVATIVE_ORDER_MAX))
+        return _diffpoly({((DerivVar(order, index), 1),): _UNIT}, 1), pos
+
+
+def _parse(text: str, allow_indeterminates: bool):
+    """The value that text denotes (an int list, a RatFunc or a DiffPoly)
+    and its arity."""
+    parser = _Parser(text, allow_indeterminates)
+    value = parser.expr()
+    word = parser.words[parser.pos]
+    if word != _END:
+        parser.fail("unexpected %s" % _describe(word), parser.pos)
+    return value, parser.arity
+
+
+def _describe(word: str) -> str:
+    if word == _END:
+        return "end of input"
+    if word[0] in _DIGITS:
+        return "'%d'" % int(word)
+    return "\"'\"" if word == "'" else "'%s'" % word
 
 
 def _field(value) -> RatFunc:
     """A scalar as a RatFunc: an int list is an element of Z[t]."""
-    if isinstance(value, list):
+    if type(value) is list:
         return _ratfunc(_primitive(_ONE_F, value), _ONE_POLY)
     return value
 
 
 def _neg(value):
-    return [-x for x in value] if isinstance(value, list) else -value
+    return [-x for x in value] if type(value) is list else -value
 
 
-def _add_to(acc: dict, value, negative: bool) -> None:
-    """acc += value (or -= it): a scalar goes to the monomial ()."""
-    terms = value.terms.items() if isinstance(value, DiffPoly) else (((), value),)
-    for mono, c in terms:
-        if negative:
-            c = _neg(c)
-        old = acc.get(mono)
-        if old is None:
-            acc[mono] = c
-        elif isinstance(old, list) and isinstance(c, list):
-            acc[mono] = _add_ints(old, c)
-        else:
-            acc[mono] = _field(old) + _field(c)
+def _times(a, b):
+    """a*b for scalars."""
+    if type(a) is list and type(b) is list:
+        return _conv(a, b) if a and b else []
+    return _field(a) * _field(b)
+
+
+def _plus(a, b):
+    """a + b for scalars."""
+    if type(a) is list and type(b) is list:
+        return _add_ints(a, b)
+    return _field(a) + _field(b)
+
+
+def _add_to(acc: dict, value) -> None:
+    """acc += value for a dict of RatFunc terms, a scalar at the monomial
+    ()."""
+    if type(value) is DiffPoly:
+        for mono, c in value.terms.items():
+            if mono in acc:
+                _acc_term(acc, mono, c)
+            else:
+                acc[mono] = c
+    else:
+        _acc_term(acc, (), _field(value))
 
 
 def _product(a, b):
-    """a*b for scalars and polynomials: a scalar scales the other's terms."""
-    if isinstance(a, DiffPoly):
-        if isinstance(b, DiffPoly):
+    """a*b: scalars multiply in Z[t] or in the field, and a scalar scales
+    each coefficient of a polynomial, taking the place of the unit."""
+    if type(a) is DiffPoly:
+        if type(b) is DiffPoly:
             return a * b
         a, b = b, a
-    elif not isinstance(b, DiffPoly):
-        if isinstance(a, list) and isinstance(b, list):
-            return _conv(a, b) if a and b else []
-        return _field(a) * _field(b)
+    elif type(b) is not DiffPoly:
+        return _times(a, b)
     a = _field(a)
-    terms = {m: a * c for m, c in b.terms.items()} if a else {}
-    return _diffpoly(terms, b.num_indeterminates)
+    if not a:
+        return _diffpoly({}, 1)
+    return _diffpoly({m: a if c is _UNIT else a * c
+                      for m, c in b.terms.items()}, 1)
 
 
-def _quotient(a, b) -> RatFunc:
-    """a/b for scalars, b nonzero."""
-    if isinstance(a, list) and isinstance(b, list):
+def _quotient(a, b):
+    """a/b for a nonzero scalar b."""
+    if type(a) is DiffPoly:
+        return _product(1 / _field(b), a)
+    if type(a) is list and type(b) is list:
         return RatFunc(_primitive(_ONE_F, a), _primitive(_ONE_F, b))
     return _field(a) / _field(b)
+
+
+def _power(value, e: int):
+    """value^e, refused past the budgets: a term's exponents scale, and a
+    sum of terms is cleared of denominators and squared on int lists."""
+    if type(value) is DiffPoly and len(value.terms) == 1:
+        (mono, c), = value.terms.items()
+        mono = tuple([(v, k * e) for v, k in mono]) if e else ()
+        if c is _UNIT:
+            # t-degree 0 and size 0: within every budget
+            return _diffpoly({mono: c}, 1)
+    degree, size = _power_size(value, e)
+    if degree > _POWER_DEGREE_MAX:
+        raise NotApplicable("a power of t-degree %d is over the limit "
+                            "of %d" % (degree, _POWER_DEGREE_MAX))
+    if size > _POWER_SIZE_MAX:
+        raise NotApplicable("a power's estimated size (terms x "
+                            "(t-degree + 1) x coefficient bits) is "
+                            "over the limit of %d" % _POWER_SIZE_MAX)
+    if type(value) is list:
+        return _int_power(value, e)
+    if type(value) is not DiffPoly:
+        return value ** e
+    if not e:
+        return _diffpoly({(): _UNIT}, 1)
+    if len(value.terms) == 1:
+        return _diffpoly({mono: c ** e}, 1)
+    # p = P/E cleared: P^e squared on int lists, over E^e
+    num, den = _clear(value.terms)
+    acc = num
+    for bit in bin(e)[3:]:
+        acc = _mul_cleared({}, acc, acc)
+        if bit == "1":
+            acc = _mul_cleared({}, acc, num)
+    base = _Base(value.terms)
+    c, exps = base.factor(den)
+    power = c ** e, tuple([k * e for k in exps])
+    return _diffpoly(base.ratfunc_terms(acc, power), 1)
 
 
 def _int_power(a: list, e: int):
@@ -336,17 +398,17 @@ def _int_power(a: list, e: int):
 def _power_size(value, e: int) -> tuple:
     """(t-degree, size) of value^e, estimated in one pass over the base:
     the t-degree is the largest degree of a numerator or denominator in
-    the base times e, and the size terms x (t-degree + 1) x coefficient
-    bits.
+    the base times e, and the size (t-degree + 1) x coefficient bits, times
+    the work of the last squaring for a base of several terms.
 
     Each coefficient of p^e is at most |p|^e in absolute value, |p| the sum
     of the absolute values of p's coefficients, so it has at most
     e*ceil(log2 |p|) bits; a base over Q(t) adds as many for its largest
     denominator.  A base of m terms in the indeterminates has at most
-    C(m+e-1, e) terms in its power, and they count squared: a product of
-    two such polynomials multiplies every pair of their terms, each pair a
-    product in Q(t), so (x+1)^700 took 4.5 s at a size of 4.9e5 counted
-    once."""
+    C(m+h-1, h) terms in its power p^h, h = ceil(e/2), and the last
+    squaring multiplies every pair of them, each pair a product of
+    coefficients: (x+t)^40 takes 0.02 s, while (x+1)^700, whose output has
+    only 701 terms, took 4.5 s."""
     if isinstance(value, list):
         m, top, num, den = 1, len(value), sum(map(abs, value)), 1
     else:
@@ -369,37 +431,15 @@ def _power_size(value, e: int) -> tuple:
     size = (degree + 1) * e * (max(num - 1, 0).bit_length() + (den - 1).bit_length())
     # with m > 1 the bits are at least 1, so past this test e is small
     if m > 1 and size <= _POWER_SIZE_MAX:
-        size *= math.comb(m + e - 1, e) ** 2
+        half = e - e // 2
+        size *= math.comb(m + half - 1, half) ** 2
     return degree, size
-
-
-def _describe(tok) -> str:
-    kind, value, _ = tok
-    if kind == _END:
-        return "end of input"
-    if kind == _INT:
-        return "'%d'" % value
-    if kind == _T:
-        return "'t'"
-    if kind == _INDET:
-        return "'x'" if value is None else "'x%d'" % (value + 1)
-    return "'%s'" % kind if kind != _PRIME else "\"'\""
-
-
-def _parse(text: str, allow_indeterminates: bool):
-    """The RatFunc or DiffPoly that text denotes, and the parser's arity."""
-    parser = _Parser(_tokenize(text), allow_indeterminates)
-    value = parser.expr()
-    tok = parser.peek()
-    if tok[0] != _END:
-        raise ParseError("unexpected %s" % _describe(tok), tok[2])
-    return value, parser.arity
 
 
 def parse_diffpoly(text: str) -> DiffPoly:
     """Parse a differential polynomial in x (or x1..x9) over Q(t)."""
     value, arity = _parse(text, allow_indeterminates=True)
-    if isinstance(value, DiffPoly):
+    if type(value) is DiffPoly:
         return _diffpoly(value.terms, arity)
     return _diffpoly({(): _field(value)} if value else {}, arity)
 

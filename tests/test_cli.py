@@ -187,6 +187,75 @@ def test_parser_matches_diffpoly_arithmetic(tree):
     assert getattr(info.value, "column", None) == getattr(ref.error, "column", None)
 
 
+# words of the grammar, characters outside it, and digit runs past the
+# int-conversion limit, for the one-pass parser against the token parser
+_LIMIT = sys.get_int_max_str_digits()
+_parser_texts = st.lists(st.sampled_from(
+    ["0", "1", "2", "7", "10", "t", "x", "x1", "x2", "'", "^", "(", ")", "+",
+     "-", "*", "/", "^(", "^(3)", " ", "\t", "\n", "²", "#",
+     "12345678901234567890", "9" * _LIMIT, "9" * (_LIMIT + 1)]),
+    max_size=20).map("".join)
+
+
+def _parsed(parse, text):
+    """The value, its str and its arity, or the error's type, message and
+    column.  A DiffPoly prints each exponent as that many sort keys, so a
+    value with an exponent of 20 digits is compared unprinted, as is one
+    with an integer past the int-conversion limit."""
+    try:
+        value = parse(text)
+    except (ParseError, NotApplicable, ZeroDivisionError) as error:
+        return type(error), str(error), getattr(error, "column", None)
+    printed = None
+    if all(e < 1000 for mono in getattr(value, "terms", ()) for _v, e in mono):
+        try:
+            printed = str(value)
+        except ValueError:
+            pass
+    return value, printed, getattr(value, "num_indeterminates", None)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_parser_texts)
+@example("x^(")
+@example("x'''")
+@example("x^(101)")
+@example("2/x")
+@example("x + x1")
+@example("x1 + x")
+@example("t#1")
+@example("x^² + \n")
+@example("1 + " + "0" * (_LIMIT + 1) + "²")
+@example("(x")
+@example("(t+1) 2")
+@example("t^x")
+@example("x^(3")
+@example("x^(007)*")
+@example("1/(t-t)")
+@example("t^1001")
+@example("(x+t)^1000")
+@example("(x+t)^38 - x'")
+@example("-(x*x1)^2/7 + 3")
+def test_one_pass_parser_matches_token_parser(text):
+    # the earlier token parser, kept in tests/oracles.py, reads the same
+    # value, arity and first error off every string, in both entry points
+    import oracles
+
+    for ours, theirs in ((parse_diffpoly, oracles.parse_diffpoly),
+                         (parse_ratfunc, oracles.parse_ratfunc)):
+        assert _parsed(ours, text) == _parsed(theirs, text)
+
+
+def test_digits_are_ascii():
+    # str.isdigit accepts superscripts and other scripts' digits, which
+    # int() rejects or reads as numbers; the grammar's digits are 0-9
+    for text, char, column in (("x^²", "²", 3),
+                               ("x^٣", "٣", 3),
+                               ("x^(١٢)", "١", 4)):
+        message = "unexpected character %r (column %d)" % (char, column)
+        assert invoke(["order", text]) == (2, "", "error: %s\n" % message)
+
+
 def test_mixed_arity_rejected():
     with pytest.raises(MixedArity):
         parse_diffpoly("x + x1")
@@ -434,6 +503,20 @@ def test_size_budgets():
     assert invoke(["order", "x^(100) + 2^2000"]) == (0, "100\n", "")
     code, out, _ = invoke(["order", "x^(101)", "--format", "json"])
     assert code == 1 and json.loads(out)["error"] == "domain"
+
+
+def test_power_budget_counts_the_last_squaring():
+    # a sum of m terms is sized by its last squaring, C(m+h-1, h)^2 pairs
+    # of terms of p^h, h = ceil(e/2), not by C(m+e-1, e)^2: these took
+    # 0.02-0.5 s and were refused
+    for text in ("(x+t)^38", "(x+x'+t)^12", "(x+t)^40", "(x+x'+t)^18"):
+        result, elapsed = _timed(["order", text])
+        assert result[0] == 0 and elapsed < 1
+    # (x+1)^700 took 4.5 s
+    for text in ("(x+1)^700", "(x+t)^1000", "(x+t)^53"):
+        result, elapsed = _timed(["order", text])
+        assert result == (1, "", "error: %s\n" % _SIZE_MESSAGE)
+        assert elapsed < 1
 
 
 def test_series_command_builds_fractions_per_initial_value(monkeypatch):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from random import Random
 
@@ -7,7 +8,8 @@ from sympy import QQ
 from sympy.polys.rings import ring
 
 from conftest import random_diffpoly, random_poly
-from diffalg.basefield import Poly, RatFunc
+from diffalg import basefield, cleared
+from diffalg.basefield import Poly, RatFunc, _conv, _exact_quotient
 from diffalg.cleared import _clear, _tower
 from diffalg.diffpoly import (
     DerivVar,
@@ -245,6 +247,92 @@ def test_ritt_step_normalises_each_output_once(monkeypatch):
     outputs = [r.remainder] + [c for _k, c in r.certificate]
     assert len(calls) == sum(len(c.terms) for c in outputs) > 0
     assert all(c.den.degree() > 0 for out in outputs for c in out.terms.values())
+
+
+def test_powered_denominator_runs_no_gcd_per_step(monkeypatch):
+    # the step cancels by trial division over the coprime base: the only
+    # gcds are the one that splits (t+1)^2 into its base element t+1 and
+    # at most one per output term whose numerator and denominator both
+    # have degree >= 1 (the gcd-based cancellation ran 73)
+    p = parse_diffpoly("(1/(t+1)^2)*(x')^2 - t*x")
+    q = parse_diffpoly("x^(4)")
+    calls = []
+    gcd = basefield._gcd_parts
+    for module in (basefield, cleared):
+        monkeypatch.setattr(module, "_gcd_parts",
+                            lambda a, b: calls.append((a, b)) or gcd(a, b))
+    r = ritt_reduce(q, p)
+    assert (r.sep_power, r.init_power) == (5, 4)
+    outputs = [r.remainder] + [c for _k, c in r.certificate]
+    both = sum(1 for out in outputs for c in out.terms.values()
+               if c.num.degree() > 0 and c.den.degree() > 0)
+    assert 0 < len(calls) <= both + 1
+
+
+# pairwise coprime irreducible factors: b1*t + b0 primitive with b1 > 0,
+# and t^2 + a*t + b with a^2 < 4b
+_linear_factors = st.tuples(st.integers(-5, 5), st.integers(1, 3)).filter(
+    lambda f: math.gcd(*f) == 1).map(list)
+_quadratic_factors = st.tuples(st.integers(-3, 3), st.integers(1, 9)).filter(
+    lambda f: f[0] ** 2 < 4 * f[1]).map(lambda f: [f[1], f[0], 1])
+
+
+@st.composite
+def _cancel_cases(draw):
+    """(elements, the factors of a reducible element or None, numerators,
+    denominator): numerators over powers of the elements, and, with a
+    reducible element f*g, numerators divisible by f alone."""
+    factors = draw(st.lists(st.one_of(_linear_factors, _quadratic_factors),
+                            min_size=1, max_size=4, unique_by=tuple))
+    split = None
+    elems = factors
+    if draw(st.booleans()) and len(factors) >= 2 and \
+            len(factors[0]) == len(factors[1]) == 2:
+        # one element f*g, and every numerator divisible by f
+        split = factors[:2]
+        elems = [_conv(*split)] + factors[2:]
+    num = {}
+    for k in range(draw(st.integers(0, 3))):
+        a = [draw(st.integers(-6, 6).filter(bool))]
+        for f in factors if split is None else [split[0]] + factors:
+            for _ in range(draw(st.integers(0, 2))):
+                a = _conv(a, f)
+        a = _conv(a, draw(st.lists(st.integers(-3, 3), min_size=1, max_size=2)
+                          .filter(any)))
+        while not a[-1]:
+            a.pop()
+        num[((var(0, k), 1),)] = a
+    exps = tuple(draw(st.integers(0, 3)) for _ in elems)
+    return elems, split, num, (draw(st.integers(1, 12)), exps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cancel_cases())
+@example(([[1, 1]], None, {((var(0, 0), 1),): [1, 2, 1]}, (4, (3,))))
+@example(([[2, 3, 1]], [[1, 1], [2, 1]],
+          {((var(0, 0), 1),): [3, 3], ((var(0, 1), 1),): [2, 4, 2]}, (6, (2,))))
+def test_coprime_base_cancel_matches_gcd_cancel(case):
+    # over irreducible elements, trial division by each element is
+    # division by the gcd: the pair equals the earlier gcd-based
+    # cancellation (kept in tests/oracles.py); over a reducible element
+    # f*g it divides out only whole powers of f*g, so f may stay, and the
+    # terms keep their values
+    import oracles
+
+    elems, split, num, den = case
+    base = cleared._Base({i: RatFunc(1, Poly(b)) for i, b in enumerate(elems)})
+    assert base.elems == elems
+    got, (c, exps) = base.cancel(dict(num), den)
+    got_den = base.expand(c, exps)
+    want, want_den = oracles._cancel(dict(num), base.expand(*den))
+    if split is None:
+        assert (got, got_den) == (want, want_den)
+        return
+    assert got.keys() == want.keys()
+    for mono, a in got.items():
+        assert RatFunc(Poly(a), Poly(got_den)) == \
+            RatFunc(Poly(want[mono]), Poly(want_den))
+    assert _exact_quotient(got_den, want_den) is not None
 
 
 def test_ritt_reduce_names_the_indeterminates_of_p():
