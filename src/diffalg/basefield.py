@@ -648,6 +648,10 @@ class RatFunc:
         other = _coerce(other)
         if other is None:
             return NotImplemented
+        if self is _ONE_RF:
+            return other
+        if other is _ONE_RF:
+            return self
         a, b = self, other
         if len(b.num.prim) < 2 and len(b.den.prim) == 1:
             a, b = b, a
@@ -686,6 +690,8 @@ class RatFunc:
             if self.is_zero():
                 raise ZeroDivisionError("negative power of zero")
             return RatFunc(self.den**(-e), self.num**(-e))
+        if self is _ONE_RF:
+            return self
         # powers of coprime polynomials stay coprime, of monic ones monic
         return _ratfunc(self.num**e, self.den**e)
 
@@ -717,6 +723,11 @@ def _ratfunc(num: Poly, den: Poly) -> RatFunc:
     f.num = num
     f.den = den
     return f
+
+
+# the coefficient of an indeterminate's term: a product by it is the other
+# factor and a power of it is itself, so neither builds a RatFunc
+_ONE_RF = _ratfunc(_ONE_POLY, _ONE_POLY)
 
 
 def _coerce(x):

@@ -19,9 +19,8 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .basefield import (_ONE_POLY, Poly, RatFunc, _conv, _derivative_name,
-                        _new, _power, _ratfunc, _Record, _signed_factor,
-                        _signed_sum)
+from .basefield import (_ONE_RF, Poly, RatFunc, _conv, _derivative_name,
+                        _new, _Record, _signed_factor, _signed_sum)
 from .cleared import (Monomial, _acc_ints, _Base, _clear, _degree_in,
                       _den_times, _mono_exp, _mono_mul, _mono_set,
                       _mul_cleared, _order, _top, _tower)
@@ -59,9 +58,6 @@ def _mono_str_key(m: Monomial):
 
 
 _ZERO_RF = RatFunc(Poly())
-# the coefficient of every term from_var makes; a product takes the other
-# factor's coefficient in its place
-_ONE_RF = _ratfunc(_ONE_POLY, _ONE_POLY)
 
 
 def _coeff(x) -> RatFunc:
@@ -155,13 +151,6 @@ class DiffPoly:
         if other is None:
             return NotImplemented
         m = max(self.num_indeterminates, other.num_indeterminates)
-        if len(self.terms) == 1 and len(other.terms) == 1:
-            # a product of terms: the monomials merge, and a unit
-            # coefficient takes the other
-            (m1, c1), = self.terms.items()
-            (m2, c2), = other.terms.items()
-            c = c2 if c1 is _ONE_RF else c1 if c2 is _ONE_RF else c1 * c2
-            return _diffpoly({_mono_mul(m1, m2): c}, m)
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -171,14 +160,29 @@ class DiffPoly:
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "DiffPoly":
+        """A term's power is the power of its coefficient and exponents;
+        a sum p = P/E cleared has P^e squared on int lists, over E^e."""
         if e < 0:
             raise ValueError("negative power of a differential polynomial")
+        m = self.num_indeterminates
         if len(self.terms) == 1:
-            # a term's power is the power of its coefficient and exponents
             (mono, c), = self.terms.items()
             mono = tuple([(v, k * e) for v, k in mono]) if e else ()
-            return _diffpoly({mono: c ** e}, self.num_indeterminates)
-        return _power(DiffPoly.const(1, self.num_indeterminates), self, e)
+            return _diffpoly({mono: c ** e}, m)
+        if not e:
+            return _diffpoly({(): _ONE_RF}, m)
+        if not self.terms:
+            return self
+        num, den = _clear(self.terms)
+        acc = num
+        for bit in bin(e)[3:]:
+            acc = _mul_cleared({}, acc, acc)
+            if bit == "1":
+                acc = _mul_cleared({}, acc, num)
+        base = _Base(self.terms)
+        c, exps = base.factor(den)
+        power = c ** e, tuple([k * e for k in exps])
+        return _diffpoly(base.ratfunc_terms(acc, power), m)
 
     def derive(self) -> "DiffPoly":
         """Total derivative: coefficients via the field derivation, x_i^(j) -> x_i^(j+1).
@@ -405,7 +409,11 @@ def ritt_reduce(q: DiffPoly, p: DiffPoly, indeterminate: int = 0,
             break
         pk = tower(k)[0]      # p^(k) = P_k/E^(k+1)
         mult = _top(rem, v, e, d)
-        hk = {mono: _conv(c, tower(k - 1)[1]) for mono, c in h.items()} if k else h
+        if k:
+            ek = base.expand(den_f[0] ** k, [k * x for x in den_f[1]])
+            hk = {mono: _conv(c, ek) for mono, c in h.items()}
+        else:
+            hk = h
         step = _mul_cleared({}, hk, rem)
         _mul_cleared(step, {mono: [-x for x in c] for mono, c in mult.items()}, pk)
         if certificate:

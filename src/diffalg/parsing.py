@@ -30,11 +30,10 @@ error maps the index of its word back to a column (_column).
 
 An x-free value is an ascending int list, an element of Z[t], until a
 division makes it a RatFunc; a value with an indeterminate is a DiffPoly.
-An indeterminate's term has the shared unit _UNIT as its coefficient, so
-a scalar times it takes the scalar as its coefficient, a product of terms
-(DiffPoly.__mul__) merges the monomials and multiplies coefficients only
-where neither is the unit, and a power of it scales the exponents.  A
-power of a sum of terms runs on the cleared form of the cleared module.
+An indeterminate's term is DiffPoly.from_var's, whose coefficient is the
+unit RatFunc that products and powers pass over (basefield._ONE_RF), so
+a scalar times it takes the scalar as its coefficient and a power of it
+scales the exponents.
 
 Three size budgets are checked before any work: a power may have t-degree
 at most _POWER_DEGREE_MAX (the t-degree of the base times the exponent)
@@ -51,8 +50,7 @@ import sys
 from fractions import Fraction
 
 from .basefield import _ONE_F, _ONE_POLY, RatFunc, _conv, _primitive, _ratfunc
-from .cleared import _add_ints, _Base, _clear, _content, _mul_cleared
-from .diffpoly import _ONE_RF as _UNIT
+from .cleared import _add_ints, _content
 from .diffpoly import DerivVar, DiffPoly, _acc_term, _diffpoly
 from .errors import MixedArity, NotApplicable, ParseError
 
@@ -69,23 +67,12 @@ _WORD = re.compile(r"[^ \t0-9x]|[0-9]+|x[1-9]?")
 _DIGITS = "0123456789"
 # the word after the last, a character outside the alphabet
 _END = "$"
-# int-conversion limit (0 for none) -> the pattern _refused makes for it
-_REFUSED = {}
-
-
-def _refused(limit: int):
-    """A pattern for a character outside the alphabet or, with a limit, an
-    integer literal longer than limit, matched at its first digit: a digit
-    run that starts after a character other than a digit or x, after x
-    with a 0, or after x and the index digit 1-9 that x takes."""
-    pattern = _REFUSED.get(limit)
-    if pattern is None:
-        source = r"[^0-9tx'^()+*/ \t-]"
-        if limit:
-            source += r"|(?:(?<![0-9x])|(?<=x)(?=0)|(?<=x[1-9]))[0-9]{%d}" % (
-                limit + 1)
-        pattern = _REFUSED[limit] = re.compile(source)
-    return pattern
+# a character outside the alphabet
+_REFUSED = re.compile(r"[^0-9tx'^()+*/ \t-]")
+# or an integer literal longer than a limit, matched at its first digit: a
+# digit run that starts after a character other than a digit or x, after
+# x with a 0, or after x and the index digit 1-9 that x takes
+_TOO_LONG = r"|(?:(?<![0-9x])|(?<=x)(?=0)|(?<=x[1-9]))[0-9]{%d}"
 
 
 def _column(text: str, index: int) -> int:
@@ -106,8 +93,12 @@ class _Parser:
 
     def __init__(self, text: str, allow_indeterminates: bool):
         limit = sys.get_int_max_str_digits()
-        # a literal past the limit needs a text longer than the limit
-        bad = _refused(limit if len(text) > limit else 0).search(text)
+        # a literal past the limit needs a text longer than the limit; re
+        # caches the pattern compiled for it
+        if 0 < limit < len(text):
+            bad = re.search(_REFUSED.pattern + _TOO_LONG % (limit + 1), text)
+        else:
+            bad = _REFUSED.search(text)
         if bad:
             if bad.group()[0] in _DIGITS:
                 raise ParseError("integer literal longer than %d digits"
@@ -243,7 +234,7 @@ class _Parser:
                 raise NotApplicable(
                     "derivative order %d is over the limit of %d"
                     % (order, _DERIVATIVE_ORDER_MAX))
-        return _diffpoly({((DerivVar(order, index), 1),): _UNIT}, 1), pos
+        return DiffPoly.from_var(DerivVar(order, index)), pos
 
 
 def _parse(text: str, allow_indeterminates: bool):
@@ -305,7 +296,7 @@ def _add_to(acc: dict, value) -> None:
 
 def _product(a, b):
     """a*b: scalars multiply in Z[t] or in the field, and a scalar scales
-    each coefficient of a polynomial, taking the place of the unit."""
+    each coefficient of a polynomial."""
     if type(a) is DiffPoly:
         if type(b) is DiffPoly:
             return a * b
@@ -315,8 +306,8 @@ def _product(a, b):
     a = _field(a)
     if not a:
         return _diffpoly({}, 1)
-    return _diffpoly({m: a if c is _UNIT else a * c
-                      for m, c in b.terms.items()}, 1)
+    return _diffpoly({m: a * c for m, c in b.terms.items()},
+                     b.num_indeterminates)
 
 
 def _quotient(a, b):
@@ -329,14 +320,7 @@ def _quotient(a, b):
 
 
 def _power(value, e: int):
-    """value^e, refused past the budgets: a term's exponents scale, and a
-    sum of terms is cleared of denominators and squared on int lists."""
-    if type(value) is DiffPoly and len(value.terms) == 1:
-        (mono, c), = value.terms.items()
-        mono = tuple([(v, k * e) for v, k in mono]) if e else ()
-        if c is _UNIT:
-            # t-degree 0 and size 0: within every budget
-            return _diffpoly({mono: c}, 1)
+    """value^e, refused past the budgets."""
     degree, size = _power_size(value, e)
     if degree > _POWER_DEGREE_MAX:
         raise NotApplicable("a power of t-degree %d is over the limit "
@@ -347,23 +331,7 @@ def _power(value, e: int):
                             "over the limit of %d" % _POWER_SIZE_MAX)
     if type(value) is list:
         return _int_power(value, e)
-    if type(value) is not DiffPoly:
-        return value ** e
-    if not e:
-        return _diffpoly({(): _UNIT}, 1)
-    if len(value.terms) == 1:
-        return _diffpoly({mono: c ** e}, 1)
-    # p = P/E cleared: P^e squared on int lists, over E^e
-    num, den = _clear(value.terms)
-    acc = num
-    for bit in bin(e)[3:]:
-        acc = _mul_cleared({}, acc, acc)
-        if bit == "1":
-            acc = _mul_cleared({}, acc, num)
-    base = _Base(value.terms)
-    c, exps = base.factor(den)
-    power = c ** e, tuple([k * e for k in exps])
-    return _diffpoly(base.ratfunc_terms(acc, power), 1)
+    return value ** e
 
 
 def _int_power(a: list, e: int):
