@@ -7,11 +7,14 @@ numerators in Z[t] and one denominator E in Z[t], ascending int lists,
 E with a positive lead, such that p = P/E.  With p = P_0/E, the
 derivatives are p^(k) = P_k/E^(k+1) where P_(k+1) = D(P_k)*E -
 (k+1)*P_k*E', D the total derivation on numerators, so no gcd runs in
-the tower; the Wronsky rows are its x-free case, one element u = P_0/E
-as the single term of monomial ().  Ritt reduction runs its
-step on this form and turns only its outputs back into RatFunc terms,
-one normalisation each (Boulier, Lazard, Ollivier, Petitot, ISSAC 1995,
-and Hubert, LNCS 2630, reduce without fractions in the coefficients).
+the tower, which holds the P_k alone.  The form crosses into the linear
+algebra and the series as int lists, with no Poly around them: the
+Wronsky rows are the tower's x-free case, one element u = P_0/E as the
+single term of monomial (), and the Taylor recurrence reads an ODE
+cleared.  Ritt reduction runs its step on this form and turns only its
+outputs back into RatFunc terms, one normalisation each (Boulier, Lazard,
+Ollivier, Petitot, ISSAC 1995, and Hubert, LNCS 2630, reduce without
+fractions in the coefficients).
 
 Its denominators are carried over a coprime base (_Base): pairwise
 coprime squarefree b_1..b_r in Z[t], refined from the coefficient
@@ -209,16 +212,14 @@ def _next_derivative(num: dict, den: list, den1: list, k: int) -> dict:
 
 
 def _tower(num: dict, den: list):
-    """k -> (P_k, E^(k+1)), p^(k) = P_k/E^(k+1) for p = num/den = P_0/E,
-    each pair built once."""
+    """k -> P_k, p^(k) = P_k/E^(k+1) for p = num/den = P_0/E, each P_k
+    built once."""
     den1 = _derivative_ints(den)
-    tower = [(num, den)]
+    tower = [num]
 
-    def deriv(k: int) -> tuple[dict, list]:
+    def deriv(k: int) -> dict:
         while len(tower) <= k:
-            pk, power = tower[-1]
-            tower.append((_next_derivative(pk, den, den1, len(tower) - 1),
-                          _conv(power, den)))
+            tower.append(_next_derivative(tower[-1], den, den1, len(tower) - 1))
         return tower[k]
     return deriv
 

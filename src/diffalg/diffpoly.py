@@ -50,13 +50,6 @@ def _var_name(v: DerivVar, count: int) -> str:
     return _derivative_name(name, v.order)
 
 
-def _mono_str_key(m: Monomial):
-    vars_desc = []
-    for v, e in reversed(m):
-        vars_desc.extend([(v.order, v.indeterminate)] * e)
-    return (vars_desc, sum(e for _v, e in m))
-
-
 _ZERO_RF = RatFunc(Poly())
 
 
@@ -269,7 +262,9 @@ class DiffPoly:
         return total
 
     def __str__(self) -> str:
-        items = sorted(self.terms.items(), key=lambda kv: _mono_str_key(kv[0]),
+        # the (variable, exponent) pairs from the highest variable down order
+        # the terms as the variables repeated by their exponents would
+        items = sorted(self.terms.items(), key=lambda kv: kv[0][::-1],
                        reverse=True)
         terms = [_signed_factor(c, "*".join([self._var_str(v, e) for v, e in mono]))
                  for mono, c in items]
@@ -347,7 +342,7 @@ def _derivatives(p: DiffPoly):
 
     def deriv(k: int) -> DiffPoly:
         power = c ** (k + 1), tuple([(k + 1) * e for e in exps])
-        return _diffpoly(base.ratfunc_terms(tower(k)[0], power),
+        return _diffpoly(base.ratfunc_terms(tower(k), power),
                          p.num_indeterminates)
     return deriv
 
@@ -407,7 +402,7 @@ def ritt_reduce(q: DiffPoly, p: DiffPoly, indeterminate: int = 0,
             i_power += 1
         else:
             break
-        pk = tower(k)[0]      # p^(k) = P_k/E^(k+1)
+        pk = tower(k)  # p^(k) = P_k/E^(k+1)
         mult = _top(rem, v, e, d)
         if k:
             ek = base.expand(den_f[0] ** k, [k * x for x in den_f[1]])

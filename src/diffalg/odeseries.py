@@ -8,10 +8,11 @@ system produced here has identity initial data, so its Wronskian is a
 unit (constant term 1), which is the fundamental-system criterion.
 
 One recurrence, _taylor, gives every series, in ints over one common
-denominator per series: a fundamental system solves the ODE cleared of
-denominators, and series_expand is the order-0 case den * y = num.
-ode_residual expands through series_expand, so the tests check both
-against sympy.
+denominator per series.  Its equation comes as int lists from
+cleared._clear, the one clearing of denominators: a fundamental system
+solves the ODE cleared, and series_expand is the order-0 case E * y = N
+of f = N/E cleared.  ode_residual expands through series_expand, so the
+tests check both against sympy.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .basefield import (_ONE_F, Poly, RatFunc, _as_fraction, _new,
-                        _power_term, _primitive, _signed_sum)
+from .basefield import RatFunc, _as_fraction, _new, _power_term, _signed_sum
 from .cleared import _clear
 from .errors import PoleAtBasePoint, ShapeError
 from .wronskian import LinearODE, _cofactor_det, wronsky_matrix
@@ -209,31 +209,26 @@ def _shift_ints(p, u: int, v: int, e: int) -> list:
     return acc
 
 
-def _taylor(q: list, rhs: Poly, t0: Fraction, inits: list,
+def _taylor(q: list, rhs: list, t0: Fraction, inits: list,
             precision: int) -> list:
-    """The series at t0 of y with q_0 y^(n) + ... + q_n y = rhs (Poly q_i
-    and rhs, n = len(q) - 1), one per block (y^(j)(t0)/j!, j < n) in inits.
-    In y = sum c_m s^m, s = t - t0, the coefficient of s^k reads
+    """The series at t0 of y with q_0 y^(n) + ... + q_n y = rhs (ascending
+    int lists q_i and rhs, n = len(q) - 1), one per block (y^(j)(t0)/j!,
+    j < n) in inits.  In y = sum c_m s^m, s = t - t0, the coefficient of
+    s^k reads
     q_0(t0) (k+n)!/k! c_{k+n} = rhs_k - sum of q_i[l] (k-l+n-i)!/(k-l)!
     c_{k-l+n-i} over (i, l) != (0, 0) with l <= k.
 
-    The equation is shifted and scaled to Z once, on the primitive ints:
-    with t0 = u/v and D the largest degree, each p = c * prim becomes
-    v^D prim(t0 + s) times the integer c * L, L the lcm of the contents'
-    denominators, and the signs are set so that q_0(t0) > 0.  The blocks
-    run in lockstep over k, sharing each step's weights.  A block keeps its
-    last n + max deg q_i coefficients as ints over one denominator; one
-    int gcd per step rescales them, and one more brings the new
-    coefficient to lowest terms."""
+    The equation comes cleared (cleared._clear) and is shifted once: with
+    t0 = u/v and D the largest degree, each p becomes v^D p(t0 + s), still
+    over Z, and the signs are set so that q_0(t0) > 0.  The blocks run in
+    lockstep over k, sharing each step's weights.  A block keeps its last
+    n + max deg q_i coefficients as ints over one denominator; one int gcd
+    per step rescales them, and one more brings the new coefficient to
+    lowest terms."""
     u, v = t0.numerator, t0.denominator
     polys = [*q, rhs]
-    top = max(len(p.prim) for p in polys) - 1
-    scale = math.lcm(*[p.content.denominator for p in polys])
-    eq = []
-    for p in polys:
-        c = p.content
-        m = c.numerator * (scale // c.denominator)
-        eq.append([x * m for x in _shift_ints(p.prim, u, v, top)])
+    top = max(map(len, polys)) - 1
+    eq = [_shift_ints(p, u, v, top) for p in polys]
     lead = eq[0][0] if eq[0] else 0
     if not lead:
         raise PoleAtBasePoint("denominator vanishes at %s" % t0)
@@ -286,11 +281,12 @@ def _taylor(q: list, rhs: Poly, t0: Fraction, inits: list,
 
 def series_expand(f: RatFunc, base_point, precision: int) -> TruncatedSeries:
     """Taylor expansion of a rational function at an ordinary value: the
-    order-0 equation den * y = num."""
+    order-0 equation E * y = N for f = N/E cleared."""
     t0 = _as_fraction(base_point)
     if precision < 0:
         raise ShapeError("negative precision")
-    return _taylor([f.den], f.num, t0, [()], precision)[0]
+    num, den = _clear({0: f})
+    return _taylor([den], num[0], t0, [()], precision)[0]
 
 
 def fundamental_system_series(ode: LinearODE, base_point, precision: int = 16) -> list:
@@ -304,8 +300,7 @@ def fundamental_system_series(ode: LinearODE, base_point, precision: int = 16) -
     num, den = _clear(dict(enumerate(ode.coeffs)))
     inits = [[Fraction(int(i == j), math.factorial(j)) for j in range(n)]
              for i in range(n)]
-    q = [_primitive(_ONE_F, c) for c in [den, *num.values()]]
-    return _taylor(q, Poly(), t0, inits, precision)
+    return _taylor([den, *num.values()], [], t0, inits, precision)
 
 
 def series_wronskian(series: list) -> TruncatedSeries:

@@ -35,11 +35,12 @@ unit RatFunc that products and powers pass over (basefield._ONE_RF), so
 a scalar times it takes the scalar as its coefficient and a power of it
 scales the exponents.
 
-Three size budgets are checked before any work: a power may have t-degree
-at most _POWER_DEGREE_MAX (the t-degree of the base times the exponent)
-and an estimated size at most _POWER_SIZE_MAX (_power_size), and a
-derivative order may be at most _DERIVATIVE_ORDER_MAX.  Past any of them
-the parser raises NotApplicable, a domain error.
+Four budgets are checked before any work: a power may have t-degree at
+most _POWER_DEGREE_MAX (the t-degree of the base times the exponent) and
+an estimated size at most _POWER_SIZE_MAX (_power_size), a derivative
+order may be at most _DERIVATIVE_ORDER_MAX, and parentheses may nest at
+most _NESTING_MAX deep.  Past any of them the parser raises
+NotApplicable, a domain error.
 """
 
 from __future__ import annotations
@@ -61,6 +62,9 @@ _POWER_DEGREE_MAX = 1000
 _POWER_SIZE_MAX = 2**21
 # reduce "x^(100)" --mod "x'-x" takes 0.06 s on the same host
 _DERIVATIVE_ORDER_MAX = 100
+# each level of parentheses is three frames of the descent, far inside
+# the interpreter's recursion limit
+_NESTING_MAX = 100
 
 # a digit run, x or x1..x9, or one other character; spaces and tabs part words
 _WORD = re.compile(r"[^ \t0-9x]|[0-9]+|x[1-9]?")
@@ -89,7 +93,7 @@ class _Parser:
     parse leaves no reference cycle for the garbage collector."""
 
     __slots__ = ("text", "words", "pos", "allow_indeterminates", "arity",
-                 "bare", "indexed")
+                 "bare", "indexed", "depth")
 
     def __init__(self, text: str, allow_indeterminates: bool):
         limit = sys.get_int_max_str_digits()
@@ -110,7 +114,7 @@ class _Parser:
         self.words.append(_END)
         self.pos = 0
         self.allow_indeterminates = allow_indeterminates
-        self.arity = 1
+        self.arity, self.depth = 1, 0
         self.bare = self.indexed = False
 
     def fail(self, message: str, at: int, error=ParseError):
@@ -178,8 +182,13 @@ class _Parser:
         elif kind == "x":
             value, pos = self.indeterminate(word, pos)
         elif kind == "(":
+            if self.depth == _NESTING_MAX:
+                raise NotApplicable("parentheses nested deeper than %d"
+                                    % _NESTING_MAX)
+            self.depth += 1
             self.pos = pos
             value = self.expr()
+            self.depth -= 1
             pos = self.pos
             if words[pos] != ")":
                 self.fail("expected ')'", pos)

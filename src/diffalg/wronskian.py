@@ -12,8 +12,10 @@ expanded determinants come from one cofactor expansion, _cofactor_det.
 The Wronskian and the fundamental system eliminate over Z[t], on rows
 that are the x-free case of the cleared module's derivative tower: u =
 P_0/E cleared, u^(k) = P_k/E^(k+1) with P_(k+1) = P_k'*E - (k+1)*P_k*E',
-so no derivative and no common denominator runs a polynomial gcd; each
-output is normalised once.
+so no derivative and no common denominator runs a polynomial gcd.  The
+rows stay the cleared module's int lists; a Poly is built only for the
+elimination over Z[t], for the outputs read back and for the scale, and
+each output is normalised once.
 
 They eliminate over Z, not Z[t], when that is cheaper: every entry p
 becomes one int p(2^s) (Kronecker substitution, done once per matrix,
@@ -27,9 +29,9 @@ exactly.  Evaluation is a ring map, so each division exact in Z[t] is
 exact in Z.  Packing is chosen by size: only when s is at most
 _SLOT_BITS_MAX and the packed result, s*(D+1) bits, is at most
 _PACKED_BITS_MAX and at most _PACKED_BITS_PER_INPUT_BIT times the bits of
-the entries as stored; sparse rows of high degree, wide slots and
-rational contents stay in Z[t].  The dependence certificate eliminates its
-cleared integer coefficients over Z directly.
+the entries' coefficients; sparse rows of high degree and wide slots stay
+in Z[t].  The dependence certificate eliminates its cleared integer
+coefficients over Z directly.
 """
 
 from __future__ import annotations
@@ -70,12 +72,13 @@ def _bareiss(m: list, width: int) -> tuple[list, int]:
     division is exact, and entries below a pivot are stale.
 
     The ring is Z (ints), Z[t] (Poly), Q (Fraction) or Q(t) (RatFunc).  A
-    Poly matrix runs over Z as its image at t = 2^s (_z_image), exact when
-    2^(s-2) exceeds the product of the rows' coefficient 1-norms, which
-    bounds every minor; it is packed only when s <= _SLOT_BITS_MAX and the
-    packed result s*(D+1), D the sum of the row degrees, is at most
-    _PACKED_BITS_MAX and _PACKED_BITS_PER_INPUT_BIT times the entries'
-    stored bits.
+    matrix over Z[t] comes as int lists and runs over Z as its image at
+    t = 2^s (_z_image), exact when 2^(s-2) exceeds the product of the
+    rows' coefficient 1-norms, which bounds every minor; it is packed only
+    when s <= _SLOT_BITS_MAX and the packed result s*(D+1), D the sum of
+    the row degrees, is at most _PACKED_BITS_MAX and
+    _PACKED_BITS_PER_INPUT_BIT times the bits of the entries'
+    coefficients, and runs over Poly entries otherwise.
     """
     rows = [row[:] for row in m]
     prev = None
@@ -151,25 +154,21 @@ def _same(v):
 
 
 def _z_image(m: list) -> tuple:
-    """(rows, read) for a matrix m of Poly entries: rows its image in Z
-    under t -> 2^s and read taking an output entry back to Z[t], when m has
-    integer contents and packing pays; else m itself and the identity."""
-    sizes = _sizes(m)
-    if sizes is None:
-        return m, _same
-    s, slots, bits = sizes
+    """(rows, read) for a matrix m of int-list entries in Z[t]: rows its
+    image in Z under t -> 2^s and read taking an output entry back to a
+    Poly, when packing pays; else m as Poly entries and the identity."""
+    s, slots, bits = _sizes(m)
     if s > _SLOT_BITS_MAX or s * slots > _PACKED_BITS_MAX \
             or s * slots > _PACKED_BITS_PER_INPUT_BIT * bits:
-        return m, _same
+        return [[_primitive(_ONE_F, e) for e in row] for row in m], _same
     return _kronecker(m, s, slots)
 
 
-def _sizes(m: list) -> tuple | None:
-    """(s, slots, bits) for a Poly matrix with integer contents (else
-    None): s a multiple of 8 with 2^(s-2) above the coefficients of every
-    minor (of an augmented matrix too) in absolute value, slots above the
-    degree of every minor, and bits those of the entries as stored, each
-    content and primitive coefficient.
+def _sizes(m: list) -> tuple:
+    """(s, slots, bits) for a matrix of int-list entries: s a multiple of 8
+    with 2^(s-2) above the coefficients of every minor (of an augmented
+    matrix too) in absolute value, slots above the degree of every minor,
+    and bits those of the entries' coefficients.
 
     A minor's degree is at most D, the sum of the row degrees, and its
     coefficients are at most the product of the rows' coefficient 1-norms.
@@ -178,20 +177,17 @@ def _sizes(m: list) -> tuple | None:
     for row in m:
         norm, top = 0, 1
         for e in row:
-            c = e.content
-            if c.denominator != 1:
-                return None
-            norm += abs(c.numerator) * sum(map(abs, e.prim))
-            bits += c.numerator.bit_length() + sum(map(int.bit_length, e.prim))
-            top = max(top, len(e.prim))
+            norm += sum(map(abs, e))
+            bits += sum(map(int.bit_length, e))
+            top = max(top, len(e))
         bound *= max(1, norm)
         degree += top - 1
     return (bound.bit_length() + 9) // 8 * 8, degree + 1, bits
 
 
 def _kronecker(m: list, s: int, slots: int) -> tuple:
-    """(rows, read) as in _z_image for a Poly matrix with integer contents
-    whose minors have degree below slots and coefficients below 2^(s-2) in
+    """(rows, read) as in _z_image for a matrix of int-list entries whose
+    minors have degree below slots and coefficients below 2^(s-2) in
     absolute value, s a multiple of 8 (Kronecker 1882).
 
     An entry p becomes p(2^s); read takes v = p(2^s) back to p, slot by
@@ -202,9 +198,9 @@ def _kronecker(m: list, s: int, slots: int) -> tuple:
 
     def pack(e):
         v = 0
-        for x in reversed(e.prim):
+        for x in reversed(e):
             v = (v << s) + x
-        return e.content.numerator * v
+        return v
 
     def read(v):
         data = (v + offset).to_bytes(width * slots, "little")
@@ -214,11 +210,8 @@ def _kronecker(m: list, s: int, slots: int) -> tuple:
 
 
 def _poly_det_bareiss(m: list) -> Poly:
-    """Fraction-free determinant of a square Poly matrix, eliminated over Z
-    when packing pays (_z_image).  Up to order 2 it is at most two
-    products and no division, cheaper than packing them."""
-    if len(m) < 3:
-        return _det(m)
+    """Fraction-free determinant of a square matrix of int-list entries,
+    eliminated over Z when packing pays (_z_image)."""
     rows, read = _z_image(m)
     return read(_det(rows))
 
@@ -239,18 +232,21 @@ def _wronsky_rows(elems, m: int) -> tuple[list, Poly]:
     i-th element cleared, and scale is the product of the E^(m+1).
 
     The x-free case of the cleared tower, u^(k) = P_k/E^(k+1): entry k is
-    P_k*E^(m-k), built over Z[t] with no gcd.
+    P_k*E^(m-k), an int list built over Z[t] with no gcd ([] for zero).
     """
     if not elems:
         raise ShapeError("need at least one element")
     rows = []
     scale = [1]
     for u in elems:
-        tower = _tower(*_clear({(): u}))
-        powers = [[1]] + [tower(k)[1] for k in range(m + 1)]     # E^j
-        rows.append([_primitive(_ONE_F, _conv(tower(k)[0].get((), []),
-                                              powers[m - k]))
-                     for k in range(m + 1)])
+        num, den = _clear({(): u})
+        tower = _tower(num, den)
+        powers = [[1]]                  # E^j
+        for _ in range(m + 1):
+            powers.append(_conv(powers[-1], den))
+        pks = [tower(k).get(()) for k in range(m + 1)]
+        rows.append([_conv(pk, powers[m - k]) if pk else []
+                     for k, pk in enumerate(pks)])
         scale = _conv(scale, powers[m + 1])
     return rows, _primitive(_ONE_F, scale)
 
@@ -258,9 +254,9 @@ def _wronsky_rows(elems, m: int) -> tuple[list, Poly]:
 def _monic_solve(cleared: list) -> tuple | None:
     """(d, [c_0, ..., c_{n-1}]): W = d/scale, and y^(n) + c_{n-1} y^(n-1)
     + ... + c_0 y kills each u_i, row i holding u_i, ..., u_i^(n) times a
-    polynomial, scale being the product of those.  By Cramer's rule c_j =
-    (-1)^(n-j) minor_j / W, minor_j being the bordered Wronskian without
-    order j; None when W = 0."""
+    polynomial as int lists, scale being the product of those.  By
+    Cramer's rule c_j = (-1)^(n-j) minor_j / W, minor_j being the bordered
+    Wronskian without order j; None when W = 0."""
     rows, read = _z_image(cleared)
     solved = _solve(rows)
     if solved is None:
@@ -272,9 +268,8 @@ def _monic_solve(cleared: list) -> tuple | None:
 def _monic_coefficients(rows: list) -> list | None:
     """The c_j of _monic_solve for RatFunc rows u_i, ..., u_i^(n), each
     row cleared of its denominators; None when W = 0."""
-    cleared = [[_primitive(_ONE_F, c)
-                for c in _clear(dict(enumerate(row)))[0].values()] for row in rows]
-    solved = _monic_solve(cleared)
+    solved = _monic_solve([list(_clear(dict(enumerate(row)))[0].values())
+                           for row in rows])
     return None if solved is None else solved[1]
 
 

@@ -519,6 +519,29 @@ def test_power_budget_counts_the_last_squaring():
         assert elapsed < 1
 
 
+def test_huge_exponents_print_without_expanding():
+    # printing sorted the terms by a key that repeated each variable by
+    # its exponent: this raised OverflowError out of cli.run
+    result, elapsed = _timed(["derive", "x^12345678901234567890"])
+    assert result == (0, "12345678901234567890*x^12345678901234567889*x'\n", "")
+    assert elapsed < 1
+
+
+def test_nesting_limit():
+    # 400 levels raised RecursionError out of cli.run; the limit is a
+    # domain error, in batch mode too, which stops at its line
+    message = "error: parentheses nested deeper than 100\n"
+    deep = "(" * 400 + "t" + ")" * 400
+    assert invoke(["order", "(" * 100 + "t" + ")" * 100]) == (0, "-1\n", "")
+    assert invoke(["order", "(" * 101 + "t" + ")" * 101]) == (1, "", message)
+    assert invoke(["order", deep]) == (1, "", message)
+    out, err = io.StringIO(), io.StringIO()
+    code = cli._batch(io.StringIO('order t\norder "%s"\norder t\n' % deep),
+                      out, err)
+    assert (code, out.getvalue()) == (1, "-1\n")
+    assert err.getvalue() == message + "error: batch stopped at line 2\n"
+
+
 def test_series_command_builds_fractions_per_initial_value(monkeypatch):
     # the series run on int pairs from the parsed input to the printed
     # coefficient: the Fractions left are the parser's and the n^2 initial

@@ -129,16 +129,19 @@ _HADAMARD = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
 @example([[Poly([h << 200] * 5) for h in row] + [Poly([1 << 200] * 5)]
           for row in _HADAMARD])
 def test_packed_elimination_against_poly_elimination(aug):
-    # elimination over Z at t = 2^s reads back what _bareiss gives over
-    # Z[t], the reference: the determinant, and the solve's determinant
-    # and Cramer numerators (None when singular)
+    # elimination over Z at t = 2^s, on the entries as int lists, reads
+    # back what _bareiss gives over Z[t] (Poly), the reference: the
+    # determinant, and the solve's determinant and Cramer numerators
+    # (None when singular)
     n = len(aug)
     square = [row[:n] for row in aug]
     eliminated, rank = _bareiss(square, n)
     det = eliminated[min(rank, n - 1)][min(rank, n - 1)]
-    rows, read = _kronecker(square, *_sizes(square)[:2])
-    assert read(_det(rows)) == det == _poly_det_bareiss(square)
-    rows, read = _kronecker(aug, *_sizes(aug)[:2])
+    ints = [[[int(c) for c in p.coeffs] for p in row] for row in aug]
+    square_ints = [row[:n] for row in ints]
+    rows, read = _kronecker(square_ints, *_sizes(square_ints)[:2])
+    assert read(_det(rows)) == det == _poly_det_bareiss(square_ints)
+    rows, read = _kronecker(ints, *_sizes(ints)[:2])
     solved, expected = _solve(rows), _solve(aug)
     if expected is None:
         assert solved is None and not det

@@ -12,7 +12,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
 from diffalg.basefield import Poly, RatFunc, _derivative_name, _signed_sum
-from diffalg.diffpoly import DiffPoly, _mono_str_key, var
+from diffalg.diffpoly import DiffPoly, var
 from diffalg.odeseries import TruncatedSeries
 from diffalg.wronskian import LinearODE
 
@@ -49,6 +49,15 @@ def _ref_ratfunc(f: RatFunc) -> str:
     if not monomial:
         den_s = "(%s)" % den_s
     return "%s/%s" % (num_s, den_s)
+
+
+def _mono_str_key(m) -> tuple:
+    """The expanded sort key: the variables from the highest down, each
+    repeated by its exponent, then the degree."""
+    vars_desc = []
+    for v, e in reversed(m):
+        vars_desc.extend([(v.order, v.indeterminate)] * e)
+    return (vars_desc, sum(e for _v, e in m))
 
 
 def _ref_diffpoly(p: DiffPoly) -> str:
@@ -150,3 +159,21 @@ def test_linear_ode_prints_as_reference(ode):
 @given(_series)
 def test_series_prints_as_reference(s):
     assert str(s) == _ref_series(s)
+
+
+_wide_monomials = st.dictionaries(
+    st.builds(var, st.integers(0, 2), st.integers(0, 4)), st.integers(1, 5),
+    max_size=4).map(lambda d: tuple(sorted(d.items())))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(_wide_monomials, _units, min_size=2, max_size=6))
+# a common prefix of pairs, then a longer run of one variable or an end
+@example({((var(0, 0), 1), (var(0, 2), 2)): RatFunc(1),
+          ((var(0, 1), 3), (var(0, 2), 2)): RatFunc(1)})
+@example({((var(0, 2), 3),): RatFunc(1),
+          ((var(0, 0), 1), (var(0, 2), 2)): RatFunc(-1), (): RatFunc(1)})
+def test_terms_print_in_expanded_key_order(terms):
+    # the printer sorts by the (variable, exponent) pairs, unexpanded
+    p = DiffPoly(terms, 3)
+    assert str(p) == _ref_diffpoly(p)

@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import random_poly, random_ratfunc
 from diffalg.basefield import Poly, RatFunc
+from diffalg.cleared import _clear
 from diffalg.errors import PoleAtBasePoint, ShapeError
 from diffalg import odeseries
 from diffalg.odeseries import (
@@ -274,8 +275,12 @@ def _taylor_problems(draw):
 @example(([Poly((3,)), Poly((1, -1))], Poly((1, 0, 0, Fraction(2, 5), -4)),
           Fraction(2, 3), [[Fraction(1, 2)]], 20))
 def test_taylor_against_fraction_recurrence(problem):
+    # _taylor takes the equation cleared to int lists, one integer
+    # multiple of the rational one
     q, rhs, t0, inits, precision = problem
-    assert odeseries._taylor(q, rhs, t0, inits, precision) \
+    cleared, _den = _clear(dict(enumerate(RatFunc(p) for p in [*q, rhs])))
+    *q_ints, rhs_ints = cleared.values()
+    assert odeseries._taylor(q_ints, rhs_ints, t0, inits, precision) \
         == _fraction_taylor(q, rhs, t0, inits, precision)
 
 

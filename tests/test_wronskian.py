@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 from random import Random
 
@@ -17,7 +18,9 @@ from diffalg.parsing import parse_ratfunc
 from diffalg.wronskian import (
     FundamentalSystem,
     LinearODE,
+    _same,
     _wronsky_rows,
+    _z_image,
     apply_constant_matrix,
     dependence_certificate,
     ode_from_fundamental_system,
@@ -232,6 +235,28 @@ def test_wronsky_rows_run_one_gcd_per_output(monkeypatch):
     assert len(calls) == len(elems) + 1
 
 
+def test_wronsky_rows_reach_the_elimination_as_int_lists(monkeypatch):
+    # a corpus-sized input that packs: no Poly is built on the way in, so
+    # wronskian._primitive runs once for the scale and once per value read
+    # back, W's numerator and, for the ODE, each Cramer numerator
+    elems = [parse_ratfunc(f) for f in
+             ("(2*t-2)/(t^3-3*t^2+3*t-9)", "-1/(t-1)", "(-3*t^2-t+2)/t",
+              "3/(t+2)")]
+    rows, _scale = _wronsky_rows(elems, len(elems))
+    assert _z_image(rows)[1] is not _same
+    calls = []
+    # the package attribute wronskian is the function, not the module
+    module = importlib.import_module("diffalg.wronskian")
+    primitive = module._primitive
+    monkeypatch.setattr(module, "_primitive",
+                        lambda c, cs: calls.append(cs) or primitive(c, cs))
+    wronskian(elems)
+    assert len(calls) == 2
+    calls.clear()
+    FundamentalSystem(elems)
+    assert len(calls) == 2 + len(elems)
+
+
 def test_shared_denominators_clear_without_gcd(monkeypatch):
     # each distinct denominator joins the common one once, so coefficients
     # over a single denominator run no polynomial gcd at all
@@ -275,8 +300,9 @@ def _product(polys) -> Poly:
 def test_wronsky_rows_clear_the_wronsky_matrix(elems, bordered):
     # row i is column i of the Wronsky matrix (one order more when
     # bordered) times its scale E_i^(m+1), m the highest order and E_i in
-    # Z[t] a nonzero constant multiple of d_i (1 for a zero element);
-    # scale is the product of the row scales
+    # Z[t] the cleared denominator, a nonzero constant multiple of d_i (1
+    # for a zero element); the entries are int lists without trailing
+    # zeros, [] for zero, and scale is the product of the row scales
     m = len(elems) - 1 + bordered
     rows, scale = _wronsky_rows(elems, m)
     cols = [list(col) for col in zip(*wronsky_matrix(elems))]
@@ -284,10 +310,11 @@ def test_wronsky_rows_clear_the_wronsky_matrix(elems, bordered):
     for u, row, col in zip(elems, rows, cols):
         if bordered:
             col.append(col[-1].derive())
-        assert all(isinstance(p, Poly) for p in row)
-        d = RatFunc(row[0]) / u if u else ONE
+        assert all(type(p) is list and all(type(x) is int for x in p)
+                   and (not p or p[-1]) for p in row)
+        d = RatFunc(Poly(cleared._clear({(): u})[1]) ** (m + 1))
         ratio = d / u.den ** (m + 1)
         assert ratio and ratio.num.degree() == 0 and ratio.den == 1
-        assert [RatFunc(p) for p in row] == [f * d for f in col]
+        assert [RatFunc(Poly(p)) for p in row] == [f * d for f in col]
         product = product * d
     assert RatFunc(scale) == product
