@@ -114,6 +114,28 @@ EDGE = [
     ["group-check", "sl3", "1,0,0;0,1,0;0,0,-1"],
     ["gl-witness", "2", "--seed", "4"],
     ["gl-witness", "2", "--matrix", "1,1;1,1"],
+    # matrix literals: rational and zero rows, signs and spaces, the other
+    # forms of a rational number, a dense sl8 (a product of unitriangular
+    # matrices), a fractional transform, then the refused shapes and
+    # entries: a short row, an empty entry, digits outside ASCII (one int
+    # reads, one it refuses), a literal past the int conversion limit and
+    # a zero denominator
+    ["group-check", "sl2", "1/2,0;0,2"],
+    ["group-check", "gl3", "1,2,3;0,0,0;4,5,6"],
+    ["group-check", "sl2", " 1 , -0 ; +0 , 1 "],
+    ["group-check", "sl2", "0.5,0;0,2"],
+    ["group-check", "sl2", "1e0,0;0,1"],
+    ["group-check", "sl2", "1_0,0;0,1/10"],
+    ["group-check", "sl8", "1,1,1,-2,0,-2,-2,1;-1,0,1,3,-2,0,2,-2;"
+     "0,1,3,-1,-1,0,-1,1;-1,-2,-5,6,-1,2,2,-2;-2,-3,-5,7,0,6,2,0;"
+     "-1,0,-1,8,-4,-3,2,-3;1,2,4,-1,-4,5,-8,10;-2,-1,-1,5,-1,-2,8,-3"],
+    ["gl-witness", "3", "--matrix", "1/2,1,0;0,2/3,1;-1,0,3/4"],
+    ["group-check", "gl2", "1,0;0"],
+    ["group-check", "gl2", "1,;0,1"],
+    ["group-check", "mu2", "\u0663"],
+    ["group-check", "mu2", "\u00b2"],
+    ["group-check", "gm", "9" * 5000],
+    ["group-check", "gm", "1/0"],
     ["reduce", "x''-1", "--mod", "(x')^2-2*x"],
     ["reduce", "x^(4)*x + t*(x'')^2", "--mod", "(x')^2 - t*x"],
     ["reduce", "(x'')^3 + x", "--mod", "x'^2 + x/t"],
