@@ -24,8 +24,8 @@ _EXPORTS = {name: module for module, names in (
                 "descriptor_trdeg")),
     ("matgroup", ("AlgebraicMatrixGroup ConstMatrix GroupLabel catalog_group "
                   "descriptor_to_matrix_group gl_invariance_witness "
-                  "group_closure_sample_check group_contains "
-                  "identity_component_dimension wronskian_minor_polynomials")),
+                  "group_contains identity_component_dimension "
+                  "wronskian_minor_polynomials")),
     ("odeseries", ("TruncatedSeries fundamental_system_series ode_residual "
                    "series_expand series_wronskian")),
     ("parsing", "parse_diffpoly parse_fraction parse_matrix parse_ratfunc"),

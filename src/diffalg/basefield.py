@@ -302,27 +302,6 @@ class Poly:
             return self
         return _poly(Fraction(1, a[-1]), a)
 
-    def shift(self, a) -> "Poly":
-        """p(t + a), exact binomial expansion."""
-        a = _as_fraction(a)
-        if a == 0 or self.is_zero():
-            return self
-        # with a = u/v: v^n p(t + u/v) = sum_k p_k sum_j C(k, j) u^(k-j)
-        # v^(n-k+j) t^j, all in Z
-        u, v = a.numerator, a.denominator
-        n = self.degree()
-        u_pw = [1]
-        v_pw = [1]
-        for _ in range(n):
-            u_pw.append(u_pw[-1] * u)
-            v_pw.append(v_pw[-1] * v)
-        out = [0] * (n + 1)
-        for k, x in enumerate(self.prim):
-            if x:
-                for j in range(k + 1):
-                    out[j] += x * math.comb(k, j) * u_pw[k - j] * v_pw[n - k + j]
-        return _primitive(self.content / v_pw[n], out)
-
     def __call__(self, x) -> Fraction:
         x = _as_fraction(x)
         if not self.prim:

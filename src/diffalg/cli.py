@@ -298,7 +298,7 @@ def _random_invertible(rng, n: int):
 
     while True:
         m = ConstMatrix.from_rows(
-            [[Fraction(rng.randint(-5, 5)) for _ in range(n)]
+            [[rng.randint(-5, 5) for _ in range(n)]
              for _ in range(n)])
         if m.det() != 0:
             return m

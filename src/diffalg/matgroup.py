@@ -14,6 +14,7 @@ same det(T) factor, so the ratios must agree.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from functools import cached_property
 from fractions import Fraction
@@ -23,30 +24,41 @@ from .diffpoly import DerivVar, DiffPoly, _coeff, _var_name
 from .errors import (
     DegeneratePoint,
     IncompleteAssignment,
-    NonMemberSample,
     NotInCatalog,
     ShapeError,
     SingularTransform,
 )
 from .galois import GaloisDescriptor, GroupKind
-from .wronskian import (_cofactor_det, _det, _monic_coefficients, _solve,
+from .wronskian import (_cofactor_det, _det, _monic_coefficients,
                         apply_constant_matrix)
 
 
 class ConstMatrix(_Record):
-    """Square matrix of rationals."""
+    """Square matrix of rationals.
 
-    _fields = ("entries",)
+    Row i is stored as ints over one positive denominator, rows[i] /
+    dens[i], dens[i] the lcm of the row's entry denominators.  The pair is
+    unique, so equality and hashing read it, and det eliminates the ints.
+    entries, the rows of Fraction entries, is built on each read.
+    """
 
-    def __init__(self, entries: tuple):
-        self.entries = entries
+    _fields = ("rows", "dens")
+
+    def __init__(self, rows: tuple, dens: tuple):
+        self.rows, self.dens = rows, dens
 
     @classmethod
     def from_rows(cls, rows) -> "ConstMatrix":
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise ShapeError("matrix must be square and nonempty")
-        return cls(tuple([tuple([Fraction(v) for v in r]) for r in rows]))
+        ints, dens = [], []
+        for r in rows:
+            r = [v if type(v) is int else Fraction(v) for v in r]
+            den = math.lcm(*[v.denominator for v in r])
+            ints.append(tuple([v.numerator * (den // v.denominator) for v in r]))
+            dens.append(den)
+        return cls(tuple(ints), tuple(dens))
 
     @classmethod
     def identity(cls, n: int) -> "ConstMatrix":
@@ -55,27 +67,16 @@ class ConstMatrix(_Record):
 
     @property
     def n(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
+
+    @property
+    def entries(self) -> tuple:
+        return tuple([tuple([Fraction(v, d) for v in row])
+                      for row, d in zip(self.rows, self.dens)])
 
     def det(self) -> Fraction:
-        return _det([list(row) for row in self.entries])
-
-    def inverse(self) -> "ConstMatrix":
-        n = self.n
-        solved = _solve([list(row) + [Fraction(int(i == j)) for j in range(n)]
-                         for i, row in enumerate(self.entries)])
-        if solved is None:
-            raise SingularTransform("matrix is singular")
-        d, y = solved
-        return ConstMatrix.from_rows([[v / d for v in row] for row in y])
-
-    def __matmul__(self, other: "ConstMatrix") -> "ConstMatrix":
-        if self.n != other.n:
-            raise ShapeError("size mismatch")
-        n = self.n
-        return ConstMatrix.from_rows(
-            [[sum(self.entries[i][k] * other.entries[k][j] for k in range(n))
-              for j in range(n)] for i in range(n)])
+        """det of the int rows over Z, divided by the product of dens."""
+        return Fraction(_det(self.rows), math.prod(self.dens))
 
 
 class GroupLabel(Enum):
@@ -139,8 +140,8 @@ def group_contains(group: AlgebraicMatrixGroup, m: ConstMatrix) -> bool:
     if m.n != group.n:
         raise ShapeError("matrix size %d, group size %d" % (m.n, group.n))
     if group.label is GroupLabel.UNIPOTENT_ADDITIVE:
-        (a, _), (c, d) = m.entries
-        return a == d == 1 and c == 0
+        (a, _), (c, d) = m.rows
+        return a == m.dens[0] and d == m.dens[1] and c == 0
     det = m.det()
     if group.label is GroupLabel.ROOTS_OF_UNITY:
         # z^k = 1 over Q only for z = 1, or z = -1 with k even: no z^k
@@ -150,20 +151,6 @@ def group_contains(group: AlgebraicMatrixGroup, m: ConstMatrix) -> bool:
     if group.label in (GroupLabel.GENERAL_LINEAR, GroupLabel.DIAGONAL_MULTIPLICATIVE):
         return det != 0
     raise NotInCatalog("membership is only decided for catalog groups")
-
-
-def group_closure_sample_check(group: AlgebraicMatrixGroup, samples) -> bool:
-    """Products and inverses of member samples stay members."""
-    for s in samples:
-        if not group_contains(group, s):
-            raise NonMemberSample("sample outside the group")
-    for a in samples:
-        if not group_contains(group, a.inverse()):
-            return False
-        for b in samples:
-            if not group_contains(group, a @ b):
-                return False
-    return True
 
 
 def identity_component_dimension(group: AlgebraicMatrixGroup) -> int:
@@ -225,7 +212,8 @@ def gl_invariance_witness(n: int, transform: ConstMatrix, generic_point: dict) -
                 for i in range(n)]
     except KeyError as exc:
         raise IncompleteAssignment("no value for %s" % _var_name(exc.args[0], n)) from None
-    moved = [apply_constant_matrix(col, transform.entries) for col in zip(*rows)]
+    matrix = transform.entries
+    moved = [apply_constant_matrix(col, matrix) for col in zip(*rows)]
     before = _monic_coefficients(rows)
     if before is None:
         raise DegeneratePoint("Wronskian vanishes at the generic point")

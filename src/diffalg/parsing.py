@@ -50,7 +50,8 @@ import re
 import sys
 from fractions import Fraction
 
-from .basefield import _ONE_F, _ONE_POLY, RatFunc, _conv, _primitive, _ratfunc
+from .basefield import (_ONE_F, _ONE_POLY, _ONE_RF, RatFunc, _conv, _primitive,
+                        _ratfunc)
 from .cleared import _add_ints, _content
 from .diffpoly import DerivVar, DiffPoly, _acc_term, _diffpoly
 from .errors import MixedArity, NotApplicable, ParseError
@@ -390,6 +391,10 @@ def _power_size(value, e: int) -> tuple:
         m, top, num, den = 1, len(value), sum(map(abs, value)), 1
     else:
         coeffs = value.terms.values() if isinstance(value, DiffPoly) else (value,)
+        # a single term's power is sized as its coefficient's: the unit's,
+        # as in x^2 or (x^(3))^2, is 0 at once
+        if len(coeffs) == 1 and next(iter(coeffs)) is _ONE_RF:
+            return 0, 0
         m, top, num, den = len(coeffs), 0, 0, 1
         for c in coeffs:
             content, a, b = c.num.content, c.num.prim, c.den.prim
@@ -436,6 +441,16 @@ def parse_fraction(text: str) -> Fraction:
         raise ZeroDivisionError("division by zero") from None
 
 
+def _matrix_entry(text: str):
+    """An int when int() reads the text, which is then an integer literal
+    that Fraction reads to the same value; parse_fraction's answer or
+    error otherwise."""
+    try:
+        return int(text)
+    except ValueError:
+        return parse_fraction(text)
+
+
 def parse_matrix(text: str) -> ConstMatrix:
     """Parse a matrix literal: rows separated by ';', entries by ','.
 
@@ -443,8 +458,5 @@ def parse_matrix(text: str) -> ConstMatrix:
     """
     from .matgroup import ConstMatrix
 
-    rows = []
-    for row_text in text.split(";"):
-        entries = [parse_fraction(e) for e in row_text.split(",")]
-        rows.append(entries)
-    return ConstMatrix.from_rows(rows)
+    return ConstMatrix.from_rows([[_matrix_entry(e) for e in row.split(",")]
+                                  for row in text.split(";")])

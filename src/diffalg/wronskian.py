@@ -80,7 +80,7 @@ def _bareiss(m: list, width: int) -> tuple[list, int]:
     _PACKED_BITS_PER_INPUT_BIT times the bits of the entries'
     coefficients, and runs over Poly entries otherwise.
     """
-    rows = [row[:] for row in m]
+    rows = [list(row) for row in m]
     prev = None
     for k in range(min(width, len(rows))):
         if not rows[k][k]:

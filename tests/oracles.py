@@ -8,19 +8,27 @@ values as int lists until a division.
 
 _cancel is the gcd-based cancellation that the coprime base of
 diffalg.cleared replaced.
+
+poly_shift is the Fraction Taylor shift p(t + a) that the integer shift
+of diffalg.odeseries replaced.  inverse, matmul and
+group_closure_sample_check are the Fraction matrix arithmetic and the
+closure check that no command reaches, kept to check the catalog groups.
 """
 
 import math
 import sys
 from fractions import Fraction
 
-from diffalg.basefield import (_ONE_F, _ONE_POLY, RatFunc, _conv, _exact_quotient,
+from diffalg.basefield import (_ONE_F, _ONE_POLY, Poly, RatFunc, _conv, _exact_quotient,
                                _gcd_parts, _primitive, _ratfunc)
 from diffalg.cleared import _add_ints, _content
 from diffalg.diffpoly import DiffPoly, _diffpoly, var
-from diffalg.errors import MixedArity, NotApplicable, ParseError
+from diffalg.errors import (MixedArity, NonMemberSample, NotApplicable,
+                            ParseError, ShapeError, SingularTransform)
+from diffalg.matgroup import ConstMatrix, group_contains
 from diffalg.parsing import (_DERIVATIVE_ORDER_MAX, _POWER_DEGREE_MAX,
                              _POWER_SIZE_MAX, _power_size)
+from diffalg.wronskian import _solve
 
 _DIGITS = "0123456789"
 
@@ -377,3 +385,60 @@ def _cancel(num: dict, den: list) -> tuple[dict, list]:
         den = [x // c for x in den]
         num = {mono: [x // c for x in a] for mono, a in num.items()}
     return num, den
+
+
+def poly_shift(p: Poly, a) -> Poly:
+    """p(t + a), exact binomial expansion."""
+    a = Fraction(a)
+    if a == 0 or p.is_zero():
+        return p
+    # with a = u/v: v^n p(t + u/v) = sum_k p_k sum_j C(k, j) u^(k-j)
+    # v^(n-k+j) t^j, all in Z
+    u, v = a.numerator, a.denominator
+    n = p.degree()
+    u_pw = [1]
+    v_pw = [1]
+    for _ in range(n):
+        u_pw.append(u_pw[-1] * u)
+        v_pw.append(v_pw[-1] * v)
+    out = [0] * (n + 1)
+    for k, x in enumerate(p.prim):
+        if x:
+            for j in range(k + 1):
+                out[j] += x * math.comb(k, j) * u_pw[k - j] * v_pw[n - k + j]
+    return _primitive(p.content / v_pw[n], out)
+
+
+def inverse(m: ConstMatrix) -> ConstMatrix:
+    """m^-1 from one solve of [m | I] over Q."""
+    n = m.n
+    solved = _solve([list(row) + [Fraction(int(i == j)) for j in range(n)]
+                     for i, row in enumerate(m.entries)])
+    if solved is None:
+        raise SingularTransform("matrix is singular")
+    d, y = solved
+    return ConstMatrix.from_rows([[v / d for v in row] for row in y])
+
+
+def matmul(a: ConstMatrix, b: ConstMatrix) -> ConstMatrix:
+    if a.n != b.n:
+        raise ShapeError("size mismatch")
+    n = a.n
+    x, y = a.entries, b.entries
+    return ConstMatrix.from_rows(
+        [[sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n)]
+         for i in range(n)])
+
+
+def group_closure_sample_check(group, samples) -> bool:
+    """Products and inverses of member samples stay members."""
+    for s in samples:
+        if not group_contains(group, s):
+            raise NonMemberSample("sample outside the group")
+    for a in samples:
+        if not group_contains(group, inverse(a)):
+            return False
+        for b in samples:
+            if not group_contains(group, matmul(a, b)):
+                return False
+    return True

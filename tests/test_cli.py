@@ -17,8 +17,8 @@ from diffalg import cli
 from diffalg.basefield import Poly, RatFunc
 from diffalg.diffpoly import DiffPoly, var
 from diffalg.errors import MixedArity, NotApplicable, ParseError
-from diffalg.parsing import (parse_diffpoly, parse_fraction, parse_matrix,
-                             parse_ratfunc)
+from diffalg.parsing import (_power_size, parse_diffpoly, parse_fraction,
+                             parse_matrix, parse_ratfunc)
 
 
 def invoke(args):
@@ -298,6 +298,53 @@ def test_matrix_and_fraction_literals():
         parse_fraction("t")
 
 
+_SPACE = st.sampled_from(["", " ", "\t", "  ", "\n", "\u00a0", "\u3000"])
+_DIGIT_RUN = st.text(alphabet="0123456789", min_size=1, max_size=5)
+_GROUPED = st.builds(lambda head, tail: head + "".join("_" + d for d in tail),
+                     _DIGIT_RUN, st.lists(_DIGIT_RUN, max_size=2))
+_NUMBER = st.one_of(
+    _GROUPED,
+    st.builds("{}.{}".format, _GROUPED, _DIGIT_RUN),
+    st.builds(".{}".format, _DIGIT_RUN),
+    st.builds("{}/{}".format, _GROUPED, _GROUPED),
+    st.builds("{}{}{}{}".format, _GROUPED, st.sampled_from("eE"),
+              st.sampled_from(["", "+", "-"]), _DIGIT_RUN))
+_ENTRY = st.one_of(
+    st.builds("{}{}{}{}".format, _SPACE, st.sampled_from(["", "+", "-", "+-"]),
+              _NUMBER, _SPACE),
+    st.text(alphabet="0123456789+-_./eE \t\u0663\u00b2x", max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ENTRY)
+@example("")
+@example(" -0 ")
+@example("+007")
+@example("1__0")
+@example("_1")
+@example("1/0")
+@example("9" * 5000)
+@example("-" + "9" * 4300)
+@example("\u0663")  # an Arabic-Indic three: int and Fraction read it
+@example("\u00b2")  # a superscript two: isdigit() holds, both refuse it
+def test_matrix_entry_reads_as_fraction_reads_it(text):
+    # an entry that int() reads skips Fraction; the value, or the error,
+    # is the one Fraction gives
+    try:
+        expected = Fraction(text.strip())
+    except ValueError:
+        with pytest.raises(ParseError, match="expected a rational number"):
+            parse_matrix(text)
+        return
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            parse_matrix(text)
+        return
+    m = parse_matrix(text)
+    assert m.entries == ((expected,),)
+    assert m.rows == ((expected.numerator,),) and m.dens == (expected.denominator,)
+
+
 def test_roundtrip_ratfunc():
     rng = Random(20260801)
     for _ in range(200):
@@ -517,6 +564,21 @@ def test_power_budget_counts_the_last_squaring():
         result, elapsed = _timed(["order", text])
         assert result == (1, "", "error: %s\n" % _SIZE_MESSAGE)
         assert elapsed < 1
+
+
+def test_single_term_power_is_sized_by_its_coefficient():
+    # a unit term, as in x^2, is sized 0 at once; any other single term
+    # as the power of its coefficient alone
+    for text in ("x", "x^(3)", "x*x'", "x^5*x'"):
+        for e in (2, 7, 10 ** 6):
+            assert _power_size(parse_diffpoly(text), e) == (0, 0) \
+                == _power_size(RatFunc(1), e)
+    rng = Random(23)
+    for _ in range(40):
+        c = random_ratfunc(rng, nonzero=True)
+        term = DiffPoly.from_var(var(rng.randint(0, 2), 0)) * DiffPoly.const(c)
+        for e in (2, 5, 40):
+            assert _power_size(term, e) == _power_size(c, e)
 
 
 def test_huge_exponents_print_without_expanding():

@@ -1,10 +1,14 @@
 import io
+import math
 from fractions import Fraction
 from random import Random
 
 import pytest
+import sympy
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import generic_wronskian_point, random_invertible, random_ratfunc
+from oracles import group_closure_sample_check, inverse, matmul
 from diffalg import cli
 from diffalg.basefield import Poly, RatFunc
 from diffalg.diffpoly import DerivVar, DiffPoly
@@ -24,13 +28,12 @@ from diffalg.matgroup import (
     catalog_group,
     descriptor_to_matrix_group,
     gl_invariance_witness,
-    group_closure_sample_check,
     group_contains,
     identity_component_dimension,
     wronskian_minor_polynomials,
 )
 from diffalg.parsing import parse_matrix
-from diffalg.wronskian import apply_constant_matrix, wronskian
+from diffalg.wronskian import _det, apply_constant_matrix, wronskian
 
 M = ConstMatrix.from_rows
 
@@ -38,10 +41,10 @@ M = ConstMatrix.from_rows
 def test_const_matrix_basics():
     a = M([[1, 2], [3, 4]])
     assert a.det() == -2
-    assert a.inverse() @ a == ConstMatrix.identity(2)
+    assert matmul(inverse(a), a) == ConstMatrix.identity(2)
     assert M([[0, 1], [1, 0]]).det() == -1
     with pytest.raises(SingularTransform):
-        M([[1, 2], [2, 4]]).inverse()
+        inverse(M([[1, 2], [2, 4]]))
     with pytest.raises(ShapeError):
         M([[1, 2]])
 
@@ -192,7 +195,7 @@ def _random_sl(rng: Random, n: int) -> ConstMatrix:
             continue
         rows = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
         rows[i][j] = Fraction(rng.randint(-4, 4))
-        out = out @ M(rows)
+        out = matmul(out, M(rows))
     return out
 
 
@@ -305,3 +308,102 @@ def test_minors_transform_symbolically():
             rows = [list(r) for r in t.entries]
             for m in minors:
                 assert m.substitute_linear(rows) == m * RatFunc(det)
+
+
+# integer rows: det and membership against the Fraction elimination,
+# sympy and the defining equations
+
+_BIG = 2 ** 70
+_entries = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+    st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, _BIG)))
+
+
+@st.composite
+def _matrices(draw, sizes=st.integers(1, 8)):
+    """Square rows of ints and Fractions, some with a zero or a repeated
+    row."""
+    n = draw(sizes)
+    rows = draw(st.lists(st.lists(_entries, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    kind = draw(st.sampled_from(("plain", "zero", "repeated")))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if kind == "zero":
+        rows[i] = [0] * n
+    elif kind == "repeated":
+        rows[i] = list(rows[j])
+    return rows
+
+
+def _rational(v) -> sympy.Rational:
+    v = Fraction(v)
+    return sympy.Rational(v.numerator, v.denominator)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrices())
+@example([[Fraction(_BIG + 1, _BIG), -_BIG], [Fraction(1, _BIG), 1]])
+@example([[0] * 8] * 8)
+def test_det_on_integer_rows_against_fraction_elimination_and_sympy(rows):
+    m = M(rows)
+    det = m.det()
+    assert type(det) is Fraction
+    # the elimination the integer rows replaced, over Q
+    assert det == _det([[Fraction(v) for v in r] for r in rows])
+    expected = sympy.Matrix([[_rational(v) for v in r] for r in rows]).det()
+    assert det == Fraction(int(expected.p), int(expected.q))
+    # each row is stored over the lcm of its denominators
+    for r, ints, den in zip(rows, m.rows, m.dens):
+        assert all(type(v) is int for v in ints)
+        assert den == math.lcm(*[Fraction(v).denominator for v in r])
+        assert [Fraction(v, den) for v in ints] == [Fraction(v) for v in r]
+    assert m.entries == tuple([tuple([Fraction(v) for v in r]) for r in rows])
+
+
+def test_integer_det_builds_one_fraction():
+    literal = ";".join(",".join(str((7 * i + 3 * j * j) % 11 - 5) for j in range(6))
+                       for i in range(6))
+    made = []
+    new = Fraction.__dict__["__new__"]
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new.__func__(cls, *args, **kwargs)
+    Fraction.__new__ = staticmethod(counting)
+    try:
+        m = parse_matrix(literal)
+        det = m.det()
+    finally:
+        Fraction.__new__ = new
+    # the parse builds none, the determinant only its value
+    assert len(made) <= 1
+    assert det == sympy.Matrix([[int(v) for v in r.split(",")]
+                                for r in literal.split(";")]).det()
+
+
+_GROUPS = ([catalog_group(GroupLabel.GENERAL_LINEAR, n) for n in (1, 2, 3)]
+           + [catalog_group(GroupLabel.SPECIAL_LINEAR, n) for n in (1, 2, 3)]
+           + [catalog_group(GroupLabel.UNIPOTENT_ADDITIVE, 2),
+              catalog_group(GroupLabel.DIAGONAL_MULTIPLICATIVE, 1)]
+           + [catalog_group(GroupLabel.ROOTS_OF_UNITY, 1, k) for k in (1, 2, 3, 4)])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(_GROUPS).flatmap(lambda g: st.tuples(
+    st.just(g), _matrices(st.just(g.n)),
+    st.sampled_from(("as drawn", "det 1", "unipotent", "negated")))))
+def test_membership_with_fractional_entries_against_equations(case):
+    group, rows, shape = case
+    n = group.n
+    if shape == "det 1":
+        # dividing one row by the determinant makes a member of sl<n>
+        det = M(rows).det()
+        if det:
+            rows[0] = [Fraction(v) / det for v in rows[0]]
+    elif shape == "unipotent" and n == 2:
+        rows = [[1, rows[0][1]], [0, 1]]
+    elif shape == "negated" and n == 1:
+        rows = [[-1]] if rows[0][0] else [[1]]
+    m = M(rows)
+    assert group_contains(group, m) == _by_equations(group, m), (group, rows)
