@@ -196,6 +196,19 @@ EDGE = [
     ["solve-series", "1/(t+1)", "0", "t^2", "--precision", "10",
      "--base-point", "-1/2"],
     ["solve-series", "1/(t-1)", "t", "2/(t-1)^2", "-1", "--precision", "128"],
+    # powers of sums of terms, squared on the cleared numerators: with
+    # t-denominators, two indeterminates, a reduction, a high exponent
+    ["derive", "(x+t)^3"],
+    ["derive", "(x'+1/(t+1))^2*x"],
+    ["order", "((t+1)*x+1)^4"],
+    ["derive", "(x1+x2/(t-1))^3"],
+    ["reduce", "(x'+t*x)^3", "--mod", "x'-x"],
+    ["order", "(x+t)^38"],
+    # x-free powers with a content or a negative lead
+    ["derive", "(-1-t)^3*x"],
+    ["derive", "(2*t+4)^3*x"],
+    ["derive", "(t/2+1)^2*x"],
+    ["derive", "(-t)^5*x"],
 ]
 
 STDIN = [
