@@ -17,8 +17,8 @@ _EXPORTS = {name: module for module, names in (
     ("diffpoly", ("DerivVar DiffPoly ReductionResult certificate_checks "
                   "in_general_ideal ritt_reduce var")),
     ("errors", ("DegeneratePoint DiffAlgError IncompleteAssignment MixedArity "
-                "NonMemberSample NotApplicable NotFundamental NotInCatalog "
-                "ParseError PoleAtBasePoint ShapeError SingularTransform")),
+                "NotApplicable NotFundamental NotInCatalog ParseError "
+                "PoleAtBasePoint ShapeError SingularTransform")),
     ("galois", ("GaloisDescriptor GroupKind classify_antiderivative_extension "
                 "classify_exponential_extension descriptor_dimension "
                 "descriptor_trdeg")),

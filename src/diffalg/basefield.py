@@ -25,6 +25,7 @@ On top of the field arithmetic this module decides two questions exactly:
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 def _as_fraction(x) -> Fraction:
@@ -131,15 +132,15 @@ def _derivative_name(name: str, order: int) -> str:
     return "%s^(%d)" % (name, order)
 
 
-def _power(acc, base, e: int):
-    """acc * base^e, e >= 0, by repeated squaring (no square past the
-    top bit of e)."""
-    while e:
-        if e & 1:
-            acc = acc * base
-        e >>= 1
-        if e:
-            base = base * base
+def _power(base, e: int, mul=operator.mul):
+    """base^e for e >= 1 by left-to-right binary powering (Knuth, TAOCP
+    vol. 2, sec. 4.6.3): one square per bit of e below the top one, then
+    one product by base where the bit is set."""
+    acc = base
+    for bit in bin(e)[3:]:
+        acc = mul(acc, acc)
+        if bit == "1":
+            acc = mul(acc, base)
     return acc
 
 
@@ -270,7 +271,7 @@ class Poly:
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
             raise ValueError("negative power of a polynomial")
-        return _power(_ONE_POLY, self, e)
+        return _power(self, e) if e else _ONE_POLY
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         """Euclidean division, other nonzero."""
@@ -291,7 +292,7 @@ class Poly:
         return q
 
     def derivative(self) -> "Poly":
-        return _primitive(self.content, [k * x for k, x in enumerate(self.prim) if k])
+        return _primitive(self.content, _derivative_ints(self.prim))
 
     def monic(self) -> "Poly":
         a = self.prim
@@ -370,6 +371,22 @@ def _conv(a, b) -> list:
             for j, y in enumerate(b, i):
                 out[j] += x * y
     return out
+
+
+def _add_ints(a: list, b: list) -> list:
+    """a + b for ascending int lists, without trailing zeros."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, y in enumerate(b):
+        out[i] += y
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _derivative_ints(a) -> list:
+    return [k * x for k, x in enumerate(a) if k]
 
 
 def _pseudo_divmod(a: tuple, b: tuple) -> tuple[int, list, list]:
@@ -485,8 +502,11 @@ def _linear_quotient(a, b) -> list | None:
 
 def _exact_quotient(a, b) -> list | None:
     """a/b for int sequences with b primitive, or None when b does not
-    divide a.  By Gauss's lemma a quotient in Q[t] of a by primitive b lies
+    divide a.  A linear b divides by Horner's scheme (_linear_quotient).
+    Otherwise, by Gauss's lemma a quotient in Q[t] of a by primitive b lies
     in Z[t], so the pseudo-quotient q of m*a = q*b is m times it."""
+    if len(b) == 2:
+        return _linear_quotient(a, b)
     m, q, r = _pseudo_divmod(a, b)
     if r:
         return None

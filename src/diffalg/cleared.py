@@ -31,8 +31,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .basefield import (_ONE_F, RatFunc, _conv, _exact_quotient, _gcd_parts,
-                        _linear_quotient, _primitive, _ratfunc)
+from .basefield import (_ONE_F, RatFunc, _add_ints, _conv, _derivative_ints,
+                        _exact_quotient, _gcd_parts, _primitive, _ratfunc)
 
 Monomial = tuple
 
@@ -92,31 +92,6 @@ def _top(terms: dict, v, e: int, d: int) -> dict:
             if _mono_exp(mono, v) == e}
 
 
-def _add_ints(a: list, b: list) -> list:
-    """a + b for ascending int lists, without trailing zeros."""
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, y in enumerate(b):
-        out[i] += y
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _derivative_ints(a: list) -> list:
-    return [k * x for k, x in enumerate(a) if k]
-
-
-def _content(a: list) -> int:
-    g = 0
-    for x in a:
-        g = math.gcd(g, x)
-        if g == 1:
-            break
-    return g
-
-
 def _lcm_prim(a: list, b: list) -> list:
     """The lcm in Z[t] of primitive int lists with positive leads.  When
     one divides the other, as powers of one factor do, one division finds
@@ -133,12 +108,6 @@ def _lcm_prim(a: list, b: list) -> list:
     return _conv(a, _gcd_parts(a, b)[2])
 
 
-def _divide(a: list, b) -> list | None:
-    """a/b for an int list a and a primitive b, or None when b does not
-    divide a."""
-    return _linear_quotient(a, b) if len(b) == 2 else _exact_quotient(a, b)
-
-
 def _acc_ints(d: dict, mono: Monomial, c: list) -> None:
     acc = d.get(mono)
     if acc is None:
@@ -151,8 +120,10 @@ def _acc_ints(d: dict, mono: Monomial, c: list) -> None:
             del d[mono]
 
 
-def _mul_cleared(out: dict, a: dict, b: dict) -> dict:
-    """out plus the product of the numerator dicts a and b."""
+def _mul_cleared(a: dict, b: dict, out: dict | None = None) -> dict:
+    """The product of the numerator dicts a and b, added into out when it
+    is given."""
+    out = {} if out is None else out
     for m1, c1 in a.items():
         for m2, c2 in b.items():
             _acc_ints(out, _mono_mul(m1, m2), _conv(c1, c2))
@@ -270,7 +241,7 @@ class _Base:
             i = 0
             while len(a) > 1 and i < len(elems):
                 b = elems[i]
-                q = _divide(a, b)
+                q = _exact_quotient(a, b)
                 if q is not None:
                     a = q
                     continue
@@ -285,7 +256,7 @@ class _Base:
                 i += 1
             if len(a) > 2:
                 d = _derivative_ints(a)
-                c = _content(d)
+                c = math.gcd(*d)
                 g, a_g, _ = _gcd_parts(a, [x // c for x in d])
                 if len(g) > 1:
                     todo += [g, a_g]
@@ -300,7 +271,7 @@ class _Base:
         for b in self.elems:
             e = 0
             while len(d) > 1:
-                q = _divide(d, b)
+                q = _exact_quotient(d, b)
                 if q is None:
                     break
                 d = q
@@ -331,7 +302,7 @@ class _Base:
             while exps[i]:
                 out = {}
                 for mono, a in num.items():
-                    q = _divide(a, b)
+                    q = _exact_quotient(a, b)
                     if q is None:
                         break
                     out[mono] = q
@@ -344,7 +315,7 @@ class _Base:
         for a in num.values():
             if g == 1:
                 break
-            g = math.gcd(g, _content(a))
+            g = math.gcd(g, *a)
         if g > 1:
             c //= g
             num = {mono: [x // g for x in a] for mono, a in num.items()}
@@ -381,7 +352,7 @@ class _Base:
             e = list(exps)
             for i, b in enumerate(self.elems):
                 while e[i]:
-                    q = _divide(a, b)
+                    q = _exact_quotient(a, b)
                     if q is None:
                         break
                     a = q

@@ -20,7 +20,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .basefield import (_ONE_RF, Poly, RatFunc, _conv, _derivative_name,
-                        _new, _Record, _signed_factor, _signed_sum)
+                        _new, _power, _Record, _signed_factor, _signed_sum)
 from .cleared import (Monomial, _acc_ints, _Base, _clear, _degree_in,
                       _den_times, _mono_exp, _mono_mul, _mono_set,
                       _mul_cleared, _order, _top, _tower)
@@ -167,11 +167,7 @@ class DiffPoly:
         if not self.terms:
             return self
         num, den = _clear(self.terms)
-        acc = num
-        for bit in bin(e)[3:]:
-            acc = _mul_cleared({}, acc, acc)
-            if bit == "1":
-                acc = _mul_cleared({}, acc, num)
+        acc = _power(num, e, _mul_cleared)
         base = _Base(self.terms)
         c, exps = base.factor(den)
         power = c ** e, tuple([k * e for k in exps])
@@ -409,11 +405,11 @@ def ritt_reduce(q: DiffPoly, p: DiffPoly, indeterminate: int = 0,
             hk = {mono: _conv(c, ek) for mono, c in h.items()}
         else:
             hk = h
-        step = _mul_cleared({}, hk, rem)
-        _mul_cleared(step, {mono: [-x for x in c] for mono, c in mult.items()}, pk)
+        step = _mul_cleared(hk, rem)
+        _mul_cleared({mono: [-x for x in c] for mono, c in mult.items()}, pk, step)
         if certificate:
             for j, (c, c_den) in cofactors.items():
-                cofactors[j] = _mul_cleared({}, h, c), _den_times(c_den, den_f)
+                cofactors[j] = _mul_cleared(h, c), _den_times(c_den, den_f)
             cofactors[k] = base.add(cofactors.get(k), mult, rem_den)
         rem, rem_den = base.cancel(step, _den_times(rem_den, den_f, k + 1))
 

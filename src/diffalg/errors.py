@@ -38,10 +38,6 @@ class NotInCatalog(DiffAlgError):
     """Matrix group carries no catalog label."""
 
 
-class NonMemberSample(DiffAlgError):
-    """Closure check received a sample outside the group."""
-
-
 class DegeneratePoint(DiffAlgError):
     """Generic-point data makes a needed Wronskian vanish."""
 

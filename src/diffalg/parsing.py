@@ -50,9 +50,8 @@ import re
 import sys
 from fractions import Fraction
 
-from .basefield import (_ONE_F, _ONE_POLY, _ONE_RF, RatFunc, _conv, _primitive,
-                        _ratfunc)
-from .cleared import _add_ints, _content
+from .basefield import (_ONE_F, _ONE_POLY, _ONE_RF, RatFunc, _add_ints, _conv,
+                        _primitive, _ratfunc)
 from .diffpoly import DerivVar, DiffPoly, _acc_term, _diffpoly
 from .errors import MixedArity, NotApplicable, ParseError
 
@@ -345,11 +344,11 @@ def _power(value, e: int):
 
 
 def _int_power(a: list, e: int):
-    """a^e for an int list a, by repeated squaring of its primitive part.
-    With a content c other than 1 the result is the RatFunc c^e times that
-    power, as Poly.__pow__ keeps it: putting c^e back into every
-    coefficient would cost a multiplication, and making it a RatFunc
-    later an integer gcd, per coefficient."""
+    """a^e for an int list a, Poly.__pow__ on its primitive part.  With a
+    content c other than +-1 the result is that power as a RatFunc, c^e
+    kept apart: putting c^e back into every coefficient would cost a
+    multiplication, and making it a RatFunc later an integer gcd, per
+    coefficient."""
     if not e:
         return [1]
     if not a:
@@ -357,20 +356,13 @@ def _int_power(a: list, e: int):
     if not any(a[:-1]):
         # a monomial c*t^k, the usual base: (c*t^k)^e = c^e*t^(k*e)
         return [0] * ((len(a) - 1) * e) + [a[-1] ** e]
-    c = _content(a)
-    if c != 1:
-        a = [x // c for x in a]
-    acc = None
-    n = e
-    while n:
-        if n & 1:
-            acc = a if acc is None else _conv(acc, a)
-        n >>= 1
-        if n:
-            a = _conv(a, a)
+    p = _primitive(_ONE_F, a) ** e
+    c = p.content
     if c == 1:
-        return acc
-    return _ratfunc(_primitive(Fraction(c ** e), acc), _ONE_POLY)
+        return list(p.prim)
+    if c == -1:
+        return [-x for x in p.prim]
+    return _ratfunc(p, _ONE_POLY)
 
 
 def _power_size(value, e: int) -> tuple:

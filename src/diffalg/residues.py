@@ -22,8 +22,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .basefield import _ONE_POLY, Poly, _conv, poly_gcd, poly_xgcd
-from .cleared import _derivative_ints
+from .basefield import (_ONE_POLY, Poly, _conv, _derivative_ints, _power,
+                        poly_gcd, poly_xgcd)
 
 
 def _primes_from(n: int):
@@ -180,11 +180,8 @@ def residue_groups(num: Poly, den: Poly) -> list[tuple[Poly, Fraction]] | None:
         if u is not None:
             break
     # R mod p splits over F_p iff w^p = w on F_p[t]/(den), w = num/den'
-    w = wp = _mulmod(a, u, d, p)
-    for bit in bin(p)[3:]:
-        wp = _mulmod(wp, wp, d, p)
-        if bit == "1":
-            wp = _mulmod(wp, w, d, p)
+    w = _mulmod(a, u, d, p)
+    wp = _power(w, p, lambda f, g: _mulmod(f, g, d, p))
     if (wp + [0] * n)[:n] != (w + [0] * n)[:n]:
         return None
     # tr(w^k) over Q, k = 1..n

@@ -12,19 +12,19 @@ diffalg.cleared replaced.
 poly_shift is the Fraction Taylor shift p(t + a) that the integer shift
 of diffalg.odeseries replaced.  inverse, matmul and
 group_closure_sample_check are the Fraction matrix arithmetic and the
-closure check that no command reaches, kept to check the catalog groups.
+closure check that no command reaches, kept to check the catalog groups;
+the check raises NonMemberSample on a sample outside the group.
 """
 
 import math
 import sys
 from fractions import Fraction
 
-from diffalg.basefield import (_ONE_F, _ONE_POLY, Poly, RatFunc, _conv, _exact_quotient,
-                               _gcd_parts, _primitive, _ratfunc)
-from diffalg.cleared import _add_ints, _content
+from diffalg.basefield import (_ONE_F, _ONE_POLY, Poly, RatFunc, _add_ints, _conv,
+                               _exact_quotient, _gcd_parts, _primitive, _ratfunc)
 from diffalg.diffpoly import DiffPoly, _diffpoly, var
-from diffalg.errors import (MixedArity, NonMemberSample, NotApplicable,
-                            ParseError, ShapeError, SingularTransform)
+from diffalg.errors import (DiffAlgError, MixedArity, NotApplicable, ParseError,
+                            ShapeError, SingularTransform)
 from diffalg.matgroup import ConstMatrix, group_contains
 from diffalg.parsing import (_DERIVATIVE_ORDER_MAX, _POWER_DEGREE_MAX,
                              _POWER_SIZE_MAX, _power_size)
@@ -305,7 +305,7 @@ def _int_power(a: list, e: int):
     if not any(a[:-1]):
         # a monomial c*t^k, the usual base: (c*t^k)^e = c^e*t^(k*e)
         return [0] * ((len(a) - 1) * e) + [a[-1] ** e]
-    c = _content(a)
+    c = math.gcd(*a)
     if c != 1:
         a = [x // c for x in a]
     acc = None
@@ -359,7 +359,7 @@ def parse_ratfunc(text: str) -> RatFunc:
 
 
 def _primitive_ints(a: list) -> list:
-    c = _content(a)
+    c = math.gcd(*a)
     return a if c == 1 else [x // c for x in a]
 
 
@@ -376,11 +376,11 @@ def _cancel(num: dict, den: list) -> tuple[dict, list]:
     if len(g) > 1:
         den = _exact_quotient(den, g)
         num = {mono: _exact_quotient(a, g) for mono, a in num.items()}
-    c = _content(den)
+    c = math.gcd(*den)
     for a in num.values():
         if c == 1:
             break
-        c = math.gcd(c, _content(a))
+        c = math.gcd(c, *a)
     if c > 1:
         den = [x // c for x in den]
         num = {mono: [x // c for x in a] for mono, a in num.items()}
@@ -428,6 +428,10 @@ def matmul(a: ConstMatrix, b: ConstMatrix) -> ConstMatrix:
     return ConstMatrix.from_rows(
         [[sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n)]
          for i in range(n)])
+
+
+class NonMemberSample(DiffAlgError):
+    """Closure check received a sample outside the group."""
 
 
 def group_closure_sample_check(group, samples) -> bool:

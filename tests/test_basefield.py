@@ -305,6 +305,34 @@ def test_poly_power_against_sympy(a, e):
     assert _sp(_canonical(a ** e)) == _sp(a) ** e
 
 
+_int_lists = st.lists(st.integers(-9, 9), max_size=5).map(
+    lambda a: a[:max([k + 1 for k, x in enumerate(a) if x], default=0)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_int_lists, st.lists(st.integers(-6, 6), min_size=2, max_size=4),
+       st.booleans())
+@example([], [1, 2], False)
+@example([5], [-1, 3], False)
+@example([5], [0, 1, 1], False)
+@example([1, 2, 1], [1, 1], False)
+def test_exact_quotient_against_pseudo_division(a, b, multiply):
+    # a linear divisor divides by Horner's scheme, a longer one by pseudo-
+    # division; both agree with the remainder of _pseudo_divmod, and a
+    # quotient times b gives a back
+    b = basefield._primitive(basefield._ONE_F, b).prim
+    assume(len(b) >= 2)
+    if multiply and a:
+        a = basefield._conv(a, b)
+    m, q, r = basefield._pseudo_divmod(a, b)
+    got = basefield._exact_quotient(a, b)
+    if r:
+        assert got is None
+    else:
+        assert got == [x // m for x in q]
+        assert (basefield._conv(got, b) if got else []) == a
+
+
 @settings(max_examples=100, deadline=None)
 @given(_polys, _fractions)
 def test_poly_shift_and_value_against_sympy(a, x):
@@ -394,8 +422,8 @@ def test_normalisation_divides_once(monkeypatch):
     # GCDHEU divides num and den by its candidate to check it; RatFunc
     # keeps those quotients instead of dividing again
     calls = []
-    divide = basefield._pseudo_divmod
-    monkeypatch.setattr(basefield, "_pseudo_divmod",
+    divide = basefield._exact_quotient
+    monkeypatch.setattr(basefield, "_exact_quotient",
                         lambda a, b: calls.append((a, b)) or divide(a, b))
     f = RatFunc((T + 1) * (T - 2) * 3, (T + 1) * (2 * T + 3))
     assert len(calls) == 2

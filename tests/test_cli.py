@@ -246,6 +246,26 @@ def test_one_pass_parser_matches_token_parser(text):
         assert _parsed(ours, text) == _parsed(theirs, text)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-9, 9), max_size=4),
+       st.sampled_from([1, -1, 2, -6, 9]), st.integers(0, 7))
+@example([1, 1], -1, 3)
+@example([0, 0, 5], 1, 4)
+@example([], 1, 3)
+@example([2, 3], 1, 0)
+def test_int_power_matches_repeated_squaring(a, c, e):
+    # parsing._int_power is Poly.__pow__ on the primitive part; the
+    # earlier loop over int lists, kept in tests/oracles.py, gives the
+    # same value and the same kind: ints for a content +-1 (a negative
+    # lead included), a RatFunc otherwise
+    import oracles
+    from diffalg.parsing import _int_power
+
+    a = [c * x for x in a[:max([k + 1 for k, x in enumerate(a) if x], default=0)]]
+    got, want = _int_power(list(a), e), oracles._int_power(list(a), e)
+    assert type(got) is type(want) and got == want
+
+
 def test_digits_are_ascii():
     # str.isdigit accepts superscripts and other scripts' digits, which
     # int() rejects or reads as numbers; the grammar's digits are 0-9

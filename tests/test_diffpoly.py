@@ -377,6 +377,35 @@ _tower_polys = st.dictionaries(
     _tower_coeffs, max_size=4).map(lambda t: DiffPoly(t, 2))
 
 
+_power_terms = st.dictionaries(
+    st.dictionaries(st.tuples(st.integers(0, 1), st.integers(0, 2)), st.integers(1, 2),
+                    max_size=2).map(lambda d: tuple(sorted((var(i, j), e)
+                                                           for (j, i), e in d.items()))),
+    _tower_coeffs, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), _power_terms, st.booleans(), st.integers(0, 5))
+@example(1, {}, False, 3)
+@example(1, {(): RatFunc(1)}, True, 4)
+@example(2, {((var(0, 0), 1),): RatFunc(Poly((0, 1)), Poly((1, 1)))}, True, 3)
+def test_power_is_repeated_product(m, terms, unit, e):
+    # DiffPoly.__pow__ squares a sum on its cleared numerators; e products
+    # in RatFunc arithmetic give the same polynomial, with t-denominators,
+    # 1-3 indeterminates, the zero polynomial and a term of unit coefficient
+    terms = {mono: c for mono, c in terms.items()
+             if all(v.indeterminate < m for v, _e in mono)}
+    p = DiffPoly(terms, m)
+    if unit:
+        p = p + DiffPoly.from_var(var(m - 1, 1))
+    expected = DiffPoly({(): RatFunc(1)}, p.num_indeterminates)
+    for _ in range(e):
+        expected = expected * p
+    got = p ** e
+    assert got == expected
+    assert got.num_indeterminates == p.num_indeterminates
+
+
 def _product(polys) -> Poly:
     acc = Poly((1,))
     for f in polys:

@@ -8,14 +8,13 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import generic_wronskian_point, random_invertible, random_ratfunc
-from oracles import group_closure_sample_check, inverse, matmul
+from oracles import NonMemberSample, group_closure_sample_check, inverse, matmul
 from diffalg import cli
 from diffalg.basefield import Poly, RatFunc
 from diffalg.diffpoly import DerivVar, DiffPoly
 from diffalg.errors import (
     DegeneratePoint,
     IncompleteAssignment,
-    NonMemberSample,
     NotInCatalog,
     ShapeError,
     SingularTransform,
