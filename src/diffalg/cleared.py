@@ -120,10 +120,8 @@ def _acc_ints(d: dict, mono: Monomial, c: list) -> None:
             del d[mono]
 
 
-def _mul_cleared(a: dict, b: dict, out: dict | None = None) -> dict:
-    """The product of the numerator dicts a and b, added into out when it
-    is given."""
-    out = {} if out is None else out
+def _mul_cleared(out: dict, a: dict, b: dict) -> dict:
+    """out plus the product of the numerator dicts a and b."""
     for m1, c1 in a.items():
         for m2, c2 in b.items():
             _acc_ints(out, _mono_mul(m1, m2), _conv(c1, c2))

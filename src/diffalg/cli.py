@@ -361,6 +361,19 @@ _HANDLERS = {
 }
 
 
+def __getattr__(name: str):
+    """The package's exported names read through cli too (PEP 562), without
+    cli importing the modules that define them."""
+    package = sys.modules[__package__]
+    if name in package.__all__:
+        return getattr(package, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(sys.modules[__package__].__all__))
+
+
 def _emit_error(category: str, message: str, fmt: str, stdout, stderr,
                 column: int | None = None):
     if fmt == "json":

@@ -167,7 +167,7 @@ class DiffPoly:
         if not self.terms:
             return self
         num, den = _clear(self.terms)
-        acc = _power(num, e, _mul_cleared)
+        acc = _power(num, e, lambda f, g: _mul_cleared({}, f, g))
         base = _Base(self.terms)
         c, exps = base.factor(den)
         power = c ** e, tuple([k * e for k in exps])
@@ -405,11 +405,11 @@ def ritt_reduce(q: DiffPoly, p: DiffPoly, indeterminate: int = 0,
             hk = {mono: _conv(c, ek) for mono, c in h.items()}
         else:
             hk = h
-        step = _mul_cleared(hk, rem)
-        _mul_cleared({mono: [-x for x in c] for mono, c in mult.items()}, pk, step)
+        step = _mul_cleared({}, hk, rem)
+        _mul_cleared(step, {mono: [-x for x in c] for mono, c in mult.items()}, pk)
         if certificate:
             for j, (c, c_den) in cofactors.items():
-                cofactors[j] = _mul_cleared(h, c), _den_times(c_den, den_f)
+                cofactors[j] = _mul_cleared({}, h, c), _den_times(c_den, den_f)
             cofactors[k] = base.add(cofactors.get(k), mult, rem_den)
         rem, rem_den = base.cancel(step, _den_times(rem_den, den_f, k + 1))
 

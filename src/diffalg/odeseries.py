@@ -20,8 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .basefield import (RatFunc, _as_fraction, _conv, _new, _power_term,
-                        _signed_sum)
+from .basefield import RatFunc, _as_fraction, _new, _power_term, _signed_sum
 from .cleared import _clear
 from .errors import PoleAtBasePoint, ShapeError
 from .wronskian import LinearODE, _cofactor_det, wronsky_matrix
@@ -116,12 +115,17 @@ class TruncatedSeries:
             return _reduced(self.base_point, [x * c for x in self.num],
                             [y * d for y in self.den])
         a, b = self._align(other)
-        # over common denominators la and lb: n terms of one int convolution
+        # both over common denominators la and lb: one convolution of ints
         la, lb = math.lcm(*a.den), math.lcm(*b.den)
         xs = [x * (la // y) for x, y in zip(a.num, a.den)]
         ys = [x * (lb // y) for x, y in zip(b.num, b.den)]
         n = len(xs)
-        return _reduced(a.base_point, _conv(xs, ys)[:n], [la * lb] * n)
+        out = [0] * n
+        for i, x in enumerate(xs):
+            if x:
+                for j, y in enumerate(ys[:n - i], i):
+                    out[j] += x * y
+        return _reduced(a.base_point, out, [la * lb] * n)
 
     __rmul__ = __mul__
 

@@ -420,13 +420,16 @@ def test_constant_denominator_runs_no_gcd(monkeypatch):
 
 def test_normalisation_divides_once(monkeypatch):
     # GCDHEU divides num and den by its candidate to check it; RatFunc
-    # keeps those quotients instead of dividing again
-    calls = []
-    divide = basefield._exact_quotient
+    # keeps those quotients instead of dividing again.  The linear candidate
+    # divides by Horner's scheme, so no call reaches pseudo-division
+    calls, pseudo = [], []
+    divide, pseudo_divide = basefield._exact_quotient, basefield._pseudo_divmod
     monkeypatch.setattr(basefield, "_exact_quotient",
                         lambda a, b: calls.append((a, b)) or divide(a, b))
+    monkeypatch.setattr(basefield, "_pseudo_divmod",
+                        lambda a, b: pseudo.append((a, b)) or pseudo_divide(a, b))
     f = RatFunc((T + 1) * (T - 2) * 3, (T + 1) * (2 * T + 3))
-    assert len(calls) == 2
+    assert len(calls) == 2 and pseudo == []
     assert f == RatFunc(3 * T - 6, 2 * T + 3)
 
 
