@@ -97,6 +97,16 @@ EDGE = [
     # residue 1/3 shared by t^2 + 1 and t - 1; residues 3/5 and -1/5
     ["classify-exp", "(3*t^2-2*t+1)/(3*t^3-3*t^2+3*t-3)"],
     ["classify-exp", "(2*t+3)/(5*t^2+5*t)"],
+    # residues on the primitive ints of den, lead L != 1: the Frobenius
+    # test passes at p = 3 but the residues +-1/(2*sqrt(7)) are irrational;
+    # cyclic n = 2; two non-monic poles sharing the residue 3/8
+    ["classify-exp", "1/(t^2-7)"],
+    ["classify-exp", "1/(3*t^2-7)"],
+    ["classify-exp", "1/(2*t+1)"],
+    ["classify-exp", "(3/4)/(2*t+1) + (3/4)/(2*t-1)"],
+    # Hermite reduction over a non-monic repeated factor
+    ["classify-int", "(1/3)/(2*t+1)^3 + 5/(7*(t^2+3))"],
+    ["classify-int", "(1/3)/(2*t+1)^3 - 3/(2*t+1)^2"],
     ["group-check", "sl2", "1,1;0,1"],
     ["group-check", "borel", "1"],
     ["group-check", "mu4", "-1"],
