@@ -15,7 +15,7 @@ On top of the field arithmetic this module decides two questions exactly:
 
 * does a given element have an antiderivative inside the field (Mack's
   linear Hermite reduction, as in Bronstein, *Symbolic Integration I*,
-  2nd ed., sec. 2.2), and
+  2nd ed., sec. 2.2, in the hermite module), and
 * is it a Q-linear combination of logarithmic derivatives, and if so
   with which rational residues (Lazard-Rioboo-Trager, Bronstein, sec.
   2.5, in the residues module: the residues are the rational roots of a
@@ -558,19 +558,52 @@ def _prs_gcd(a: tuple, b: tuple) -> tuple:
 
 
 def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """(g, u, v) with u*a + v*b = g, g monic (or zero)."""
-    r0, r1 = a, b
-    s0, s1 = Poly((1,)), Poly()
-    t0, t1 = Poly(), Poly((1,))
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    inv = 1 / r0.lead()
-    return r0 * inv, s0 * inv, t0 * inv
+    """(g, u, v) with u*a + v*b = g, g monic (or zero): the cofactors of
+    Euclid's algorithm.
+
+    Euclid runs on the primitive ints A, B of a and b as a primitive
+    remainder sequence with cofactors (Collins, J. ACM 14 (1967); Brown,
+    J. ACM 18 (1971)): each pseudo-remainder m*r0 - q*r1 carries its
+    A-cofactor m*s0 - q*s1, and the pair is divided by its joint integer
+    content, so r = s*A + t*B over Q[t] at every step with t never formed.
+    Each pair is a rational multiple of Euclid's over Q, so the last
+    nonzero r, made monic, is g, and u is its s over lead(r)*content(a).
+    v is then (g - u*a)/b, one exact division.
+    """
+    A, B = a.prim, b.prim
+    r0, s0, r1, s1 = A, [1], B, []
+    while len(r1) > 1:
+        m, q, r = _pseudo_divmod(r0, r1)
+        s = [m * x for x in s0]
+        if q and s1:
+            s = _add_ints(s, [-x for x in _conv(q, s1)])
+        if r:
+            h = math.gcd(*r, *s)
+            if h != 1:
+                r = [x // h for x in r]
+                s = [x // h for x in s]
+        r0, s0, r1, s1 = r1, s1, r, s
+    if r1:
+        # a nonzero constant divides everything: the next remainder is 0
+        r0, s0 = r1, s1
+    if not r0:
+        return _ZERO_POLY, _ONE_POLY, _ZERO_POLY
+    lead = r0[-1]
+    ca, cb = a.content, b.content
+    u = _primitive(Fraction(ca.denominator, ca.numerator * lead), s0) if s0 \
+        else _ZERO_POLY
+    if not B:
+        v = _ZERO_POLY
+    else:
+        # r0 - s0*A = t0*B, and t0 is in Z[t] by Gauss's lemma
+        rest = _add_ints(list(r0), [-x for x in _conv(s0, A)]) if s0 else list(r0)
+        v = _primitive(Fraction(cb.denominator, cb.numerator * lead),
+                       _exact_quotient(rest, B)) if rest else _ZERO_POLY
+    if len(r0) == 1:
+        return _ONE_POLY, u, v
+    h = math.gcd(*r0)
+    g = tuple([x // (h if lead > 0 else -h) for x in r0])
+    return _poly(Fraction(1, g[-1]), g), u, v
 
 
 class RatFunc:
@@ -740,32 +773,13 @@ def _coerce(x):
 
 
 def hermite_reduce(f: RatFunc) -> tuple[RatFunc, RatFunc]:
-    """Write f = g' + h with h proper and squarefree-denominator.
+    """Write f = g' + h with h proper and squarefree-denominator, by
+    Mack's linear Hermite reduction; f has an antiderivative in Q(t) iff
+    h = 0.  hermite.hermite_reduce, whose module is imported on first use,
+    so a command that integrates nothing never compiles it."""
+    from . import hermite
 
-    The polynomial part of f integrates termwise into g.  The proper part
-    A/D goes through Mack's linear Hermite reduction (Bronstein, *Symbolic
-    Integration I*, sec. 2.2, HermiteReduce): with D- = gcd(D, D') and
-    D* = D/D-, each pass removes one level of multiplicity from D- by one
-    extended Euclidean solve, and what survives in h = A/D* has only
-    simple poles.  f has an antiderivative in Q(t) iff h = 0.
-    """
-    quo, num = f.num.divmod(f.den)
-    g = RatFunc(Poly([Fraction(0)] + [c / (k + 1) for k, c in enumerate(quo.coeffs)]))
-    d_minus = poly_gcd(f.den, f.den.derivative())
-    d_star = f.den.exact_div(d_minus)
-    while d_minus.degree() > 0:
-        d_minus2 = poly_gcd(d_minus, d_minus.derivative())
-        d_minus_star = d_minus.exact_div(d_minus2)
-        # a is prime to d_minus_star: solve b*a + c*d_minus_star = num
-        # with deg b < deg d_minus_star
-        a = -(d_star * d_minus.derivative()).exact_div(d_minus)
-        _, u, _ = poly_xgcd(a, d_minus_star)
-        b = (num * u).divmod(d_minus_star)[1]
-        c = (num - b * a).exact_div(d_minus_star)
-        num = c - b.derivative() * d_star.exact_div(d_minus_star)
-        g = g + RatFunc(b, d_minus)
-        d_minus = d_minus2
-    return g, RatFunc(num, d_star)
+    return hermite.hermite_reduce(f)
 
 
 def antiderivative_in_field(a: RatFunc) -> RatFunc | None:

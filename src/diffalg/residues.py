@@ -13,8 +13,10 @@ Its rational roots are found p-adically (Loos, SIAM J. Comput. 12
 (1983)).  Modulo a prime p that keeps den squarefree, F_p[t]/(den) is a
 product of fields and R mod p = prod (z - w(r)) over the roots r of den,
 so R splits over F_p iff every w(r)^p = w(r), that is iff w^p = w in
-F_p[t]/(den) (Frobenius).  The arithmetic modulo p runs on lists of ints;
-over Q it is basefield's Poly.
+F_p[t]/(den) (Frobenius).  The arithmetic modulo p runs on lists of ints,
+and so does the exact R once the test passes: the traces and Newton's
+identities run over Z on den's primitive ints, so R arrives as one
+primitive int list.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .basefield import (_ONE_POLY, Poly, _conv, _derivative_ints, _power,
-                        poly_gcd, poly_xgcd)
+from .basefield import (_ONE_F, Poly, _conv, _derivative_ints, _power,
+                        _primitive, _pseudo_divmod, poly_gcd, poly_xgcd)
 
 
 def _primes_from(n: int):
@@ -91,28 +93,65 @@ def _inverse_mod(f: list, d: list, p: int) -> list | None:
     return [c * x % p for x in s1]
 
 
-def _from_power_sums(traces: list) -> list:
-    """The monic polynomial over Q whose roots have power sums
-    traces[k - 1], k = 1..n (Newton's identities), ascending."""
-    n = len(traces)
-    e = [1]
-    for k in range(1, n + 1):
-        # k*e_k = sum_i (-1)^(i-1) e_(k-i) tr(w^i)
-        x = sum(e[k - i] * traces[i - 1] * (1 if i % 2 else -1)
-                for i in range(1, k + 1))
-        e.append(Fraction(x, k))
-    return [e[n - j] * (-1 if (n - j) % 2 else 1) for j in range(n + 1)]
+def _resultant_ints(num: Poly, den: Poly, d_prime: Poly) -> list:
+    """R(z) = res_t(den, num - z*den') up to a constant factor, as
+    ascending ints, for den squarefree: the characteristic polynomial of
+    w = num/den' on Q[t]/(den), from the traces of its powers by Newton's
+    identities over Z.
 
-
-def _power_sums(d: list) -> list:
-    """tr(t^j) on Q[t]/(d) for j < deg d, d monic: the power sums of the
-    roots of d, by Newton's identities."""
-    n = len(d) - 1
+    den is D/L for primitive ints D, and w = (a/b)*W mod D for primitive
+    ints W.  The values of y = T*w, T = b*L^(n-1), at the roots of D are
+    algebraic integers (L times a root is one, and deg W < n), so P_k =
+    tr(y^k) = T^k tr(w^k) and the elementary symmetric functions E_k of
+    those values are integers: k*E_k = sum_i (-1)^(i-1) E_(k-i) P_i
+    divides exactly, and R is sum_j (-1)^(n-j) E_(n-j) T^j z^j.  Each
+    w^k mod D is a primitive int list under an int content, and its trace
+    one dot product with L^(n-1) tr(t^j), j < n: the power sums of the
+    roots of D over one denominator.
+    """
+    d = den.prim
+    n, lead = len(d) - 1, d[-1]
+    lp = [1]
+    for _ in range(n):
+        lp.append(lp[-1] * lead)
+    # S_k = L^k tr(t^k) = -k D_(n-k) L^(k-1) - sum_i D_(n-i) L^(i-1) S_(k-i)
     s = [n]
     for k in range(1, n):
-        x = -k * d[n - k] - sum(d[n - i] * s[k - i] for i in range(1, k))
-        s.append(x)
-    return s
+        s.append(-k * d[n - k] * lp[k - 1]
+                 - sum(d[n - i] * lp[i - 1] * s[k - i] for i in range(1, k)))
+    s = [x * lp[n - 1 - j] for j, x in enumerate(s)]
+    u = poly_xgcd(d_prime, den)[1]
+    m, _, w = _pseudo_divmod(_conv(num.prim, u.prim), d)
+    g = math.gcd(*w)
+    w = [x // g for x in w]
+    cn, cu = num.content, u.content
+    a, b = cn.numerator * cu.numerator * g, cn.denominator * cu.denominator * m
+    h = math.gcd(a, b)
+    a, b = a // h, b // h
+    t = b * lp[n - 1]
+    # w^k = (kn/kd)*wk mod D, wk primitive, and P_k = t^k tr(w^k) is
+    # t^k*kn*(wk . s)/(kd*L^(n-1))
+    wk, kn, kd, tk, traces = w, a, b, t, []
+    for k in range(n):
+        if k:
+            m, _, x = _pseudo_divmod(_conv(wk, w), d)
+            g = math.gcd(*x)
+            wk = [y // g for y in x]
+            kn, kd = kn * a * g, kd * b * m
+            h = math.gcd(kn, kd)
+            kn, kd, tk = kn // h, kd // h, tk * t
+        traces.append(tk * kn * sum(x * y for x, y in zip(wk, s))
+                      // (kd * lp[n - 1]))
+    e = [1]
+    for k in range(1, n + 1):
+        x = sum(e[k - i] * traces[i - 1] * (1 if i % 2 else -1)
+                for i in range(1, k + 1))
+        e.append(x // k)
+    out, tj = [], 1
+    for j in range(n + 1):
+        out.append(-e[n - j] * tj if (n - j) % 2 else e[n - j] * tj)
+        tj *= t
+    return out
 
 
 def _rational_roots(f: Poly) -> list[Fraction]:
@@ -184,14 +223,8 @@ def residue_groups(num: Poly, den: Poly) -> list[tuple[Poly, Fraction]] | None:
     wp = _power(w, p, lambda f, g: _mulmod(f, g, d, p))
     if (wp + [0] * n)[:n] != (w + [0] * n)[:n]:
         return None
-    # tr(w^k) over Q, k = 1..n
     d_prime = den.derivative()
-    w = (num * poly_xgcd(d_prime, den)[1]).divmod(den)[1]
-    wk, s, traces = _ONE_POLY, _power_sums(list(den.coeffs)), []
-    for _ in range(n):
-        wk = (wk * w).divmod(den)[1]
-        traces.append(sum(x * y for x, y in zip(wk.coeffs, s)))
-    r = Poly(_from_power_sums(traces))
+    r = _primitive(_ONE_F, _resultant_ints(num, den, d_prime))
     out = [(poly_gcd(den, num - d_prime * c), c) for c in _rational_roots(r)]
     if sum(p.degree() for p, _c in out) != n:
         return None

@@ -474,6 +474,43 @@ _heights = st.integers(-2**64, 2**64)
 _tall = st.lists(_heights, min_size=2, max_size=5).map(Poly).filter(
     lambda p: p.degree() > 0)
 _contents = st.builds(Fraction, st.integers(1, 2**64), st.integers(1, 2**64))
+_wide = st.one_of(_heights, st.builds(Fraction, _heights, st.integers(1, 2**64)))
+
+
+def _xgcd_pairs():
+    """Pairs of degree <= 8 with coefficients up to 2^64: coprime, with a
+    shared factor, one side constant, one side zero."""
+    polys = st.lists(_wide, max_size=9).map(Poly)
+    shared = st.builds(lambda g, u, v: (g * u, g * v),
+                       st.lists(_wide, min_size=2, max_size=4).map(Poly)
+                       .filter(lambda p: p.degree() > 0),
+                       st.lists(_wide, max_size=6).map(Poly),
+                       st.lists(_wide, max_size=6).map(Poly))
+    constant = st.lists(_wide, max_size=1).map(Poly)
+    return st.one_of(st.tuples(polys, polys), shared,
+                     st.tuples(constant, polys), st.tuples(polys, constant))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_xgcd_pairs())
+@example((Poly(()), Poly(())))
+@example((Poly((2**64, 0, -1)), Poly(())))
+@example((Poly((3,)), Poly((5,))))
+def test_xgcd_against_sympy_gcdex(pair):
+    # the integer remainder sequence with cofactors gives Euclid's
+    # cofactors over Q, the ones sympy's gcdex returns
+    a, b = pair
+    g, u, v = (_canonical(p) for p in poly_xgcd(a, b))
+    if not a and not b:
+        assert (g, u, v) == (Poly(()), ONE, Poly(()))
+        return
+    if b:
+        want = sympy.gcdex(_sp(a), _sp(b))
+    else:
+        # sympy divides by the lead of b: ask for the swapped pair
+        t, s, h = sympy.gcdex(_sp(b), _sp(a))
+        want = s, t, h
+    assert (_sp(u), _sp(v), _sp(g)) == want
 
 
 def _gcd_pairs():
@@ -608,8 +645,14 @@ def test_log_derivative_residues_against_rothstein_trager(bases, residues, extra
         a = a + RatFunc(extra.divmod(a.den)[1], a.den)
     assume(a and a.num.degree() < a.den.degree())
     assume(poly_gcd(a.den, a.den.derivative()).degree() == 0)
+    _check_residues(a)
+
+
+def _check_residues(a: RatFunc):
+    """log_derivative_decompose(a) against sympy: the residues are the
+    roots of R(z) = res_t(den, num - z den'), and the poles with residue c
+    the roots of gcd(den, num - c den')."""
     dec = log_derivative_decompose(a)
-    # residues are the roots of R(z) = res_t(den, num - z den')
     z = sympy.Symbol("z")
     n, d = _sp(a.num).as_expr(), _sp(a.den).as_expr()
     res = sympy.Poly(sympy.resultant(d, n - z * sympy.diff(d, _t), _t), z)
@@ -626,6 +669,54 @@ def test_log_derivative_residues_against_rothstein_trager(bases, residues, extra
                     prod = prod * p
             rt = sympy.gcd(_sp(a.den), _sp(a.num) - _sp(Poly((c,))) * _sp(a.den).diff(_t))
             assert _sp(prod) == rt.monic()
+    return dec
+
+
+# non-monic factors give den = D/L with a lead L != 1; t^2 - q and
+# l*t^2 - q with q = 1 mod 3 pass the Frobenius test at p = 3 with
+# irrational residues
+_rt_factors = st.lists(st.one_of(
+    st.builds(lambda u, v: Poly((u, v)), st.integers(-9, 9), st.integers(1, 6)),
+    st.builds(lambda l, q: Poly((-q, 0, l)), st.integers(1, 5),
+              st.integers(-30, 30)),
+    st.lists(st.integers(-5, 5), min_size=3, max_size=4).map(Poly)
+    .filter(lambda p: p.degree() > 1)), min_size=1, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rt_factors, st.lists(_fractions.filter(bool), min_size=4, max_size=4),
+       _small_polys)
+@example([Poly((-7, 0, 1))], [Fraction(1)] * 4, Poly((1,)))
+@example([Poly((-7, 0, 3))], [Fraction(1)] * 4, Poly((1,)))
+@example([Poly((1, 2))], [Fraction(1, 2)] * 4, Poly(()))
+@example([Poly((1, 2)), Poly((-1, 2))], [Fraction(3, 4)] * 4, Poly(()))
+def test_log_derivative_non_monic_against_rothstein_trager(factors, residues,
+                                                         extra):
+    # a = sum c_i f_i'/f_i over primitive f_i, plus extra/den, which may
+    # bring residues outside Q
+    a = RatFunc(Poly())
+    for f, c in zip(factors, residues):
+        a = a + RatFunc(f.derivative() * c, f)
+    if a.den.degree() > 0:
+        a = a + RatFunc(extra.divmod(a.den)[1], a.den)
+    assume(a and a.num.degree() < a.den.degree())
+    assume(poly_gcd(a.den, a.den.derivative()).degree() == 0)
+    _check_residues(a)
+
+
+def test_irrational_residues_reach_the_exact_resultant(monkeypatch):
+    # 1/(t^2 - 7) and 1/(3 t^2 - 7): 7 is a square mod 3, so w^3 = w in
+    # F_3[t]/(den) and the exact R is formed; its roots +-1/(2 sqrt 7)
+    # are irrational, so the decomposition is refused there
+    from diffalg import residues
+
+    calls = []
+    exact = residues._resultant_ints
+    monkeypatch.setattr(residues, "_resultant_ints",
+                        lambda *args: calls.append(args) or exact(*args))
+    for text in ("1/(t^2-7)", "1/(3*t^2-7)"):
+        assert _check_residues(parse_ratfunc(text)) is None
+    assert len(calls) == 2
 
 
 _poles = st.lists(st.tuples(st.integers(-50, 50), st.integers(1, 9),

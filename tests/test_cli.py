@@ -749,12 +749,13 @@ def test_cli_import_loads_no_dataclasses():
     # the records are plain classes: dataclasses imports inspect, which
     # pulls in ast, dis and tokenize (0.75 MB of the 3.4 MB peak that
     # importing diffalg.cli added); residues is imported on the first
-    # residue, as compiling it at start cost every command 0.45 MB of peak
+    # residue, as compiling it at start cost every command 0.45 MB of peak,
+    # and hermite on the first Hermite reduction
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, diffalg.cli; print(sorted("
-         "{'dataclasses', 'inspect', 'diffalg.cli', 'diffalg.residues'}"
-         " & set(sys.modules)))"],
+         "{'dataclasses', 'inspect', 'diffalg.cli', 'diffalg.residues',"
+         " 'diffalg.hermite'} & set(sys.modules)))"],
         capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": src})
     assert proc.stdout == "['diffalg.cli']\n"

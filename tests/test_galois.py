@@ -1,9 +1,12 @@
+import io
+import time
 from fractions import Fraction
 from random import Random
 
 import pytest
 
 from conftest import random_ratfunc
+from diffalg import cli
 from diffalg.basefield import Poly, RatFunc, log_derivative_decompose
 from diffalg.galois import (
     GaloisDescriptor,
@@ -129,3 +132,48 @@ def test_additive_case_series_cross_check():
                                    enumerate(series_expand(a, t0, n - 1).coeffs)])
     assert ode_residual(ode, one).is_zero()
     assert ode_residual(ode, u).is_zero()
+
+
+def _run(argv) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.run(argv, out, err) == 0
+    return out.getvalue()
+
+
+# the Fractions each command builds, parsing and printing included; Hermite
+# reduction and the residue test build their few on integer contents
+_FRACTION_BUDGET = (
+    (["classify-exp", "(3/4)/(2*t+1) + (3/4)/(2*t-1)"], 56),
+    (["classify-int", "(1/3)/(2*t+1)^3 + 5/(7*(t^2+3))"], 34),
+    (["classify-int", "(1/3)/(2*t+1)^3 - 3/(2*t+1)^2"], 34),
+)
+
+
+@pytest.mark.parametrize("argv, budget", _FRACTION_BUDGET)
+def test_classify_builds_few_fractions(monkeypatch, argv, budget):
+    _run(argv)
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    _run(argv)
+    monkeypatch.undo()
+    assert len(made) <= budget
+
+
+def test_classify_scales_past_twenty_poles():
+    # 24 simple poles, residues +-1, +-2, +-3 over 1 or 2: the exact R has
+    # degree 24; 24 double poles and 12 quadratics: three Hermite passes
+    # over degree 72.  A determinant in either place takes seconds here
+    exp = " + ".join("(%d/%d)/(t-%d)" % ((-1) ** i * (i % 3 + 1), i % 2 + 1, i)
+                     for i in range(1, 25))
+    int_ = (" + ".join("%d/(t-%d)^2" % (i, i) for i in range(1, 25)) + " + "
+            + " + ".join("1/(t^2+%d)" % i for i in range(1, 13)))
+    for argv, want in ((["classify-exp", exp], "cyclic n=2 "),
+                       (["classify-int", int_], "additive dimension=1\n")):
+        start = time.perf_counter()
+        assert _run(argv).startswith(want)
+        assert time.perf_counter() - start < 1.0
