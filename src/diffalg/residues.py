@@ -131,15 +131,14 @@ def _resultant_ints(num: Poly, den: Poly, d_prime: Poly) -> list:
     t = b * lp[n - 1]
     # w^k = (kn/kd)*wk mod D, wk primitive, and P_k = t^k tr(w^k) is
     # t^k*kn*(wk . s)/(kd*L^(n-1))
-    wk, kn, kd, tk, traces = w, a, b, t, []
-    for k in range(n):
-        if k:
-            m, _, x = _pseudo_divmod(_conv(wk, w), d)
-            g = math.gcd(*x)
-            wk = [y // g for y in x]
-            kn, kd = kn * a * g, kd * b * m
-            h = math.gcd(kn, kd)
-            kn, kd, tk = kn // h, kd // h, tk * t
+    wk, kn, kd, tk, traces = [1], 1, 1, 1, []
+    for _ in range(n):
+        m, _, x = _pseudo_divmod(_conv(wk, w), d)
+        g = math.gcd(*x)
+        wk = [y // g for y in x]
+        kn, kd = kn * a * g, kd * b * m
+        h = math.gcd(kn, kd)
+        kn, kd, tk = kn // h, kd // h, tk * t
         traces.append(tk * kn * sum(x * y for x, y in zip(wk, s))
                       // (kd * lp[n - 1]))
     e = [1]
