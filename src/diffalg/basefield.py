@@ -592,13 +592,10 @@ def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     ca, cb = a.content, b.content
     u = _primitive(Fraction(ca.denominator, ca.numerator * lead), s0) if s0 \
         else _ZERO_POLY
-    if not B:
-        v = _ZERO_POLY
-    else:
-        # r0 - s0*A = t0*B, and t0 is in Z[t] by Gauss's lemma
-        rest = _add_ints(list(r0), [-x for x in _conv(s0, A)]) if s0 else list(r0)
-        v = _primitive(Fraction(cb.denominator, cb.numerator * lead),
-                       _exact_quotient(rest, B)) if rest else _ZERO_POLY
+    # r0 - s0*A = t0*B, and t0 is in Z[t] by Gauss's lemma (0 when b is)
+    rest = _add_ints(list(r0), [-x for x in _conv(s0, A)]) if s0 else list(r0)
+    v = _primitive(Fraction(cb.denominator, cb.numerator * lead),
+                   _exact_quotient(rest, B)) if rest else _ZERO_POLY
     if len(r0) == 1:
         return _ONE_POLY, u, v
     h = math.gcd(*r0)
