@@ -476,7 +476,7 @@ def _gcd_parts(a, b) -> tuple:
     found = _heuristic_gcd(a, b)
     if found:
         return found
-    g = _prs_gcd(a, b)
+    g = _primitive(_ONE_F, list(_prs_gcd(a, b)[0])).prim
     return g, _exact_quotient(a, g), _exact_quotient(b, g)
 
 
@@ -549,29 +549,16 @@ def _heuristic_gcd(a, b) -> tuple | None:
     return None
 
 
-def _prs_gcd(a: tuple, b: tuple) -> tuple:
-    """The primitive gcd of two primitive int tuples by Collins's
-    primitive polynomial remainder sequence."""
-    while b:
-        a, b = b, _primitive(_ONE_F, _pseudo_divmod(a, b)[2]).prim
-    return a
-
-
-def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """(g, u, v) with u*a + v*b = g, g monic (or zero): the cofactors of
-    Euclid's algorithm.
-
-    Euclid runs on the primitive ints A, B of a and b as a primitive
-    remainder sequence with cofactors (Collins, J. ACM 14 (1967); Brown,
-    J. ACM 18 (1971)): each pseudo-remainder m*r0 - q*r1 carries its
-    A-cofactor m*s0 - q*s1, and the pair is divided by its joint integer
-    content, so r = s*A + t*B over Q[t] at every step with t never formed.
-    Each pair is a rational multiple of Euclid's over Q, so the last
-    nonzero r, made monic, is g, and u is its s over lead(r)*content(a).
-    v is then (g - u*a)/b, one exact division.
-    """
-    A, B = a.prim, b.prim
-    r0, s0, r1, s1 = A, [1], B, []
+def _prs_gcd(a, b) -> tuple:
+    """(r, s) for int sequences a and b, not both zero: r a nonzero
+    multiple of gcd(a, b) in Z[t] and s*a = r mod b, by Collins's
+    primitive remainder sequence with cofactors (J. ACM 14 (1967); Brown,
+    J. ACM 18 (1971)).  Each pseudo-remainder m*r0 - q*r1 carries its
+    a-cofactor m*s0 - q*s1, and the pair is divided by its joint integer
+    content, so each is a rational multiple of Euclid's over Q and the
+    b-cofactor is never formed.  For coprime a and b, r is a constant and
+    s/r the inverse of a mod b."""
+    r0, s0, r1, s1 = a, [1], b, []
     while len(r1) > 1:
         m, q, r = _pseudo_divmod(r0, r1)
         s = [m * x for x in s0]
@@ -583,11 +570,22 @@ def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
                 r = [x // h for x in r]
                 s = [x // h for x in s]
         r0, s0, r1, s1 = r1, s1, r, s
-    if r1:
-        # a nonzero constant divides everything: the next remainder is 0
-        r0, s0 = r1, s1
-    if not r0:
+    # a nonzero constant r1 divides everything: the next remainder is 0
+    return (r1, s1) if r1 else (r0, s0)
+
+
+def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
+    """(g, u, v) with u*a + v*b = g, g monic (or zero): the cofactors of
+    Euclid's algorithm.
+
+    _prs_gcd runs on the primitive ints A, B of a and b and gives r and s
+    with s*A = r mod B, r a multiple of the gcd; g is r made monic, u is s
+    over lead(r)*content(a), and v is (g - u*a)/b, one exact division.
+    """
+    A, B = a.prim, b.prim
+    if not A and not B:
         return _ZERO_POLY, _ONE_POLY, _ZERO_POLY
+    r0, s0 = _prs_gcd(A, B)
     lead = r0[-1]
     ca, cb = a.content, b.content
     u = _primitive(Fraction(ca.denominator, ca.numerator * lead), s0) if s0 \
@@ -829,12 +827,11 @@ def smallest_exponential_index(a: RatFunc) -> tuple[int, RatFunc] | None:
     if dec is None:
         return None
     if not dec:
-        return 1, RatFunc(Poly((1,)))
+        return 1, _ONE_RF
     n = 1
     for _p, c in dec:
         n = math.lcm(n, c.denominator)
-    num = Poly((1,))
-    den = Poly((1,))
+    num = den = _ONE_POLY
     for p, c in dec:
         e = c * n
         assert e.denominator == 1
@@ -843,4 +840,5 @@ def smallest_exponential_index(a: RatFunc) -> tuple[int, RatFunc] | None:
             num = num * p**e
         elif e < 0:
             den = den * p**(-e)
-    return n, RatFunc(num, den)
+    # the p_c are monic and pairwise coprime, so num/den is in lowest terms
+    return n, _ratfunc(num, den)

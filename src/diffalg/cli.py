@@ -318,7 +318,7 @@ def _generic_point(rng, n: int) -> dict:
     return point
 
 
-# gl-witness 8 takes about 0.4 s on a 2-core x86-64 host; each size doubles it
+# gl-witness 8 takes 3-6 ms in process on a 2-core x86-64 host, gl-witness 4 about 1 ms
 _GL_WITNESS_MAX = 8
 
 

@@ -10,10 +10,10 @@ has only simple poles.
 
 The arithmetic runs on basefield's Z[t] int lists.  D is taken as its
 primitive ints, _split gives each D- with both quotients from one gcd,
-and every other division is _exact_quotient.  The reduction is Q-linear
-in A, so A is kept as ints under one rational content that each pass
-only rescales.  The terms B/D- of g are put over the first D-, and g is
-formed once.
+each solve inverts modulo D-* by _prs_gcd, and every other division is
+_exact_quotient.  The reduction is Q-linear in A, so A is kept as ints
+under one rational content that each pass only rescales.  The terms
+B/D- of g are put over the first D-, and g is formed once.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import basefield
 from .basefield import (_ONE_F, _ONE_POLY, _ZERO_POLY, RatFunc, _add_ints,
                         _conv, _derivative_ints, _exact_quotient, _gcd_parts,
-                        _poly, _primitive, _pseudo_divmod, _ratfunc)
+                        _poly, _primitive, _prs_gcd, _pseudo_divmod,
+                        _ratfunc)
 
 
 def _split(d) -> tuple:
@@ -59,27 +59,24 @@ def hermite_reduce(f: RatFunc) -> tuple[RatFunc, RatFunc]:
     while len(dm) > 1 and a:
         k, dm2, dms, w = _split(dm)
         # D* D-'/D- = k*v with v prime to D-*.  Solve B*(-k*v) + C*D-* = A,
-        # deg B < deg D-*: with c = cn/cd, u = (p/q)*prim(u), u*v = 1 and
-        # A*u = (c*p/(q*m))*r mod D-*, B = -(c*p/(q*k*m))*r and
-        # C = (c/(q*m))*x/D-* for x = q*m*a - p*r*v
+        # deg B < deg D-*: with c = cn/cd and s*v = q mod D-* for a constant
+        # q, A*s/q = (c/(q*m))*r mod D-*, B = -(c/(q*k*m))*r and
+        # C = (c/(q*m))*x/D-* for x = q*m*a - r*v
         v = _exact_quotient(_conv(ds, w), dms)
-        # read off the module, as bench/tracer.py patches it there
-        u = basefield.poly_xgcd(_poly(_ONE_F, tuple(v)),
-                                _poly(_ONE_F, tuple(dms)))[1]
-        p, q = u.content.numerator, u.content.denominator
-        m, _, r = _pseudo_divmod(_conv(a, u.prim), dms)
+        (q,), s = _prs_gcd(v, dms)
+        m, _, r = _pseudo_divmod(_conv(a, s), dms)
         x = [q * m * y for y in a]
         if r:
-            x = _add_ints(x, [-p * y for y in _conv(r, v)])
-        # the next A is C - B'*D*/D-* = (c/(q*k*m))*(k*x/D-* + p*r'*D*/D-*)
+            x = _add_ints(x, [-y for y in _conv(r, v)])
+        # the next A is C - B'*D*/D-* = (c/(q*k*m))*(k*x/D-* + r'*D*/D-*)
         a = [k * y for y in _exact_quotient(x, dms)]
         if len(r) > 1:
-            e = _exact_quotient(ds, dms)
-            a = _add_ints(a, [p * y for y in _conv(_derivative_ints(r), e)])
+            a = _add_ints(a, _conv(_derivative_ints(r),
+                                   _exact_quotient(ds, dms)))
         cd *= q * k * m
         if r:
             # B/D- over the first D-: scale is top/D-
-            g = g + _primitive(Fraction(-cn * p, cd), _conv(r, scale))
+            g = g + _primitive(Fraction(-cn, cd), _conv(r, scale))
         h = math.gcd(*a)
         if h > 1:
             a = [y // h for y in a]

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, reduce
 from fractions import Fraction
 
-from .basefield import _Record
+from .basefield import _add_ints, _Record
+from .cleared import _clear
 from .diffpoly import DerivVar, DiffPoly, _coeff, _var_name
 from .errors import (
     DegeneratePoint,
@@ -29,8 +30,7 @@ from .errors import (
     SingularTransform,
 )
 from .galois import GaloisDescriptor, GroupKind
-from .wronskian import (_cofactor_det, _det, _monic_coefficients,
-                        apply_constant_matrix)
+from .wronskian import _cofactor_det, _det, _monic_solve
 
 
 class ConstMatrix(_Record):
@@ -201,23 +201,28 @@ def gl_invariance_witness(n: int, transform: ConstMatrix, generic_point: dict) -
     0..n; it must keep the Wronskian nonzero.  Substituting T and then
     evaluating at p equals evaluating at p'_i = sum_k T[i][k] p_k, so the
     ratios minor_j / W are read (up to sign) off one solve at p and one
-    at p', with no polynomial expanded.
+    at p', with no polynomial expanded.  The point is cleared once over
+    Z[t] and T's int rows act on the numerators: scaling an equation, as
+    by a row's denominator, leaves a solve unchanged.
     """
     if transform.n != n:
         raise ShapeError("transform size %d, expected %d" % (transform.n, n))
     if transform.det() == 0:
         raise SingularTransform("transform must be invertible")
     try:
-        rows = [[_coeff(generic_point[DerivVar(order, i)]) for order in range(n + 1)]
-                for i in range(n)]
+        point = {(i, order): _coeff(generic_point[DerivVar(order, i)])
+                 for i in range(n) for order in range(n + 1)}
     except KeyError as exc:
         raise IncompleteAssignment("no value for %s" % _var_name(exc.args[0], n)) from None
-    matrix = transform.entries
-    moved = [apply_constant_matrix(col, matrix) for col in zip(*rows)]
-    before = _monic_coefficients(rows)
+    cleared = _clear(point)[0]
+    rows = [[cleared[i, order] for order in range(n + 1)] for i in range(n)]
+    moved = [[reduce(_add_ints, [[c * x for x in row[order]]
+                                 for c, row in zip(t_row, rows) if c], [])
+              for order in range(n + 1)] for t_row in transform.rows]
+    before = _monic_solve(rows)
     if before is None:
         raise DegeneratePoint("Wronskian vanishes at the generic point")
-    after = _monic_coefficients([list(row) for row in zip(*moved)])
+    after = _monic_solve(moved)
     if after is None:
         raise DegeneratePoint("transformed Wronskian vanishes at the generic point")
-    return before == after
+    return before[1] == after[1]

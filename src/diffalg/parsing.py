@@ -60,7 +60,7 @@ _POWER_DEGREE_MAX = 1000
 # (1+2*t)^1000 has size 2002000; at the limit the slowest power found,
 # (100*t+99)^511, takes 0.67 s on the same host
 _POWER_SIZE_MAX = 2**21
-# reduce "x^(100)" --mod "x'-x" takes 0.06 s on the same host
+# reduce "x^(100)" --mod "x'-x" takes 0.01-0.02 s on the same host
 _DERIVATIVE_ORDER_MAX = 100
 # each level of parentheses is three frames of the descent, far inside
 # the interpreter's recursion limit

@@ -14,9 +14,9 @@ Its rational roots are found p-adically (Loos, SIAM J. Comput. 12
 product of fields and R mod p = prod (z - w(r)) over the roots r of den,
 so R splits over F_p iff every w(r)^p = w(r), that is iff w^p = w in
 F_p[t]/(den) (Frobenius).  The arithmetic modulo p runs on lists of ints,
-and so does the exact R once the test passes: the traces and Newton's
-identities run over Z on den's primitive ints, so R arrives as one
-primitive int list.
+and so does the rest: the traces and Newton's identities run over Z on
+den's primitive ints, so R arrives as one primitive int list, and its
+rational roots and the p_c are found on int lists too.
 """
 
 from __future__ import annotations
@@ -24,8 +24,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .basefield import (_ONE_F, Poly, _conv, _derivative_ints, _power,
-                        _primitive, _pseudo_divmod, poly_gcd, poly_xgcd)
+from .basefield import (_ONE_F, Poly, _add_ints, _conv, _derivative_ints,
+                        _gcd_parts, _linear_quotient, _power, _primitive,
+                        _prs_gcd, _pseudo_divmod, poly_gcd)
 
 
 def _primes_from(n: int):
@@ -93,14 +94,14 @@ def _inverse_mod(f: list, d: list, p: int) -> list | None:
     return [c * x % p for x in s1]
 
 
-def _resultant_ints(num: Poly, den: Poly, d_prime: Poly) -> list:
+def _resultant_ints(num: Poly, d: tuple, dd: list) -> list:
     """R(z) = res_t(den, num - z*den') up to a constant factor, as
-    ascending ints, for den squarefree: the characteristic polynomial of
-    w = num/den' on Q[t]/(den), from the traces of its powers by Newton's
-    identities over Z.
+    ascending ints, for den = D/L squarefree, D = d and D' = dd: the
+    characteristic polynomial of w = num/den' on Q[t]/(den), from the
+    traces of its powers by Newton's identities over Z.
 
-    den is D/L for primitive ints D, and w = (a/b)*W mod D for primitive
-    ints W.  The values of y = T*w, T = b*L^(n-1), at the roots of D are
+    1/den' is L*u/c mod D for u*D' = c mod D (_prs_gcd; c is a constant,
+    D being squarefree), and w = (a/b)*W mod D for primitive ints W.  The values of y = T*w, T = b*L^(n-1), at the roots of D are
     algebraic integers (L times a root is one, and deg W < n), so P_k =
     tr(y^k) = T^k tr(w^k) and the elementary symmetric functions E_k of
     those values are integers: k*E_k = sum_i (-1)^(i-1) E_(k-i) P_i
@@ -109,7 +110,6 @@ def _resultant_ints(num: Poly, den: Poly, d_prime: Poly) -> list:
     one dot product with L^(n-1) tr(t^j), j < n: the power sums of the
     roots of D over one denominator.
     """
-    d = den.prim
     n, lead = len(d) - 1, d[-1]
     lp = [1]
     for _ in range(n):
@@ -120,12 +120,12 @@ def _resultant_ints(num: Poly, den: Poly, d_prime: Poly) -> list:
         s.append(-k * d[n - k] * lp[k - 1]
                  - sum(d[n - i] * lp[i - 1] * s[k - i] for i in range(1, k)))
     s = [x * lp[n - 1 - j] for j, x in enumerate(s)]
-    u = poly_xgcd(d_prime, den)[1]
-    m, _, w = _pseudo_divmod(_conv(num.prim, u.prim), d)
+    (c,), u = _prs_gcd(dd, d)
+    m, _, w = _pseudo_divmod(_conv(num.prim, u), d)
     g = math.gcd(*w)
     w = [x // g for x in w]
-    cn, cu = num.content, u.content
-    a, b = cn.numerator * cu.numerator * g, cn.denominator * cu.denominator * m
+    cn = num.content
+    a, b = cn.numerator * lead * g, cn.denominator * c * m
     h = math.gcd(a, b)
     a, b = a // h, b // h
     t = b * lp[n - 1]
@@ -163,9 +163,12 @@ def _rational_roots(f: Poly) -> list[Fraction]:
     u/v of s has |u| <= B and 0 < v <= lead(s), so rational
     reconstruction recovers it; each candidate is checked exactly.
     """
-    s = f.exact_div(poly_gcd(f, f.derivative())).prim
-    if len(s) < 2:
+    f = f.prim
+    if len(f) < 2:
         return []
+    df = _derivative_ints(f)
+    h = math.gcd(*df)
+    s = _gcd_parts(f, [x // h for x in df])[1]
     ds = _derivative_ints(s)
     height = max(abs(x) for x in s)
     for p in _primes_from(2):
@@ -181,7 +184,7 @@ def _rational_roots(f: Poly) -> list[Fraction]:
             m *= m
             r = (r - _eval_mod(s, r, m) * pow(_eval_mod(ds, r, m), -1, m)) % m
         c = _rational_reconstruction(r, m, height)
-        if f(c) == 0:
+        if _linear_quotient(s, [-c.numerator, c.denominator]) is not None:
             roots.append(c)
     return sorted(roots)
 
@@ -222,9 +225,13 @@ def residue_groups(num: Poly, den: Poly) -> list[tuple[Poly, Fraction]] | None:
     wp = _power(w, p, lambda f, g: _mulmod(f, g, d, p))
     if (wp + [0] * n)[:n] != (w + [0] * n)[:n]:
         return None
-    d_prime = den.derivative()
-    r = _primitive(_ONE_F, _resultant_ints(num, den, d_prime))
-    out = [(poly_gcd(den, num - d_prime * c), c) for c in _rational_roots(r)]
+    dd = _derivative_ints(den.prim)
+    r = _primitive(_ONE_F, _resultant_ints(num, den.prim, dd))
+    # num - c*den' = (x*N - y*c*D')/(y*L) for num = (x/y)*N and den = D/L
+    x, y = num.content.numerator * den.prim[-1], num.content.denominator
+    out = [(poly_gcd(den, _primitive(_ONE_F, _add_ints(
+        [x * c.denominator * v for v in num.prim],
+        [-y * c.numerator * v for v in dd]))), c) for c in _rational_roots(r)]
     if sum(p.degree() for p, _c in out) != n:
         return None
     out.sort(key=lambda pc: (pc[0].degree(), pc[0].coeffs))

@@ -265,14 +265,6 @@ def _monic_solve(cleared: list) -> tuple | None:
     return d, [RatFunc(-read(yj[0]), d) for yj in solved[1]]
 
 
-def _monic_coefficients(rows: list) -> list | None:
-    """The c_j of _monic_solve for RatFunc rows u_i, ..., u_i^(n), each
-    row cleared of its denominators; None when W = 0."""
-    solved = _monic_solve([list(_clear(dict(enumerate(row)))[0].values())
-                           for row in rows])
-    return None if solved is None else solved[1]
-
-
 def wronskian(elems) -> RatFunc:
     """Exact Wronskian determinant."""
     # det of the transpose: one common denominator per element

@@ -565,6 +565,64 @@ def test_poly_gcd_prs_fallback_against_sympy(pair):
     assert _sp(g) == _sp(a).gcd(_sp(b))
 
 
+def _trimmed(cs: list) -> list:
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+_int_lists = st.lists(st.integers(-9, 9), max_size=5).map(_trimmed)
+
+
+@st.composite
+def _prs_inputs(draw):
+    """Raw int lists, signs and contents as they come: zero, constant,
+    equal, non-primitive with a shared factor, and coprime pairs."""
+    a, b = draw(_int_lists), draw(_int_lists)
+    kind = draw(st.sampled_from(("any", "zero", "constant", "equal",
+                                 "shared", "coprime")))
+    if kind == "zero":
+        a = []
+    elif kind == "constant":
+        b = [draw(st.integers(-9, 9).filter(bool))]
+    elif kind == "equal":
+        b = list(a)
+    elif kind == "shared":
+        f = draw(st.lists(st.integers(-5, 5), min_size=2, max_size=3)
+                 .map(_trimmed).filter(lambda f: len(f) > 1))
+        k = draw(st.integers(2, 12))
+        a = [k * x for x in basefield._conv(a, f)] if a else f
+        b = basefield._conv(b, f) if b else [k * x for x in f]
+    elif kind == "coprime":
+        # at a common root z^2 = -u - 1, so t^3 + t + u is u*(1 - z) != 0
+        u = draw(st.integers(1, 9))
+        a, b = [u, 1, 0, 1], [u + 1, 0, 1]
+    assume(a or b)
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(_prs_inputs())
+@example(([], [3, 0, 3]))
+@example(([2, 4], [6]))
+@example(([6, 0, -6], [6, 0, -6]))
+@example(([-2, 0, 4], [4, 8]))
+def test_prs_gcd_on_int_lists(pair):
+    # r is a nonzero multiple of the gcd and s*a = r mod b: r - s*a is a
+    # multiple of b, in Z[t] over b's primitive part (Gauss's lemma)
+    a, b = pair
+    r, s = basefield._prs_gcd(tuple(a), tuple(b))
+    assert r and r[-1]
+    rest = basefield._add_ints(list(r), [-x for x in basefield._conv(s, a)]) \
+        if s and a else list(r)
+    if b:
+        assert basefield._exact_quotient(rest, Poly(b).prim) is not None
+    else:
+        assert rest == []
+    g = _canonical(Poly(r).monic())
+    assert _sp(g) == _sp(Poly(a)).gcd(_sp(Poly(b)))
+
+
 _factors = st.lists(st.lists(st.integers(-4, 4), min_size=2, max_size=3)
                     .map(Poly).filter(lambda p: p.degree() > 0),
                     min_size=1, max_size=3)

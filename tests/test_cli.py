@@ -831,3 +831,27 @@ def test_every_exported_name_resolves():
     import diffalg
 
     assert [name for name in diffalg.__all__ if not hasattr(diffalg, name)] == []
+
+
+def test_bench_tracer_spans_commands_and_restores(monkeypatch):
+    # bench/tracer.py patches each span by module and attribute name, so
+    # install() fails here when a refactor moves or removes a spanned name
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__),
+                                             os.pardir, "bench"))
+    import tracer
+
+    argvs = (["classify-exp", "(3/4)/(2*t+1) + (3/4)/(2*t-1)"],
+             ["gl-witness", "3", "--seed", "1"])
+    untraced = [invoke(argv) for argv in argvs]
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        traced = [invoke(argv) for argv in argvs]
+    finally:
+        tr.uninstall()
+    assert tr.restored()
+    assert traced == untraced
+    for span, calls in (("cli.run", 2), ("cli.handler", 2),
+                        ("galois.classify_exponential_extension", 1),
+                        ("matgroup.gl_invariance_witness", 1)):
+        assert tr.stats[span].calls == calls

@@ -14,6 +14,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import inverse, matmul
 from diffalg.basefield import Poly, RatFunc, poly_gcd
+from diffalg.cleared import _clear
 from diffalg.diffpoly import DerivVar
 from diffalg.matgroup import (
     ConstMatrix,
@@ -31,7 +32,7 @@ from diffalg.wronskian import (
     _det,
     _kernel_vector,
     _kronecker,
-    _monic_coefficients,
+    _monic_solve,
     _poly_det_bareiss,
     _same,
     _sizes,
@@ -198,12 +199,13 @@ def test_witness_ratios_against_substitution(data):
     for at, subst in ((rows, None), (moved, matrix)):
         values = [m.evaluate(point) if subst is None
                   else m.substitute_linear(subst).evaluate(point) for m in minors]
-        coeffs = _monic_coefficients(at)
+        solved = _monic_solve([list(_clear(dict(enumerate(row)))[0].values())
+                               for row in at])
         if values[n].is_zero():
-            assert coeffs is None
+            assert solved is None
             continue
-        assert coeffs == [values[j] / values[n] * (-1) ** (n - j)
-                          for j in range(n)]
+        assert solved[1] == [values[j] / values[n] * (-1) ** (n - j)
+                             for j in range(n)]
     if not minors[n].evaluate(point).is_zero():
         assert gl_invariance_witness(n, t, point)
 
