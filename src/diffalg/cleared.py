@@ -86,10 +86,16 @@ def _degree_in(terms: dict, v) -> int:
     return max((_mono_exp(mono, v) for mono in terms), default=0)
 
 
-def _top(terms: dict, v, e: int, d: int) -> dict:
-    """The terms of degree e in v, with the exponent of v lowered by d."""
-    return {_mono_set(mono, v, e - d): c for mono, c in terms.items()
-            if _mono_exp(mono, v) == e}
+def _split(terms: dict, v, e: int, d: int) -> tuple[dict, dict]:
+    """(top, rest) for terms of degree e in v: top the terms of degree e
+    with the exponent of v lowered by d, rest the terms of lower degree."""
+    top, rest = {}, {}
+    for mono, c in terms.items():
+        if _mono_exp(mono, v) == e:
+            top[_mono_set(mono, v, e - d)] = c
+        else:
+            rest[mono] = c
+    return top, rest
 
 
 def _lcm_prim(a: list, b: list) -> list:
@@ -295,6 +301,8 @@ class _Base:
         c, exps = den
         if not num:
             return num, (1, (0,) * len(exps))
+        if c == 1 and not any(exps):
+            return num, den
         exps = list(exps)
         for i, b in enumerate(self.elems):
             while exps[i]:
@@ -319,21 +327,30 @@ class _Base:
             num = {mono: [x // g for x in a] for mono, a in num.items()}
         return num, (c, tuple(exps))
 
+    def lcm(self, a: tuple, b: tuple) -> tuple[tuple, list, list]:
+        """(L, L/a, L/b) for denominators a and b over the base: L their
+        lcm, the integer lcm times the maximum exponents, and the two
+        cofactors expanded as int lists."""
+        if a == b:
+            return a, [1], [1]
+        (ca, ea), (cb, eb) = a, b
+        c = math.lcm(ca, cb)
+        exps = tuple(map(max, ea, eb))
+        return ((c, exps),
+                self.expand(c // ca, [x - y for x, y in zip(exps, ea)]),
+                self.expand(c // cb, [x - y for x, y in zip(exps, eb)]))
+
     def add(self, a, num: dict, den: tuple) -> tuple[dict, tuple]:
         """a + num/den for a pair a (or None) over the base, over the lcm
         of the denominators."""
         if a is None:
             return num, den
-        a_num, (ca, ea) = a
-        cb, eb = den
-        c = math.lcm(ca, cb)
-        exps = tuple(map(max, ea, eb))
-        ma = self.expand(c // ca, [x - y for x, y in zip(exps, ea)])
-        mb = self.expand(c // cb, [x - y for x, y in zip(exps, eb)])
+        a_num, a_den = a
+        den, ma, mb = self.lcm(a_den, den)
         out = {mono: _conv(n, ma) for mono, n in a_num.items()}
         for mono, n in num.items():
             _acc_ints(out, mono, _conv(n, mb))
-        return out, (c, exps)
+        return out, den
 
     def ratfunc_terms(self, num: dict, den: tuple) -> dict:
         """num/den as {monomial: RatFunc}, one normalisation per term whose

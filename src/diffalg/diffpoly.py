@@ -23,7 +23,7 @@ from .basefield import (_ONE_RF, Poly, RatFunc, _conv, _derivative_name,
                         _new, _power, _Record, _signed_factor, _signed_sum)
 from .cleared import (Monomial, _acc_ints, _Base, _clear, _degree_in,
                       _den_times, _mono_exp, _mono_mul, _mono_set,
-                      _mul_cleared, _order, _top, _tower)
+                      _mul_cleared, _order, _split, _tower)
 from .errors import IncompleteAssignment, NotApplicable, ShapeError
 
 
@@ -205,7 +205,8 @@ class DiffPoly:
         """Coefficient of the highest power of the leader."""
         lead = self.leader(indeterminate)
         deg = self.degree_in(lead)
-        return _diffpoly(_top(self.terms, lead, deg, deg), self.num_indeterminates)
+        return _diffpoly(_split(self.terms, lead, deg, deg)[0],
+                         self.num_indeterminates)
 
     def partial(self, v: DerivVar) -> "DiffPoly":
         """Formal partial derivative with respect to one derivative variable."""
@@ -353,12 +354,22 @@ def ritt_reduce(q: DiffPoly, p: DiffPoly, indeterminate: int = 0,
     coefficient, and at m = n, while e is at least the leader degree of
     p, by the initial against p itself.
 
-    On the cleared form, with the multiplier h = H/E (the separant or the
-    initial of p = P_0/E), the remainder R/A and mult = M/A its top terms
-    lowered: h*rem - mult*p^(k) = (H*E^k*R - M*P_k)/(A*E^(k+1)).  A, E
-    and each cofactor's denominator are carried over the coprime base of
-    p's and q's denominators, so a product adds exponents, and the step
-    cancels by trial division by the base's elements.
+    On the cleared form, with p = P_0/E, the multiplier h = H/E (the
+    separant or the initial) and the remainder R/A, the step splits R at
+    v^e into M*v^e + B and p^(k) = P_k/E^(k+1) at v^d into
+    H*E^k*v^d + T_k.  That split is exact: for k >= 1, p^(k) is linear in
+    x^(n+k) with the separant as its coefficient, so P_k holds
+    H*E^k*x^(n+k), and at k = 0 the initial is P_0's top part.  So
+
+        h*R/A - (M/A)*v^(e-d)*p^(k) = H*B/(E*A) - M'*v^(e-d)*T_k/(A'*E^(k+1)),
+
+    the top products H*E^k*M*v^e cancelling unformed, M'/A' being M/A
+    cancelled over the base.  Both sides are scaled to the lcm of E*A and
+    A'*E^(k+1), whose cofactors multiply H and M' before the products, and
+    the difference is cancelled.  A, E and each cofactor's denominator
+    are carried over the coprime base of p's and q's denominators, so a
+    product adds exponents, an lcm takes their maximum, and cancelling is
+    trial division by the base's elements.
 
     With certificate false only the remainder is wanted: no cofactor is
     kept, the certificate is left empty and the remainder cleared, as the
@@ -377,8 +388,9 @@ def ritt_reduce(q: DiffPoly, p: DiffPoly, indeterminate: int = 0,
         e = _mono_exp(mono, lead)
         if e:
             _acc_ints(sep, _mono_set(mono, lead, e - 1), [e * x for x in c])
-    init = _top(num, lead, lead_deg, lead_deg)
+    init, tail = _split(num, lead, lead_deg, lead_deg)
     tower = _tower(num, den)
+    tails = {0: _negated(tail)}   # k -> -T_k, P_k without its top part
 
     rem, rem_den = _clear(q.terms)
     rem_den = base.factor(rem_den)
@@ -398,20 +410,20 @@ def ritt_reduce(q: DiffPoly, p: DiffPoly, indeterminate: int = 0,
             i_power += 1
         else:
             break
-        pk = tower(k)  # p^(k) = P_k/E^(k+1)
-        mult = _top(rem, v, e, d)
-        if k:
-            ek = base.expand(den_f[0] ** k, [k * x for x in den_f[1]])
-            hk = {mono: _conv(c, ek) for mono, c in h.items()}
-        else:
-            hk = h
-        step = _mul_cleared({}, hk, rem)
-        _mul_cleared(step, {mono: [-x for x in c] for mono, c in mult.items()}, pk)
+        if k not in tails:
+            tails[k] = _negated(_split(tower(k), v, 1, 1)[1])
+        mult, rest = _split(rem, v, e, d)
+        # at k = 0 the lcm is E*A whatever M/A cancels to
+        mult, mult_den = base.cancel(mult, rem_den) if k else (mult, rem_den)
+        den_l, scale_h, scale_m = base.lcm(_den_times(rem_den, den_f),
+                                           _den_times(mult_den, den_f, k + 1))
+        step = _mul_cleared({}, _scaled(h, scale_h), rest)
+        _mul_cleared(step, _scaled(mult, scale_m), tails[k])
         if certificate:
             for j, (c, c_den) in cofactors.items():
                 cofactors[j] = _mul_cleared({}, h, c), _den_times(c_den, den_f)
-            cofactors[k] = base.add(cofactors.get(k), mult, rem_den)
-        rem, rem_den = base.cancel(step, _den_times(rem_den, den_f, k + 1))
+            cofactors[k] = base.add(cofactors.get(k), mult, mult_den)
+        rem, rem_den = base.cancel(step, den_l)
 
     if not certificate:
         return ReductionResult(rem, s_power, i_power, [])
@@ -425,6 +437,17 @@ def ritt_reduce(q: DiffPoly, p: DiffPoly, indeterminate: int = 0,
     m = wide if steps else q.num_indeterminates
     return ReductionResult(_diffpoly(base.ratfunc_terms(rem, rem_den), m),
                            s_power, i_power, certificate)
+
+
+def _negated(num: dict) -> dict:
+    return {mono: [-x for x in a] for mono, a in num.items()}
+
+
+def _scaled(num: dict, c: list) -> dict:
+    """num times the int list c."""
+    if c == [1]:
+        return num
+    return {mono: _conv(a, c) for mono, a in num.items()}
 
 
 def in_general_ideal(q: DiffPoly, p: DiffPoly, indeterminate: int = 0) -> bool:

@@ -33,7 +33,9 @@ division makes it a RatFunc; a value with an indeterminate is a DiffPoly.
 An indeterminate's term is DiffPoly.from_var's, whose coefficient is the
 unit RatFunc that products and powers pass over (basefield._ONE_RF), so
 a scalar times it takes the scalar as its coefficient and a power of it
-scales the exponents.
+scales the exponents.  Each (order, index) has one such term, built on
+first use and shared by every parse (_TERMS): no DiffPoly's terms are
+edited in place.
 
 Four budgets are checked before any work: a power may have t-degree at
 most _POWER_DEGREE_MAX (the t-degree of the base times the exponent) and
@@ -65,6 +67,8 @@ _DERIVATIVE_ORDER_MAX = 100
 # each level of parentheses is three frames of the descent, far inside
 # the interpreter's recursion limit
 _NESTING_MAX = 100
+# (order, index) -> the term of x_index^(order), at most 9 * 101 of them
+_TERMS: dict = {}
 
 # a digit run, x or x1..x9, or one other character; spaces and tabs part words
 _WORD = re.compile(r"[^ \t0-9x]|[0-9]+|x[1-9]?")
@@ -243,7 +247,10 @@ class _Parser:
                 raise NotApplicable(
                     "derivative order %d is over the limit of %d"
                     % (order, _DERIVATIVE_ORDER_MAX))
-        return DiffPoly.from_var(DerivVar(order, index)), pos
+        term = _TERMS.get((order, index))
+        if term is None:
+            term = _TERMS[order, index] = DiffPoly.from_var(DerivVar(order, index))
+        return term, pos
 
 
 def _parse(text: str, allow_indeterminates: bool):

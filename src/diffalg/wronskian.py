@@ -37,6 +37,7 @@ coefficients over Z directly.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .basefield import (_ONE_F, Poly, RatFunc, _conv, _derivative_name,
                         _primitive, _Record, _signed_factor, _signed_sum)
@@ -211,7 +212,10 @@ def _kronecker(m: list, s: int, slots: int) -> tuple:
 
 def _poly_det_bareiss(m: list) -> Poly:
     """Fraction-free determinant of a square matrix of int-list entries,
-    eliminated over Z when packing pays (_z_image)."""
+    eliminated over Z when packing pays (_z_image); a 1x1 matrix is its
+    entry."""
+    if len(m) == 1:
+        return _primitive(_ONE_F, m[0][0])
     rows, read = _z_image(m)
     return read(_det(rows))
 
@@ -354,7 +358,8 @@ class LinearODE(_Record):
 
 class FundamentalSystem(_Record):
     """Tuple of field elements with nonvanishing Wronskian; one solve on
-    the rows f, f', ..., f^(n) gives W (its determinant) and the ODE."""
+    the rows f, f', ..., f^(n) gives W (its determinant) and the ODE.  W
+    is normalised on first read: the ODE does not read it."""
 
     _fields = ("elems", "wronskian")
 
@@ -365,7 +370,11 @@ class FundamentalSystem(_Record):
         if solved is None:
             raise NotFundamental("Wronskian vanishes")
         d, self._coefficients = solved
-        self.wronskian = RatFunc(d, scale)
+        self._det = d, scale
+
+    @cached_property
+    def wronskian(self) -> RatFunc:
+        return RatFunc(*self._det)
 
 
 def ode_from_fundamental_system(fs: FundamentalSystem) -> LinearODE:

@@ -56,6 +56,24 @@ def test_parse_diffpoly_examples():
     assert parse_diffpoly("x''") == parse_diffpoly("x^(2)")
 
 
+def test_parser_builds_each_indeterminate_term_once(monkeypatch):
+    # the term of an (order, index) is built on first use and shared by
+    # every later occurrence, in this text and in later parses
+    made = []
+    from_var = DiffPoly.from_var.__func__
+    monkeypatch.setattr(DiffPoly, "from_var", classmethod(
+        lambda cls, v, m=None: made.append(v) or from_var(cls, v, m)))
+    text = "x9^(97)*x9^(97) - 3*x9^(97)*x8^(99) + x9^(97)^2 + x8^(99)"
+    p = parse_diffpoly(text)
+    assert len(made) <= 2
+    u, w = DiffPoly.from_var(var(8, 97)), DiffPoly.from_var(var(7, 99))
+    assert p == 2 * u ** 2 - 3 * u * w + w
+    assert p.num_indeterminates == 9
+    made.clear()
+    assert parse_diffpoly(text) == p
+    assert made == []
+
+
 # expression trees: ("int", v), ("t",), ("x", index or None, order), a
 # binary node (op, a, b) for + - * / (the divisor of "/" drawn anywhere or
 # from trees without x), ("^", a, k) and ("neg", a); a power's base is a

@@ -8,7 +8,7 @@ from sympy import QQ
 from sympy.polys.rings import ring
 
 from conftest import random_diffpoly, random_poly
-from diffalg import basefield, cleared
+from diffalg import basefield, cleared, diffpoly
 from diffalg.basefield import Poly, RatFunc, _conv, _exact_quotient
 from diffalg.cleared import _clear, _tower
 from diffalg.diffpoly import (
@@ -439,19 +439,19 @@ def test_cleared_tower_is_repeated_derive(p):
 # tower, so these tests take the derivation, separant, initial and the
 # certificate identity from sympy.  A value is a fraction num/den with num
 # in QQ[t, x0..x7] (x^(j) as the generator x<j>) and den a product of
-# powers of the strategy's denominators t + 1, t and t - 2, kept as their
-# exponents, under the total derivation d/dt + sum_j x<j+1> d/dx<j>.  Every
+# powers of the factors t + 1, t, t - 2 and t^2 + 1 of the strategy's
+# denominators, kept as their exponents, under the total derivation d/dt + sum_j x<j+1> d/dx<j>.  Every
 # denominator in these identities is such a product, so a sum takes the
 # larger exponents and no gcd runs: the heuristic gcd of sympy's field
 # QQ(t) fails on some of these identities, and cross-multiplying without
 # cancelling grows the certificate sum with every term.
 
 _R, _T, *_X = ring(["t"] + ["x%d" % j for j in range(8)], QQ)
-_FACTORS = (_T + 1, _T, _T - 2)
+_FACTORS = (_T + 1, _T, _T - 2, _T**2 + 1)
 
 
 class _Frac:
-    def __init__(self, num, den=(0, 0, 0)):
+    def __init__(self, num, den=(0,) * len(_FACTORS)):
         self.num, self.den = num, den
 
     def _over(self, den):
@@ -517,13 +517,14 @@ def _sym_derive(f: _Frac) -> _Frac:
     num = f.num.diff(_T)
     for j in _orders(f):
         num += _X[j + 1] * f.num.diff(_X[j])
-    # den'/den = sum e_i/b_i: over den*B, B the product of the b_i with
-    # e_i > 0, the numerator is num'*B - num*sum e_i*B/b_i
+    # den'/den = sum e_i*b_i'/b_i: over den*B, B the product of the b_i
+    # with e_i > 0, the numerator is num'*B - num*sum e_i*b_i'*B/b_i
     whole = _R.one
     for b, e in zip(_FACTORS, f.den):
         if e:
             whole *= b
-    shift = sum((e * whole.exquo(b) for b, e in zip(_FACTORS, f.den) if e), _R.zero)
+    shift = sum((e * b.diff(_T) * whole.exquo(b)
+                 for b, e in zip(_FACTORS, f.den) if e), _R.zero)
     return _Frac(num * whole - f.num * shift, tuple([e + 1 if e else 0 for e in f.den]))
 
 
@@ -535,8 +536,12 @@ def _sym_leader_data(f: _Frac):
 
 
 # order <= 2, exponents <= 2, <= 4 terms; coefficients of degree <= 1 over
-# 1, t + 1, t or t - 2
-_denominators = st.sampled_from([Poly((1,)), Poly((1, 1)), Poly((0, 1)), Poly((-2, 1))])
+# 1, t + 1, t, t - 2, (t + 1)^2, (t + 1)^3, t^2 + 1 or (t + 1)*(t - 2), so
+# that a remainder's top terms can be in lower terms than the remainder and
+# an lcm of denominators can take an exponent above 1
+_denominators = st.sampled_from([
+    Poly((1,)), Poly((1, 1)), Poly((0, 1)), Poly((-2, 1)), Poly((1, 2, 1)),
+    Poly((1, 3, 3, 1)), Poly((1, 0, 1)), Poly((-2, -1, 1))])
 _coeffs = st.builds(RatFunc,
                     st.lists(st.integers(-3, 3), min_size=1, max_size=2)
                     .map(Poly).filter(bool), _denominators)
@@ -582,6 +587,46 @@ def test_ritt_reduce_against_sympy(q, p):
     rem = _sym(r.remainder)
     m, n = max(_orders(rem), default=-1), max(_orders(f))
     assert m < n or (m == n and rem.num.degree(lead) < deg)
+
+
+# the member pair of order 3, leader degree 3 and order gap 4 in the
+# benchmark's seed-1 ritt corpus
+_GAP4_Q = ("(-6)*(x)^2 + (6)*x*x'*(x^(3))^2 + (2*t)*x*x' + (-4/(t+1))*x*x''*x^(3)"
+           " + (4)*x*(x^(3))^3 + (-6*t-6)*x'*x^(3)*x^(7) + (-24*t-24)*x'*x^(4)*x^(6)"
+           " + (-18*t-18)*x'*(x^(5))^2 + (-24*t-24)*x''*x^(3)*x^(6)"
+           " + (48/(t^4+4*t^3+6*t^2+4*t+1))*x''*x^(3) + (-72*t-72)*x''*x^(4)*x^(5)"
+           " + (-48/(t^3+3*t^2+3*t+1))*x''*x^(4) + (24/(t^2+2*t+1))*x''*x^(5)"
+           " + (-8/(t+1))*x''*x^(6) + (2)*x''*x^(7) + (-39*t-39)*(x^(3))^2*x^(5)"
+           " + (-6*t-6)*(x^(3))^2*x^(7) + (-48/(t^3+3*t^2+3*t+1))*(x^(3))^2"
+           " + (-60*t-60)*x^(3)*(x^(4))^2 + (-48*t-48)*x^(3)*x^(4)*x^(6)"
+           " + (72/(t^2+2*t+1))*x^(3)*x^(4) + (-36*t-36)*x^(3)*(x^(5))^2"
+           " + (-32/(t+1))*x^(3)*x^(5) + (10)*x^(3)*x^(6) + (-72*t-72)*(x^(4))^2*x^(5)"
+           " + (-24/(t+1))*(x^(4))^2 + (20)*x^(4)*x^(5) + (-t-1)*x^(4) + (-t^2-t)*x^(5)")
+_GAP4_P = "(-3)*x + (3)*x'*(x^(3))^2 + (t)*x' + (-2/(t+1))*x''*x^(3) + (2)*(x^(3))^3"
+
+
+def test_ritt_step_forms_no_cancelling_products(monkeypatch):
+    # the step multiplies the separant or initial into the remainder below
+    # its top power and the multiplier into p^(k) below its top part, so
+    # the top products, which cancel, are never formed: the int-list
+    # products of the whole reduction, certificate included, sum
+    # len(a)*len(b) to about 1400, where forming them took 4782
+    q, p = parse_diffpoly(_GAP4_Q), parse_diffpoly(_GAP4_P)
+    work = []
+    conv = basefield._conv
+    monkeypatch.setattr(diffpoly, "_conv",
+                        lambda a, b: work.append(len(a) * len(b)) or conv(a, b))
+    mul = cleared._mul_cleared
+
+    def counting(out, a, b):
+        work.extend(len(x) * len(y) for x in a.values() for y in b.values())
+        return mul(out, a, b)
+    monkeypatch.setattr(diffpoly, "_mul_cleared", counting)
+    r = ritt_reduce(q, p)
+    assert sum(work) <= 2000
+    monkeypatch.undo()
+    assert r.remainder.is_zero()
+    assert certificate_checks(q, p, r)
 
 
 @settings(max_examples=60, deadline=None)

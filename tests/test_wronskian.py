@@ -1,4 +1,5 @@
 import importlib
+import io
 from fractions import Fraction
 from random import Random
 
@@ -10,7 +11,7 @@ from sympy.polys.fields import field
 from sympy.polys.matrices import DomainMatrix
 
 from conftest import random_ratfunc
-from diffalg import basefield, cleared
+from diffalg import basefield, cleared, cli
 from diffalg.basefield import Poly, RatFunc
 from diffalg.errors import NotFundamental, ShapeError
 from diffalg.odeseries import fundamental_system_series
@@ -221,7 +222,7 @@ def test_wronskian_against_sympy(elems):
 
 def test_wronsky_rows_run_one_gcd_per_output(monkeypatch):
     # the rows come in closed form; only the normalisation of W (and of
-    # each ODE coefficient) runs a gcd
+    # each ODE coefficient) runs a gcd, W's when it is first read
     elems = [parse_ratfunc(f) for f in
              ("1/(t+1)^2", "t/(t^2+1)", "(t-2)/(t^3+t+1)", "3/(2*t-1)")]
     calls = []
@@ -231,7 +232,9 @@ def test_wronsky_rows_run_one_gcd_per_output(monkeypatch):
     wronskian(elems)
     assert len(calls) == 1
     calls.clear()
-    FundamentalSystem(elems)
+    fs = FundamentalSystem(elems)
+    assert len(calls) == len(elems)
+    assert fs.wronskian is fs.wronskian
     assert len(calls) == len(elems) + 1
 
 
@@ -318,3 +321,39 @@ def test_wronsky_rows_clear_the_wronsky_matrix(elems, bordered):
         assert [RatFunc(Poly(p)) for p in row] == [f * d for f in col]
         product = product * d
     assert RatFunc(scale) == product
+
+
+def test_ode_from_builds_no_wronskian(monkeypatch):
+    # ode-from reads the ODE alone, so W = d/scale is normalised only when
+    # it is first read, as one RatFunc more
+    texts = ["1/(t+1)", "t^2", "(t-2)/(t^2+1)"]
+    made = []
+    init = RatFunc.__init__
+    monkeypatch.setattr(RatFunc, "__init__",
+                        lambda self, *a: made.append(a) or init(self, *a))
+    elems = [parse_ratfunc(f) for f in texts]
+    parsed = len(made)
+    made.clear()
+    fs = FundamentalSystem(elems)
+    ode = ode_from_fundamental_system(fs)
+    built = len(made)
+    assert all(ode.apply(f).is_zero() for f in elems)
+    made.clear()
+    w = fs.wronskian
+    assert len(made) == 1
+    assert fs.wronskian is w
+    assert w == wronskian(elems)
+    assert fs == FundamentalSystem(elems)
+    assert repr(fs).endswith("wronskian=%r)" % (w,))
+    made.clear()
+    code = cli.run(["ode-from"] + texts, io.StringIO(), io.StringIO())
+    assert code == 0 and len(made) == parsed + built
+
+
+def test_wronskian_of_one_element_packs_nothing(monkeypatch):
+    # the determinant of a 1x1 matrix is its entry, read without packing
+    module = importlib.import_module("diffalg.wronskian")
+    monkeypatch.setattr(module, "_kronecker", None)
+    for text in ("(2*t^2-t)/(t^3-3*t^2+t-3)", "-4/6", "t^5", "0"):
+        f = parse_ratfunc(text)
+        assert wronskian([f]) == f
