@@ -34,8 +34,9 @@ An indeterminate's term is DiffPoly.from_var's, whose coefficient is the
 unit RatFunc that products and powers pass over (basefield._ONE_RF), so
 a scalar times it takes the scalar as its coefficient and a power of it
 scales the exponents.  Each (order, index) has one such term, built on
-first use and shared by every parse (_TERMS): no DiffPoly's terms are
-edited in place.
+first use and shared by the values of every parse (_TERMS); the library
+edits no DiffPoly's terms in place, and parse_diffpoly returns a copy of
+the terms, so that a caller's edit reaches no later parse.
 
 Four budgets are checked before any work: a power may have t-degree at
 most _POWER_DEGREE_MAX (the t-degree of the base times the exponent) and
@@ -421,7 +422,7 @@ def parse_diffpoly(text: str) -> DiffPoly:
     """Parse a differential polynomial in x (or x1..x9) over Q(t)."""
     value, arity = _parse(text, allow_indeterminates=True)
     if type(value) is DiffPoly:
-        return _diffpoly(value.terms, arity)
+        return _diffpoly(dict(value.terms), arity)
     return _diffpoly({(): _field(value)} if value else {}, arity)
 
 

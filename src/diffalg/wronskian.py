@@ -212,10 +212,7 @@ def _kronecker(m: list, s: int, slots: int) -> tuple:
 
 def _poly_det_bareiss(m: list) -> Poly:
     """Fraction-free determinant of a square matrix of int-list entries,
-    eliminated over Z when packing pays (_z_image); a 1x1 matrix is its
-    entry."""
-    if len(m) == 1:
-        return _primitive(_ONE_F, m[0][0])
+    eliminated over Z when packing pays (_z_image)."""
     rows, read = _z_image(m)
     return read(_det(rows))
 

@@ -74,6 +74,19 @@ def test_parser_builds_each_indeterminate_term_once(monkeypatch):
     assert made == []
 
 
+@pytest.mark.parametrize("text", ["x", "x'", "x2^(5)", "x^1", "(x')",
+                                  "x*1 + 0"])
+def test_editing_a_parse_result_leaves_later_parses_alone(text):
+    # the shared terms stay the parser's: a result's terms are its own
+    p = parse_diffpoly(text)
+    expected = dict(p.terms)
+    p.terms.clear()
+    p.terms[()] = parse_ratfunc("7")
+    assert parse_diffpoly(text).terms == expected
+    assert parse_diffpoly("2*" + text) == 2 * DiffPoly(expected,
+                                                       p.num_indeterminates)
+
+
 # expression trees: ("int", v), ("t",), ("x", index or None, order), a
 # binary node (op, a, b) for + - * / (the divisor of "/" drawn anywhere or
 # from trees without x), ("^", a, k) and ("neg", a); a power's base is a

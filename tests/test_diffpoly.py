@@ -610,7 +610,8 @@ def test_ritt_step_forms_no_cancelling_products(monkeypatch):
     # its top power and the multiplier into p^(k) below its top part, so
     # the top products, which cancel, are never formed: the int-list
     # products of the whole reduction, certificate included, sum
-    # len(a)*len(b) to about 1400, where forming them took 4782
+    # len(a)*len(b) to about 1400 (forming the top products as well sums
+    # to 4782)
     q, p = parse_diffpoly(_GAP4_Q), parse_diffpoly(_GAP4_P)
     work = []
     conv = basefield._conv

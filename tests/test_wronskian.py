@@ -349,11 +349,3 @@ def test_ode_from_builds_no_wronskian(monkeypatch):
     code = cli.run(["ode-from"] + texts, io.StringIO(), io.StringIO())
     assert code == 0 and len(made) == parsed + built
 
-
-def test_wronskian_of_one_element_packs_nothing(monkeypatch):
-    # the determinant of a 1x1 matrix is its entry, read without packing
-    module = importlib.import_module("diffalg.wronskian")
-    monkeypatch.setattr(module, "_kronecker", None)
-    for text in ("(2*t^2-t)/(t^3-3*t^2+t-3)", "-4/6", "t^5", "0"):
-        f = parse_ratfunc(text)
-        assert wronskian([f]) == f

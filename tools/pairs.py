@@ -1,13 +1,13 @@
 """Alternating benchmark pairs of two trees, with the 9-of-10 rule.
 
-    python3 tools/pairs.py PARENT CHANGE --workload ritt --seed 1
-                           [--seconds 30] [--pairs 10]
+    python3 tools/pairs.py PARENT CHANGE --workload ritt --seed 1 [--pairs 10]
 
 PARENT and CHANGE are the roots of two checkouts.  Each pair runs
 bench/run.py once in each tree, the parent first in odd pairs and the
 change first in even ones, so that a drift of the host falls on both
-sides alike.  Only the JSON object on the last line of each run's stdout
-is read; nothing under bench/ and no BENCHMARK.json is written.
+sides alike.  Each run lasts the run_seconds of this repository's
+BENCHMARK.json.  Only the JSON object on the last line of each run's
+stdout is read; nothing under bench/ and no BENCHMARK.json is written.
 
 For each end-to-end metric the report prints every run of both trees, the
 median and the quartiles (statistics.quantiles, exclusive method), the
@@ -29,15 +29,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _directions() -> dict:
+def _spec() -> tuple:
+    """The run length and each end-to-end metric's better direction."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return (spec["run_seconds"],
+            {m["name"]: m["better"] for m in spec["end_to_end"]})
 
 
-def _run(tree: Path, args) -> dict:
+def _run(tree: Path, args, seconds) -> dict:
     """The metric values of one bench/run.py run in tree."""
     argv = [sys.executable, "bench/run.py", "--workload", args.workload,
-            "--seed", str(args.seed), "--seconds", str(args.seconds)]
+            "--seed", str(args.seed), "--seconds", str(seconds)]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -65,14 +67,17 @@ def _report(name: str, better: str, parent: list, change: list) -> str:
 
     def runs(values):
         return " ".join(fmt % v for v in values)
+
+    def spread(med, lo, hi):
+        return "          median %s, quartiles %s-%s" % (
+            fmt % med, fmt % lo, fmt % hi)
     rel = (med_c - med_p) / med_p if med_p else float("nan")
-    cq1, cq3 = _quartiles(change)
     return "\n".join([
         "%s (%s is better)" % (name, better),
         "  parent: %s" % runs(parent),
-        "          median %s, quartiles %s-%s" % (fmt % med_p, fmt % q1, fmt % q3),
+        spread(med_p, q1, q3),
         "  change: %s" % runs(change),
-        "          median %s, quartiles %s-%s" % (fmt % med_c, fmt % cq1, fmt % cq3),
+        spread(med_c, *_quartiles(change)),
         "  change wins %d of %d pairs, median %+.1f%%; 9/10 rule %s"
         % (wins, len(parent), 100 * rel, "holds" if holds else "fails"),
     ])
@@ -84,20 +89,20 @@ def main():
     ap.add_argument("change", type=Path)
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=30)
     ap.add_argument("--pairs", type=int, default=10)
     args = ap.parse_args()
+    seconds, directions = _spec()
 
     runs = {"parent": [], "change": []}
     for i in range(1, args.pairs + 1):
         order = ("parent", "change") if i % 2 else ("change", "parent")
         for side in order:
             tree = args.parent if side == "parent" else args.change
-            runs[side].append(_run(tree, args))
+            runs[side].append(_run(tree, args, seconds))
             print("pair %d %s done" % (i, side), file=sys.stderr, flush=True)
     print("%s seed %d, %d pairs of %g s runs"
-          % (args.workload, args.seed, args.pairs, args.seconds))
-    for name, better in _directions().items():
+          % (args.workload, args.seed, args.pairs, seconds))
+    for name, better in directions.items():
         parent = [r[name] for r in runs["parent"] if name in r]
         change = [r[name] for r in runs["change"] if name in r]
         if parent and len(parent) == len(change):
