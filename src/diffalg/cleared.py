@@ -1,22 +1,37 @@
-"""Differential polynomials cleared of denominators, and their monomials.
+"""Differential polynomials cleared of denominators, with packed monomials.
 
-A monomial is a tuple of (DerivVar, exponent) pairs sorted by variable
-rank, edited only through _mono_exp and _mono_set.  The cleared form of a
-polynomial p over Q(t) is a pair (P, E): a dict {monomial: int list} of
-numerators in Z[t] and one denominator E in Z[t], ascending int lists,
-E with a positive lead, such that p = P/E.  With p = P_0/E, the
-derivatives are p^(k) = P_k/E^(k+1) where P_(k+1) = D(P_k)*E -
-(k+1)*P_k*E', D the total derivation on numerators, so no gcd runs in
-the tower, which holds the P_k alone.  The form crosses into the linear
-algebra and the series as int lists, with no Poly around them: the
-Wronsky rows are the tower's x-free case, one element u = P_0/E as the
-single term of monomial (), and the Taylor recurrence reads an ODE
-cleared.  Ritt reduction runs its step on this form and turns only its
-outputs back into RatFunc terms, one normalisation each (Boulier, Lazard,
-Ollivier, Petitot, ISSAC 1995, and Hubert, LNCS 2630, reduce without
-fractions in the coefficients).
+The cleared form of a polynomial p over Q(t) is a pair (P, E): a dict
+{key: int list} of numerators in Z[t] and one denominator E in Z[t],
+ascending int lists, E with a positive lead, such that p = P/E.  _clear
+makes it from RatFunc terms under any keys (the series and the linear
+algebra clear dicts keyed by position).  With p = P_0/E, the derivatives
+are p^(k) = P_k/E^(k+1) where P_(k+1) = D(P_k)*E - (k+1)*P_k*E', D the
+total derivation on numerators, so no gcd runs in the tower, which holds
+the P_k alone.  The form crosses into the linear algebra and the series
+as int lists, with no Poly around them: the Wronsky rows are the tower's
+x-free case, one element u = P_0/E as the single term of key 0, and the
+Taylor recurrence reads an ODE cleared.  Ritt reduction runs its step on
+this form and turns only its outputs back into RatFunc terms, one
+normalisation each (Boulier, Lazard, Ollivier, Petitot, ISSAC 1995, and
+Hubert, LNCS 2630, reduce without fractions in the coefficients).
 
-Its denominators are carried over a coprime base (_Base): pairwise
+The tower, the step and the products key a numerator by its packed
+monomial, one int (Monagan and Pearce, "Polynomial division using
+dynamic arrays, heaps, and packed exponent vectors", CASC 2007).  Among
+m indeterminates, the exponent of x_i^(j) sits in slot j*m + i, bits
+w*(j*m + i) up to w*(j*m + i + 1) of the key.  A product of monomials
+is the sum of their keys, an exponent is read and set by a shift and a
+mask (_mono_exp, _mono_set), and the derivation of x_i^(j) moves one
+unit of a key up m slots.  Keys compare as DiffPoly.__str__ orders the
+monomials, the highest variable first.  The width w follows the largest
+exponent that a computation can form (_width): its bits and a guard bit,
+the slot's top bit.  While no guard bit is set, adding two keys carries
+nothing out of a slot, and keys whose guard bits are set can be
+re-packed with wider slots (_widened).  The caller packs its cleared
+tuple monomials once (_pack, _packed) and the outputs are unpacked once,
+in ratfunc_terms; DiffPoly.terms keeps tuple monomials.
+
+Ritt reduction's denominators are carried over a coprime base (_Base): pairwise
 coprime squarefree b_1..b_r in Z[t], refined from the coefficient
 denominators of its inputs, and a denominator is an integer times the
 product of the b_i^(e_i).  A product of denominators adds exponents and
@@ -34,67 +49,116 @@ from fractions import Fraction
 from .basefield import (_ONE_F, RatFunc, _add_ints, _conv, _derivative_ints,
                         _exact_quotient, _gcd_parts, _primitive, _ratfunc)
 
-Monomial = tuple
+
+def _width(top: int) -> int:
+    """The slot width for packed exponents up to top: top's bits and a
+    guard bit, the slot's top bit.  Exponents up to top leave it clear,
+    and adding two keys whose guard bits are clear carries nothing out
+    of a slot."""
+    return top.bit_length() + 1
 
 
-def _mono_exp(m: Monomial, v) -> int:
-    """Exponent of v in m."""
-    for w, e in m:
-        if w == v:
-            return e
-    return 0
+def _pack(mono: tuple, m: int, w: int) -> int:
+    """The key of a tuple monomial of (DerivVar, exponent) pairs: the
+    exponent of x_i^(j) in slot j*m + i of w bits."""
+    key = 0
+    for v, e in mono:
+        key += e << w * (v.order * m + v.indeterminate)
+    return key
 
 
-def _mono_set(m: Monomial, v, e: int) -> Monomial:
-    """m with the exponent of v set to e (v dropped when e is 0)."""
-    rest = [(w, f) for w, f in m if w != v]
-    return tuple(sorted(rest + [(v, e)])) if e else tuple(rest)
+def _packed(terms: dict, m: int, w: int) -> dict:
+    """terms with each tuple monomial replaced by its key."""
+    return {_pack(mono, m, w): c for mono, c in terms.items()}
 
 
-def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    """m1*m2, the two sorted monomials merged."""
-    if not m1:
-        return m2
-    if not m2:
-        return m1
+def _slots(key: int, w: int) -> list:
+    """The (slot, exponent) pairs of the nonzero slots of key, lowest
+    first, found from the lowest set bit so that empty slots cost
+    nothing."""
+    mask = (1 << w) - 1
     out = []
-    i, n = 0, len(m2)
-    for v, e in m1:
-        while i < n and m2[i][0] < v:
-            out.append(m2[i])
-            i += 1
-        if i < n and m2[i][0] == v:
-            e += m2[i][1]
-            i += 1
-        out.append((v, e))
-    out += m2[i:]
-    return tuple(out)
+    while key:
+        s = ((key & -key).bit_length() - 1) // w
+        e = key >> w * s & mask
+        key -= e << w * s
+        out.append((s, e))
+    return out
 
 
-def _order(terms: dict, indeterminate: int) -> int | None:
-    if not terms:
-        return None
-    best = -1
-    for mono in terms:
-        for v, _e in mono:
-            if v.indeterminate == indeterminate and v.order > best:
-                best = v.order
-    return best
+def _widened(terms: dict, w: int, wide: int) -> dict:
+    """terms with each key's slots moved from w bits to wide bits."""
+    out = {}
+    for key, c in terms.items():
+        moved = 0
+        for s, e in _slots(key, w):
+            moved += e << wide * s
+        out[moved] = c
+    return out
 
 
-def _degree_in(terms: dict, v) -> int:
-    return max((_mono_exp(mono, v) for mono in terms), default=0)
+def _mono_exp(key: int, shift: int, mask: int) -> int:
+    """Exponent of the slot at bit shift of key, mask the slot's bits."""
+    return key >> shift & mask
 
 
-def _split(terms: dict, v, e: int, d: int) -> tuple[dict, dict]:
-    """(top, rest) for terms of degree e in v: top the terms of degree e
-    with the exponent of v lowered by d, rest the terms of lower degree."""
+def _mono_set(key: int, shift: int, mask: int, e: int) -> int:
+    """key with the exponent of the slot at bit shift set to e."""
+    return key + ((e - (key >> shift & mask)) << shift)
+
+
+def _union(terms: dict) -> int:
+    """The or of the keys: a slot of it is nonzero exactly when some key's
+    is, and its guard bit is set exactly when some key's is."""
+    u = 0
+    for key in terms:
+        u |= key
+    return u
+
+
+def _guarded(union: int, w: int) -> bool:
+    """Whether a guard bit, the top bit of a slot of w bits, is set in
+    union."""
+    slots = -(-union.bit_length() // w)
+    return bool(union & ((1 << w * slots) - 1) // ((1 << w) - 1) << (w - 1))
+
+
+def _order(union: int, index: int, m: int, w: int) -> int:
+    """The highest derivative order of x_index in keys whose or is union,
+    -1 when none holds it."""
+    mask = (1 << w) - 1
+    j = (union.bit_length() - 1) // (w * m) if union else -1
+    while j >= 0 and not union >> w * (j * m + index) & mask:
+        j -= 1
+    return j
+
+
+def _degree_in(terms: dict, shift: int, mask: int) -> int:
+    return max([key >> shift & mask for key in terms], default=0)
+
+
+def _partial(terms: dict, shift: int, mask: int) -> dict:
+    """The partial derivative of terms by the variable of the slot at bit
+    shift."""
+    out = {}
+    for key, c in terms.items():
+        e = _mono_exp(key, shift, mask)
+        if e:
+            out[_mono_set(key, shift, mask, e - 1)] = [e * x for x in c]
+    return out
+
+
+def _split(terms: dict, shift: int, mask: int, e: int, d: int) -> tuple[dict, dict]:
+    """(top, rest) for terms of degree e in the slot at bit shift: top the
+    terms of degree e with that exponent lowered by d, rest the terms of
+    lower degree."""
     top, rest = {}, {}
-    for mono, c in terms.items():
-        if _mono_exp(mono, v) == e:
-            top[_mono_set(mono, v, e - d)] = c
+    lowered = d << shift
+    for key, c in terms.items():
+        if key >> shift & mask == e:
+            top[key - lowered] = c
         else:
-            rest[mono] = c
+            rest[key] = c
     return top, rest
 
 
@@ -114,23 +178,24 @@ def _lcm_prim(a: list, b: list) -> list:
     return _conv(a, _gcd_parts(a, b)[2])
 
 
-def _acc_ints(d: dict, mono: Monomial, c: list) -> None:
-    acc = d.get(mono)
+def _acc_ints(d: dict, key, c: list) -> None:
+    acc = d.get(key)
     if acc is None:
-        d[mono] = c
+        d[key] = c
     else:
         acc = _add_ints(acc, c)
         if acc:
-            d[mono] = acc
+            d[key] = acc
         else:
-            del d[mono]
+            del d[key]
 
 
 def _mul_cleared(out: dict, a: dict, b: dict) -> dict:
-    """out plus the product of the numerator dicts a and b."""
+    """out plus the product of the packed numerator dicts a and b: a
+    product of monomials is the sum of their keys."""
     for m1, c1 in a.items():
         for m2, c2 in b.items():
-            _acc_ints(out, _mono_mul(m1, m2), _conv(c1, c2))
+            _acc_ints(out, m1 + m2, _conv(c1, c2))
     return out
 
 
@@ -168,33 +233,38 @@ def _clear(terms: dict) -> tuple[dict, list]:
     return num, [ints * x for x in polys]
 
 
-def _next_derivative(num: dict, den: list, den1: list, k: int) -> dict:
-    """P_(k+1) = D(P_k)*E - (k+1)*P_k*E' for num = P_k, den = E, den1 = E'."""
+def _next_derivative(num: dict, den: list, den1: list, k: int, m: int,
+                     w: int) -> dict:
+    """P_(k+1) = D(P_k)*E - (k+1)*P_k*E' for num = P_k packed, den = E,
+    den1 = E'.  D(x_i^(j)) = x_i^(j+1) moves one unit of a key up m
+    slots: it adds the slot's unit times 2^(w*m) - 1."""
+    up = (1 << w * m) - 1
     out = {}
-    for mono, c in num.items():
-        ce = _conv(c, den) if mono else None
+    for key, c in num.items():
+        ce = _conv(c, den) if key else None
         part = _derivative_ints(c)
         part = _conv(part, den) if part else []
         if den1:
             part = _add_ints(part, [-(k + 1) * x for x in _conv(c, den1)])
         if part:
-            _acc_ints(out, mono, part)
-        for v, e in mono:
-            lowered, w = _mono_set(mono, v, e - 1), v.derived()
-            _acc_ints(out, _mono_set(lowered, w, _mono_exp(lowered, w) + 1),
-                      ce if e == 1 else [e * x for x in ce])
+            _acc_ints(out, key, part)
+        for s, e in _slots(key, w):
+            _acc_ints(out, key + (up << w * s), ce if e == 1 else [e * x for x in ce])
     return out
 
 
-def _tower(num: dict, den: list):
-    """k -> P_k, p^(k) = P_k/E^(k+1) for p = num/den = P_0/E, each P_k
-    built once."""
+def _tower(num: dict, den: list, m: int, w: int):
+    """k -> P_k, p^(k) = P_k/E^(k+1) for p = num/den = P_0/E, num packed
+    with m slots per order of w bits each, each P_k built once.  The
+    derivation keeps a monomial's total degree, so slots of the width of
+    the largest total degree of num hold every exponent of the tower."""
     den1 = _derivative_ints(den)
     tower = [num]
 
     def deriv(k: int) -> dict:
         while len(tower) <= k:
-            tower.append(_next_derivative(tower[-1], den, den1, len(tower) - 1))
+            tower.append(_next_derivative(tower[-1], den, den1, len(tower) - 1,
+                                          m, w))
         return tower[k]
     return deriv
 
@@ -352,9 +422,9 @@ class _Base:
             _acc_ints(out, mono, _conv(n, mb))
         return out, den
 
-    def ratfunc_terms(self, num: dict, den: tuple) -> dict:
-        """num/den as {monomial: RatFunc}, one normalisation per term whose
-        denominator has degree >= 1.  Each numerator is first divided by
+    def ratfunc_terms(self, num: dict, den: tuple, unpack) -> dict:
+        """num/den as {unpack(key): RatFunc}, one normalisation per term
+        whose denominator has degree >= 1.  Each numerator is first divided by
         the elements its denominator holds, while they divide it, so that
         the normalisation's gcd finds no common factor of theirs to divide
         out; a term over a constant is in lowest terms once its integer
@@ -363,7 +433,7 @@ class _Base:
         scale = Fraction(1, c)
         dens = {}         # exponents -> denominator, expanded once
         out = {}
-        for mono, a in num.items():
+        for key, a in num.items():
             e = list(exps)
             for i, b in enumerate(self.elems):
                 while e[i]:
@@ -377,7 +447,7 @@ class _Base:
             if d is None:
                 d = dens[e] = _primitive(_ONE_F, self.expand(1, e))
             if len(d.prim) == 1:
-                out[mono] = _ratfunc(_primitive(scale, a), d)
+                out[unpack(key)] = _ratfunc(_primitive(scale, a), d)
             else:
-                out[mono] = RatFunc(_primitive(scale, a), d)
+                out[unpack(key)] = RatFunc(_primitive(scale, a), d)
         return out

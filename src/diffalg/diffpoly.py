@@ -6,12 +6,18 @@ implements the total derivation, order/separant/initial data, Ritt
 pseudo-reduction with an expansion certificate, and membership in the
 general-solution ideal of an irreducible polynomial (zero remainder).
 
-Monomials are edited only through _mono_exp and _mono_set.  Ritt
-reduction repeats one step (by the separant above P's order, by the
-initial at it), its multiplier read off the remainder's top terms.  The
-step and the derivation run on the cleared form of the cleared module:
-int-list numerators over one denominator in Z[t], which the step carries
-over a coprime base.
+A monomial of DiffPoly.terms is a tuple of (DerivVar, exponent) pairs
+sorted by variable rank, edited only through _mono_exp, _mono_set and
+_mono_mul.  Ritt reduction repeats one step (by the separant above P's
+order, by the initial at it), its multiplier read off the remainder's top
+terms.  The step, the derivation and the power of a sum run on the
+cleared form of the cleared module: int-list numerators over one
+denominator in Z[t], which the step carries over a coprime base, keyed
+by packed monomials, one int each.  They pack the cleared inputs once
+with the slot width their exponents need (cleared._width) and unpack the
+outputs once (_unpack); a reduction's remainder and cofactors may
+outgrow their first width, and they are then re-packed with slots twice
+as wide.
 """
 
 from __future__ import annotations
@@ -21,10 +27,12 @@ from fractions import Fraction
 
 from .basefield import (_ONE_RF, Poly, RatFunc, _conv, _derivative_name,
                         _new, _power, _Record, _signed_factor, _signed_sum)
-from .cleared import (Monomial, _acc_ints, _Base, _clear, _degree_in,
-                      _den_times, _mono_exp, _mono_mul, _mono_set,
-                      _mul_cleared, _order, _split, _tower)
+from .cleared import (_Base, _clear, _degree_in, _den_times, _mul_cleared,
+                      _guarded, _order, _packed, _partial, _slots, _split,
+                      _tower, _union, _widened, _width)
 from .errors import IncompleteAssignment, NotApplicable, ShapeError
+
+Monomial = tuple
 
 
 class DerivVar(namedtuple("DerivVar", "order indeterminate")):
@@ -48,6 +56,51 @@ def _var_name(v: DerivVar, count: int) -> str:
     for a single one, x1..x9 otherwise."""
     name = "x" if count == 1 else "x%d" % (v.indeterminate + 1)
     return _derivative_name(name, v.order)
+
+
+def _mono_exp(m: Monomial, v: DerivVar) -> int:
+    """Exponent of v in m."""
+    for w, e in m:
+        if w == v:
+            return e
+    return 0
+
+
+def _mono_set(m: Monomial, v: DerivVar, e: int) -> Monomial:
+    """m with the exponent of v set to e (v dropped when e is 0)."""
+    rest = [(w, f) for w, f in m if w != v]
+    return tuple(sorted(rest + [(v, e)])) if e else tuple(rest)
+
+
+def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
+    """m1*m2, the two sorted monomials merged."""
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    out = []
+    i, n = 0, len(m2)
+    for v, e in m1:
+        while i < n and m2[i][0] < v:
+            out.append(m2[i])
+            i += 1
+        if i < n and m2[i][0] == v:
+            e += m2[i][1]
+            i += 1
+        out.append((v, e))
+    out += m2[i:]
+    return tuple(out)
+
+
+def _unpack(key: int, m: int, w: int) -> Monomial:
+    """The tuple monomial of a key packed with m slots per order of w bits
+    (cleared._pack): slot s holds the exponent of x_(s mod m)^(s div m)."""
+    return tuple([(DerivVar(*divmod(s, m)), e) for s, e in _slots(key, w)])
+
+
+def _degree(terms: dict) -> int:
+    """The largest total degree of a monomial of terms."""
+    return max([sum([e for _v, e in mono]) for mono in terms], default=0)
 
 
 _ZERO_RF = RatFunc(Poly())
@@ -167,11 +220,14 @@ class DiffPoly:
         if not self.terms:
             return self
         num, den = _clear(self.terms)
-        acc = _power(num, e, lambda f, g: _mul_cleared({}, f, g))
+        # no exponent of P^e is above e times the largest of P's
+        w = _width(e * max([k for mono in num for _v, k in mono], default=0))
+        acc = _power(_packed(num, m, w), e, lambda f, g: _mul_cleared({}, f, g))
         base = _Base(self.terms)
         c, exps = base.factor(den)
         power = c ** e, tuple([k * e for k in exps])
-        return _diffpoly(base.ratfunc_terms(acc, power), m)
+        return _diffpoly(base.ratfunc_terms(acc, power,
+                                            lambda key: _unpack(key, m, w)), m)
 
     def derive(self) -> "DiffPoly":
         """Total derivative: coefficients via the field derivation, x_i^(j) -> x_i^(j+1).
@@ -185,7 +241,14 @@ class DiffPoly:
 
         -1 for a nonzero element of the coefficient field, None for 0.
         """
-        return _order(self.terms, indeterminate)
+        if not self.terms:
+            return None
+        best = -1
+        for mono in self.terms:
+            for v, _e in mono:
+                if v.indeterminate == indeterminate and v.order > best:
+                    best = v.order
+        return best
 
     def leader(self, indeterminate: int = 0) -> DerivVar:
         n = self.order(indeterminate)
@@ -205,7 +268,9 @@ class DiffPoly:
         """Coefficient of the highest power of the leader."""
         lead = self.leader(indeterminate)
         deg = self.degree_in(lead)
-        return _diffpoly(_split(self.terms, lead, deg, deg)[0],
+        return _diffpoly({_mono_set(mono, lead, 0): c
+                          for mono, c in self.terms.items()
+                          if _mono_exp(mono, lead) == deg},
                          self.num_indeterminates)
 
     def partial(self, v: DerivVar) -> "DiffPoly":
@@ -218,7 +283,7 @@ class DiffPoly:
         return _diffpoly(out, self.num_indeterminates)
 
     def degree_in(self, v: DerivVar) -> int:
-        return _degree_in(self.terms, v)
+        return max([_mono_exp(mono, v) for mono in self.terms], default=0)
 
     def substitute_linear(self, matrix) -> "DiffPoly":
         """Replace x_i^(j) by sum_k T[i][k] x_k^(j) for a constant matrix T."""
@@ -335,12 +400,16 @@ def _derivatives(p: DiffPoly):
     num, den = _clear(p.terms)
     base = _Base(p.terms)
     c, exps = base.factor(den)
-    tower = _tower(num, den)
+    m = p.num_indeterminates
+    w = _width(_degree(num))
+    tower = _tower(_packed(num, m, w), den, m, w)
+
+    def unpack(key: int) -> Monomial:
+        return _unpack(key, m, w)
 
     def deriv(k: int) -> DiffPoly:
         power = c ** (k + 1), tuple([(k + 1) * e for e in exps])
-        return _diffpoly(base.ratfunc_terms(tower(k), power),
-                         p.num_indeterminates)
+        return _diffpoly(base.ratfunc_terms(tower(k), power, unpack), m)
     return deriv
 
 
@@ -371,6 +440,14 @@ def ritt_reduce(q: DiffPoly, p: DiffPoly, indeterminate: int = 0,
     product adds exponents, an lcm takes their maximum, and cancelling is
     trial division by the base's elements.
 
+    The numerators are keyed by packed monomials (cleared._pack), packed
+    once from the cleared inputs and unpacked once in the outputs.  The
+    first width holds twice the largest total degree of p's and q's
+    monomials.  Once a remainder that a step multiplies, or a cofactor,
+    has a guard bit set, a further product could carry out of its slot:
+    the remainder and the cofactors are re-packed with slots twice as
+    wide, and p's data is packed again at that width.
+
     With certificate false only the remainder is wanted: no cofactor is
     kept, the certificate is left empty and the remainder cleared, as the
     dict of numerators R of R/A, empty exactly when the remainder is 0.
@@ -379,64 +456,93 @@ def ritt_reduce(q: DiffPoly, p: DiffPoly, indeterminate: int = 0,
     if n is None or n < 0:
         raise NotApplicable("reduction needs a polynomial of order >= 0")
     num, den = _clear(p.terms)
-    base = _Base(p.terms, q.terms)
-    den_f = base.factor(den)
-    lead = DerivVar(n, indeterminate)
-    lead_deg = _degree_in(num, lead)
-    sep = {}
-    for mono, c in num.items():
-        e = _mono_exp(mono, lead)
-        if e:
-            _acc_ints(sep, _mono_set(mono, lead, e - 1), [e * x for x in c])
-    init, tail = _split(num, lead, lead_deg, lead_deg)
-    tower = _tower(num, den)
-    tails = {0: _negated(tail)}   # k -> -T_k, P_k without its top part
-
     rem, rem_den = _clear(q.terms)
-    rem_den = base.factor(rem_den)
-    s_power = i_power = 0
-    cofactors: dict[int, tuple] = {}
-    while True:
-        m = _order(rem, indeterminate)
-        if m is None or m < n:
-            break
-        v = DerivVar(m, indeterminate)
-        e = _degree_in(rem, v)
-        if m > n:
-            k, h, d = m - n, sep, 1
-            s_power += 1
-        elif e >= lead_deg:
-            k, h, d = 0, init, lead_deg
-            i_power += 1
-        else:
-            break
-        if k not in tails:
-            tails[k] = _negated(_split(tower(k), v, 1, 1)[1])
-        mult, rest = _split(rem, v, e, d)
-        # at k = 0 the lcm is E*A whatever M/A cancels to
-        mult, mult_den = base.cancel(mult, rem_den) if k else (mult, rem_den)
-        den_l, scale_h, scale_m = base.lcm(_den_times(rem_den, den_f),
-                                           _den_times(mult_den, den_f, k + 1))
-        step = _mul_cleared({}, _scaled(h, scale_h), rest)
-        _mul_cleared(step, _scaled(mult, scale_m), tails[k])
-        if certificate:
-            for j, (c, c_den) in cofactors.items():
-                cofactors[j] = _mul_cleared({}, h, c), _den_times(c_den, den_f)
-            cofactors[k] = base.add(cofactors.get(k), mult, mult_den)
-        rem, rem_den = base.cancel(step, den_l)
-
+    base = _Base(p.terms, q.terms)
+    wide = max(q.num_indeterminates, p.num_indeterminates)
+    w = _width(2 * max(_degree(num), _degree(rem)))
+    rem, rem_den, s_power, i_power, cofactors, w = _reduce(
+        num, den, base.factor(den), _packed(rem, wide, w), base.factor(rem_den),
+        base, n, indeterminate, wide, w, certificate)
     if not certificate:
         return ReductionResult(rem, s_power, i_power, [])
+
+    def unpack(key: int) -> Monomial:
+        return _unpack(key, wide, w)
     # a result multiplied by something of p counts p's indeterminates: the
     # remainder after any step, the cofactors after a second one
     steps = s_power + i_power
-    wide = max(q.num_indeterminates, p.num_indeterminates)
     m = wide if steps > 1 else q.num_indeterminates
-    certificate = [(k, _diffpoly(base.ratfunc_terms(c, c_den), m))
+    certificate = [(k, _diffpoly(base.ratfunc_terms(c, c_den, unpack), m))
                    for k, (c, c_den) in sorted(cofactors.items()) if c]
     m = wide if steps else q.num_indeterminates
-    return ReductionResult(_diffpoly(base.ratfunc_terms(rem, rem_den), m),
-                           s_power, i_power, certificate)
+    return ReductionResult(
+        _diffpoly(base.ratfunc_terms(rem, rem_den, unpack), m),
+        s_power, i_power, certificate)
+
+
+def _reduce(num: dict, den: list, den_f: tuple, rem: dict, rem_den: tuple,
+            base: _Base, n: int, index: int, m: int, w: int,
+            certificate: bool):
+    """The steps of ritt_reduce for p = num/den, num cleared with tuple
+    monomials, on the remainder rem/rem_den packed with m slots per order
+    of w bits: (R, A, separant power, initial power, {k: cofactor}, the
+    final width)."""
+    s_power = i_power = 0
+    cofactors: dict[int, tuple] = {}
+    grown = 0             # the or of the keys of the cofactors last multiplied
+    while True:
+        # p's data at the width w
+        mask = (1 << w) - 1
+        packed = _packed(num, m, w)
+        lead = w * (n * m + index)
+        lead_deg = _degree_in(packed, lead, mask)
+        sep = _partial(packed, lead, mask)
+        init, tail = _split(packed, lead, mask, lead_deg, lead_deg)
+        tower = _tower(packed, den, m, w)
+        tails = {0: _negated(tail)}   # k -> -T_k, P_k without its top part
+        while True:
+            union = _union(rem)
+            top = _order(union, index, m, w)
+            if top < n:
+                return rem, rem_den, s_power, i_power, cofactors, w
+            v = w * (top * m + index)
+            e = _degree_in(rem, v, mask)
+            if top > n:
+                k, h, d = top - n, sep, 1
+            elif e >= lead_deg:
+                k, h, d = 0, init, lead_deg
+            else:
+                return rem, rem_den, s_power, i_power, cofactors, w
+            if _guarded(union | grown, w):
+                break
+            if k:
+                s_power += 1
+            else:
+                i_power += 1
+            if k not in tails:
+                tails[k] = _negated(_split(tower(k), v, mask, 1, 1)[1])
+            mult, rest = _split(rem, v, mask, e, d)
+            # at k = 0 the lcm is E*A whatever M/A cancels to
+            mult, mult_den = base.cancel(mult, rem_den) if k else (mult, rem_den)
+            den_l, scale_h, scale_m = base.lcm(_den_times(rem_den, den_f),
+                                               _den_times(mult_den, den_f, k + 1))
+            step = _mul_cleared({}, _scaled(h, scale_h), rest)
+            _mul_cleared(step, _scaled(mult, scale_m), tails[k])
+            if certificate:
+                grown = 0
+                for j, (c, c_den) in cofactors.items():
+                    c = _mul_cleared({}, h, c)
+                    grown |= _union(c)
+                    cofactors[j] = c, _den_times(c_den, den_f)
+                cofactors[k] = base.add(cofactors.get(k), mult, mult_den)
+            rem, rem_den = base.cancel(step, den_l)
+        # no carry has happened yet: every exponent fits the wider slots
+        # with their guard bits clear
+        rem = _widened(rem, w, 2 * w)
+        cofactors = {k: (_widened(c, w, 2 * w), c_den)
+                     for k, (c, c_den) in cofactors.items()}
+        grown = 0
+        w *= 2
 
 
 def _negated(num: dict) -> dict:

@@ -23,20 +23,27 @@ The text is read in one pass over words.  One search first finds the
 leftmost character outside the alphabet (spaces and tabs aside) or integer
 literal past Python's int-conversion limit, and reports it at its column;
 other digits, such as superscripts, are characters outside the alphabet.
-Then one compiled pattern splits the text into words: a digit run, x or
-x1..x9, or one character, without the spaces and tabs.  The descent reads
-a word's kind off its first character.  No column is stored per word: an
-error maps the index of its word back to a column (_column).
+Then one compiled pattern splits the text into words, without the spaces
+and tabs: an indeterminate, x or x1..x9 with the one or two primes or the
+^(k) marker that follow it unspaced; t^k unspaced and followed by neither
+a digit nor ^; a digit run; or one other character.  Primes or a marker
+parted from their indeterminate by a space are words of their own, read
+after it.  Every error falls on a word that starts where a token of the
+grammar starts, and names it by that token, so no message or column
+depends on how the words are cut.  The descent reads a word's kind off
+its first character.  No column is stored per word: an error maps the
+index of its word back to a column (_column), with the same pattern.
 
 An x-free value is an ascending int list, an element of Z[t], until a
-division makes it a RatFunc; a value with an indeterminate is a DiffPoly.
-An indeterminate's term is DiffPoly.from_var's, whose coefficient is the
-unit RatFunc that products and powers pass over (basefield._ONE_RF), so
-a scalar times it takes the scalar as its coefficient and a power of it
-scales the exponents.  Each (order, index) has one such term, built on
-first use and shared by the values of every parse (_TERMS); the library
-edits no DiffPoly's terms in place, and parse_diffpoly returns a copy of
-the terms, so that a caller's edit reaches no later parse.
+division makes it a RatFunc.  An indeterminate's value is its monomial,
+a tuple of (DerivVar, exponent) pairs with the coefficient 1; each
+(order, index) has one, built on first use and shared by every parse
+(_MONOMIALS).  A power of a monomial scales its exponents, and a product
+term merges its monomials into one and its other factors into one value,
+so it builds one DiffPoly, not one per factor.  A sum with a monomial or
+a DiffPoly in it is a DiffPoly.  Every DiffPoly built counts the
+indeterminates seen so far, so that its monomials use indeterminates
+below its num_indeterminates.
 
 Four budgets are checked before any work: a power may have t-degree at
 most _POWER_DEGREE_MAX (the t-degree of the base times the exponent) and
@@ -55,7 +62,7 @@ from fractions import Fraction
 
 from .basefield import (_ONE_F, _ONE_POLY, _ONE_RF, RatFunc, _add_ints, _conv,
                         _primitive, _ratfunc)
-from .diffpoly import DerivVar, DiffPoly, _acc_term, _diffpoly
+from .diffpoly import DerivVar, DiffPoly, _acc_term, _diffpoly, _mono_mul
 from .errors import MixedArity, NotApplicable, ParseError
 
 # (1+t)^1000 takes 0.2 s and (1+2*t)^1000 0.35 s on a 2-core x86-64 host
@@ -68,12 +75,21 @@ _DERIVATIVE_ORDER_MAX = 100
 # each level of parentheses is three frames of the descent, far inside
 # the interpreter's recursion limit
 _NESTING_MAX = 100
-# (order, index) -> the term of x_index^(order), at most 9 * 101 of them
-_TERMS: dict = {}
+# (order, index) -> the monomial of x_index^(order), at most 9 * 101 of them
+_MONOMIALS: dict = {}
 
-# a digit run, x or x1..x9, or one other character; spaces and tabs part words
-_WORD = re.compile(r"[^ \t0-9x]|[0-9]+|x[1-9]?")
+# x or x1..x9 with one or two primes or a ^(k) marker, t^k not followed by
+# a digit or ^, a digit run, or one other character; spaces and tabs part
+# words
+_WORD = re.compile(r"x[1-9]?(?:''?|\^\([0-9]+\))?|t\^[0-9]+(?![0-9^])|[0-9]+"
+                   r"|[^ \t]")
+# the name that starts a word
+_NAME = re.compile(r"x[1-9]?|.")
 _DIGITS = "0123456789"
+_T = [0, 1]
+# the kinds of value with an indeterminate: a monomial, a tuple of
+# (DerivVar, exponent) pairs with the coefficient 1, and a DiffPoly
+_POLYNOMIALS = (tuple, DiffPoly)
 # the word after the last, a character outside the alphabet
 _END = "$"
 # a character outside the alphabet
@@ -142,36 +158,59 @@ class _Parser:
                 rhs = _neg(rhs)
             if acc is not None:
                 _add_to(acc, rhs)
-            elif type(value) is DiffPoly or type(rhs) is DiffPoly:
+            elif type(value) in _POLYNOMIALS or type(rhs) in _POLYNOMIALS:
                 acc = {}
                 _add_to(acc, value)
                 _add_to(acc, rhs)
             else:
                 value = _plus(value, rhs)
             op = words[self.pos]
-        return value if acc is None else _diffpoly(acc, 1)
+        return value if acc is None else _diffpoly(acc, self.arity)
 
     def term(self):
+        """The product of the factors: the monomials merge into one, the
+        other factors into one value.  A monomial alone stays a monomial;
+        with a value it makes a DiffPoly."""
         words = self.words
         value = self.factor()
+        mono = None
+        if type(value) is tuple:
+            mono, value = value, None
         op = words[self.pos]
         while op == "*" or op == "/":
             at = self.pos
             self.pos += 1
             rhs = self.factor()
             if op == "*":
-                value = _product(value, rhs)
+                if type(rhs) is tuple:
+                    mono = rhs if mono is None else _mono_mul(mono, rhs)
+                else:
+                    value = rhs if value is None else _product(value, rhs)
             else:
-                if type(rhs) is DiffPoly:
+                if type(rhs) is tuple:
+                    if rhs:
+                        self.fail("division by an expression containing an "
+                                  "indeterminate", at)
+                    rhs = [1]
+                elif type(rhs) is DiffPoly:
                     if any(rhs.terms):
                         self.fail("division by an expression containing an "
                                   "indeterminate", at)
                     rhs = rhs.constant_coefficient()
                 if not rhs:
                     raise ZeroDivisionError("division by zero")
-                value = _quotient(value, rhs)
+                value = _quotient([1] if value is None else value, rhs)
             op = words[self.pos]
-        return value
+        if mono is None:
+            return value
+        if value is None:
+            return mono
+        if type(value) is DiffPoly:
+            # a product by one monomial keeps the keys apart
+            return _diffpoly({_mono_mul(m, mono): c for m, c in value.terms.items()},
+                             self.arity)
+        value = _field(value)
+        return _diffpoly({mono: value} if value else {}, self.arity)
 
     def factor(self):
         words = self.words
@@ -183,7 +222,7 @@ class _Parser:
             value = int(word)
             value = [value] if value else []
         elif kind == "t":
-            value = [0, 1]
+            value = _power(_T, int(word[2:])) if len(word) > 1 else _T
         elif kind == "x":
             value, pos = self.indeterminate(word, pos)
         elif kind == "(":
@@ -210,12 +249,13 @@ class _Parser:
         return value
 
     def indeterminate(self, word: str, pos: int) -> tuple:
-        """The term of the indeterminate word and the position after its
-        primes or ^(k) marker."""
+        """The monomial of the indeterminate word and the position after
+        its primes or ^(k) marker, in the word or in the words after it."""
         words = self.words
         if not self.allow_indeterminates:
             self.fail("indeterminates are not allowed here", pos - 1)
-        if len(word) == 1:
+        indexed = len(word) > 1 and word[1] in _DIGITS
+        if not indexed:
             if self.indexed:
                 self.fail("cannot mix bare x with indexed indeterminates",
                           pos - 1, MixedArity)
@@ -229,29 +269,32 @@ class _Parser:
             index = int(word[1]) - 1
             if index >= self.arity:
                 self.arity = index + 1
-        order = 0
-        while words[pos] == "'":
-            if order == 2:
-                self.fail("at most two primes; use ^(k) for higher derivatives",
-                          pos)
-            order += 1
-            pos += 1
-        if not order and words[pos] == "^" and words[pos + 1] == "(":
-            word = words[pos + 2]
-            if word[0] not in _DIGITS:
-                self.fail("expected derivative order", pos + 2)
-            if words[pos + 3] != ")":
-                self.fail("expected ')'", pos + 3)
-            pos += 4
-            order = int(word)
-            if order > _DERIVATIVE_ORDER_MAX:
-                raise NotApplicable(
-                    "derivative order %d is over the limit of %d"
-                    % (order, _DERIVATIVE_ORDER_MAX))
-        term = _TERMS.get((order, index))
-        if term is None:
-            term = _TERMS[order, index] = DiffPoly.from_var(DerivVar(order, index))
-        return term, pos
+        marker = word.find("(")
+        if marker > 0:
+            order = int(word[marker + 1:-1])
+        else:
+            order = len(word) - 1 - indexed
+            while words[pos] == "'":
+                if order == 2:
+                    self.fail("at most two primes; use ^(k) for higher "
+                              "derivatives", pos)
+                order += 1
+                pos += 1
+            if not order and words[pos] == "^" and words[pos + 1] == "(":
+                word = words[pos + 2]
+                if word[0] not in _DIGITS:
+                    self.fail("expected derivative order", pos + 2)
+                if words[pos + 3] != ")":
+                    self.fail("expected ')'", pos + 3)
+                pos += 4
+                order = int(word)
+        if order > _DERIVATIVE_ORDER_MAX:
+            raise NotApplicable("derivative order %d is over the limit of %d"
+                                % (order, _DERIVATIVE_ORDER_MAX))
+        mono = _MONOMIALS.get((order, index))
+        if mono is None:
+            mono = _MONOMIALS[order, index] = ((DerivVar(order, index), 1),)
+        return mono, pos
 
 
 def _parse(text: str, allow_indeterminates: bool):
@@ -270,7 +313,7 @@ def _describe(word: str) -> str:
         return "end of input"
     if word[0] in _DIGITS:
         return "'%d'" % int(word)
-    return "\"'\"" if word == "'" else "'%s'" % word
+    return "\"'\"" if word == "'" else "'%s'" % _NAME.match(word).group()
 
 
 def _field(value) -> RatFunc:
@@ -281,6 +324,8 @@ def _field(value) -> RatFunc:
 
 
 def _neg(value):
+    if type(value) is tuple:
+        return DiffPoly({value: -1})
     return [-x for x in value] if type(value) is list else -value
 
 
@@ -299,9 +344,11 @@ def _plus(a, b):
 
 
 def _add_to(acc: dict, value) -> None:
-    """acc += value for a dict of RatFunc terms, a scalar at the monomial
-    ()."""
-    if type(value) is DiffPoly:
+    """acc += value for a dict of RatFunc terms, a monomial with the
+    coefficient 1 and a scalar at the monomial ()."""
+    if type(value) is tuple:
+        _acc_term(acc, value, _ONE_RF)
+    elif type(value) is DiffPoly:
         for mono, c in value.terms.items():
             if mono in acc:
                 _acc_term(acc, mono, c)
@@ -348,6 +395,8 @@ def _power(value, e: int):
                             "over the limit of %d" % _POWER_SIZE_MAX)
     if type(value) is list:
         return _int_power(value, e)
+    if type(value) is tuple:
+        return tuple([(v, k * e) for v, k in value]) if e else ()
     return value ** e
 
 
@@ -389,12 +438,11 @@ def _power_size(value, e: int) -> tuple:
     only 701 terms, took 4.5 s."""
     if isinstance(value, list):
         m, top, num, den = 1, len(value), sum(map(abs, value)), 1
+    elif isinstance(value, tuple):
+        # a monomial's power scales its exponents
+        return 0, 0
     else:
         coeffs = value.terms.values() if isinstance(value, DiffPoly) else (value,)
-        # a single term's power is sized as its coefficient's: the unit's,
-        # as in x^2 or (x^(3))^2, is 0 at once
-        if len(coeffs) == 1 and next(iter(coeffs)) is _ONE_RF:
-            return 0, 0
         m, top, num, den = len(coeffs), 0, 0, 1
         for c in coeffs:
             content, a, b = c.num.content, c.num.prim, c.den.prim
@@ -422,7 +470,9 @@ def parse_diffpoly(text: str) -> DiffPoly:
     """Parse a differential polynomial in x (or x1..x9) over Q(t)."""
     value, arity = _parse(text, allow_indeterminates=True)
     if type(value) is DiffPoly:
-        return _diffpoly(dict(value.terms), arity)
+        return _diffpoly(value.terms, arity)
+    if type(value) is tuple:
+        return _diffpoly({value: _ONE_RF}, arity)
     return _diffpoly({(): _field(value)} if value else {}, arity)
 
 

@@ -240,12 +240,13 @@ def _wronsky_rows(elems, m: int) -> tuple[list, Poly]:
     rows = []
     scale = [1]
     for u in elems:
-        num, den = _clear({(): u})
-        tower = _tower(num, den)
+        # one term, with no variable: key 0 under any packing
+        num, den = _clear({0: u})
+        tower = _tower(num, den, 1, 1)
         powers = [[1]]                  # E^j
         for _ in range(m + 1):
             powers.append(_conv(powers[-1], den))
-        pks = [tower(k).get(()) for k in range(m + 1)]
+        pks = [tower(k).get(0) for k in range(m + 1)]
         rows.append([_conv(pk, powers[m - k]) if pk else []
                      for k, pk in enumerate(pks)])
         scale = _conv(scale, powers[m + 1])

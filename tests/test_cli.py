@@ -267,9 +267,24 @@ def _parsed(parse, text):
 @example("(x+t)^1000")
 @example("(x+t)^38 - x'")
 @example("-(x*x1)^2/7 + 3")
+@example("x^()")
+@example("x''^(3)")
+@example("x1^(101)")
+@example("t^")
+@example("t^2^3")
+@example("x^(3)^2")
+@example("(x^(3))^2")
+@example("x ' '")
+@example("x'' '")
+@example("x ^(3)")
+@example("x1 x2'")
+@example("t^2 ^3 * x'/x^0")
+@example("(x2 + x1')^2")
 def test_one_pass_parser_matches_token_parser(text):
     # the earlier token parser, kept in tests/oracles.py, reads the same
-    # value, arity and first error off every string, in both entry points
+    # value, arity and first error off every string, in both entry points;
+    # an indeterminate with its primes or ^(k) marker, and t^k, are single
+    # words of the one-pass parser, which changes no message or column
     import oracles
 
     for ours, theirs in ((parse_diffpoly, oracles.parse_diffpoly),

@@ -15,6 +15,7 @@ from diffalg.diffpoly import (
     DerivVar,
     DiffPoly,
     _derivatives,
+    _unpack,
     certificate_checks,
     in_general_ideal,
     ritt_reduce,
@@ -424,13 +425,14 @@ def test_cleared_tower_is_repeated_derive(p):
     # the Wronsky rows' scale)
     deriv = _derivatives(p)
     num, den = _clear(p.terms)
-    tower = _tower(num, den)
+    m, w = p.num_indeterminates, cleared._width(4)
+    tower = _tower(cleared._packed(num, m, w), den, m, w)
     expected, derived = p, p
     for k in range(4):
         assert deriv(k) == expected == derived
         assert deriv(k).num_indeterminates == p.num_indeterminates
         power = RatFunc(Poly(den) ** (k + 1))
-        assert {mono: RatFunc(Poly(c)) for mono, c in tower(k).items()} \
+        assert {_unpack(key, m, w): RatFunc(Poly(c)) for key, c in tower(k).items()} \
             == {mono: c * power for mono, c in expected.terms.items()}
         expected, derived = _termwise_derivative(expected), derived.derive()
 
@@ -625,9 +627,92 @@ def test_ritt_step_forms_no_cancelling_products(monkeypatch):
     monkeypatch.setattr(diffpoly, "_mul_cleared", counting)
     r = ritt_reduce(q, p)
     assert sum(work) <= 2000
+    # exactly the products counted before the numerators were packed: a
+    # product that stops passing through these two names fails here
+    assert sum(work) == 1375
     monkeypatch.undo()
     assert r.remainder.is_zero()
     assert certificate_checks(q, p, r)
+
+
+def test_ritt_reduce_builds_no_tuple_monomials(monkeypatch):
+    # the step runs on packed keys: no tuple monomial is merged or edited
+    # and no DerivVar is built, except in unpacking the outputs, one per
+    # variable of each of their terms
+    q, p = parse_diffpoly(_GAP4_Q), parse_diffpoly(_GAP4_P)
+    built = []
+    new = DerivVar.__new__
+    monkeypatch.setattr(DerivVar, "__new__",
+                        lambda cls, *args: built.append(args) or new(cls, *args))
+
+    def refused(*args):
+        raise AssertionError("a tuple monomial was edited")
+    for name in ("_mono_exp", "_mono_set", "_mono_mul"):
+        monkeypatch.setattr(diffpoly, name, refused)
+    unpacked = []
+    unpack = diffpoly._unpack
+    monkeypatch.setattr(diffpoly, "_unpack",
+                        lambda key, m, w: unpacked.append(key) or unpack(key, m, w))
+    r = ritt_reduce(q, p)
+    monkeypatch.undo()
+    out = [mono for _k, c in r.certificate for mono in c.terms]
+    assert r.remainder.is_zero() and len(out) == len(unpacked) == 6
+    assert len(built) == sum(len(mono) for mono in out) == 11
+
+
+def test_ritt_reduce_widens_the_slots(monkeypatch):
+    # the first width, 4 bits, holds exponents below 8 (twice the largest
+    # total degree, 2, and a guard bit); the exponents of x reach 13, and
+    # carried across slots of 4 bits they would break the identity, so the
+    # remainder and the cofactors are re-packed with slots of 8 bits
+    q, p = parse_diffpoly("x^(8)"), parse_diffpoly("x*x' + t")
+    widths = []
+    widened = diffpoly._widened
+    monkeypatch.setattr(diffpoly, "_widened", lambda terms, w, wide:
+                        widths.append((w, wide)) or widened(terms, w, wide))
+    r = ritt_reduce(q, p)
+    assert set(widths) == {(4, 8)}
+    assert max(e for mono in r.remainder.terms for _v, e in mono) == 13
+    assert certificate_checks(q, p, r)
+    assert in_general_ideal(q, p) == r.remainder.is_zero()
+
+
+# a monomial of up to 9 indeterminates and orders up to 100, exponents
+# small or up to 2^70
+_packing_monos = st.integers(1, 9).flatmap(lambda m: st.tuples(
+    st.just(m),
+    st.lists(st.dictionaries(
+        st.tuples(st.integers(0, 100), st.integers(0, m - 1)),
+        st.one_of(st.integers(0, 3), st.integers(0, 2**70)), max_size=4).map(
+            lambda d: tuple(sorted((DerivVar(j, i), e) for (j, i), e in d.items() if e))),
+        min_size=2, max_size=6)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_packing_monos, st.integers(0, 2**70))
+@example((1, [(), ()]), 0)
+@example((2, [((var(1, 3), 2**70),), ((var(0, 0), 1), (var(1, 0), 3))]), 2**70)
+def test_packed_monomials_match_tuple_monomials(case, e):
+    # one key per monomial, slot j*m + i of w bits holding the exponent of
+    # x_i^(j): packing inverts unpacking, a product is a sum of keys, an
+    # exponent is read and set by shifts and masks, and the keys sort as
+    # DiffPoly.__str__ orders its terms
+    m, monos = case
+    top = max([f for mono in monos for _v, f in mono] + [e])
+    w = cleared._width(2 * top)
+    mask = (1 << w) - 1
+    keys = [cleared._pack(mono, m, w) for mono in monos]
+    assert [_unpack(key, m, w) for key in keys] == monos
+    a, b = monos[:2]
+    assert keys[0] + keys[1] == cleared._pack(diffpoly._mono_mul(a, b), m, w)
+    for v, _f in a + b:
+        shift = w * (v.order * m + v.indeterminate)
+        assert cleared._mono_exp(keys[0], shift, mask) == diffpoly._mono_exp(a, v)
+        assert cleared._mono_set(keys[0], shift, mask, e) \
+            == cleared._pack(diffpoly._mono_set(a, v, e), m, w)
+    distinct = list(dict.fromkeys(monos))
+    assert sorted(distinct, key=lambda mono: mono[::-1], reverse=True) \
+        == sorted(distinct, key=lambda mono: cleared._pack(mono, m, w), reverse=True)
 
 
 @settings(max_examples=60, deadline=None)
